@@ -19,7 +19,8 @@ from .ast import desugar, to_text
 from .emit_cypher import UnsupportedReport, emit_cypher
 from .emit_sql import DIALECTS, EmitError, emit_sql
 from .evaluator import eval_ucqt, gen_db
-from .inference import DEFAULT_PATH_LIMIT, DerivationRow, InferenceLog, derive, infer
+from .inference import DEFAULT_PATH_LIMIT, DerivationRow, InferenceLog, derivation_rows, infer
+from .inference import derive  # noqa: F401  the benchmark tracer (perfbench/tracer.py) wraps it
 from .parser import QuerySyntaxError, parse_path_expr, parse_query
 from .query import UcqtQuery, query_to_text
 from .rewriter import DEFAULT_DISJUNCT_LIMIT, rewrite
@@ -125,29 +126,12 @@ def _derivation_table(rows: list[DerivationRow]) -> str:
     return "\n".join(lines)
 
 
-def _explain_rows(query: UcqtQuery, schema, path_limit: int) -> list[DerivationRow]:
-    from .ast import has_annotations
-
-    rows: list[DerivationRow] = []
-    seen: set[str] = set()
-    for conjunct in query.disjuncts:
-        for rel in conjunct.relations:
-            expr = simplify(desugar(rel.expr))
-            if has_annotations(expr):
-                continue  # pre-annotated atoms are passed through, not derived
-            for row in derive(expr, schema, path_limit):
-                if row.term not in seen:
-                    seen.add(row.term)
-                    rows.append(row)
-    return rows
-
-
 def _cmd_rewrite(args) -> int:
     schema = load_schema(Path(args.schema))
     path_limit, disjunct_limit = _limits(args)
     query = _read_query(args.query)
     outcome = rewrite(query, schema, disjunct_limit=disjunct_limit, path_limit=path_limit)
-    explain = _explain_rows(query, schema, path_limit) if args.explain else None
+    explain = derivation_rows(outcome.logs) if args.explain else None
     if args.json:
         doc = {
             "enriched": query_to_text(outcome.enriched),
@@ -263,7 +247,7 @@ def _cmd_pipeline(args) -> int:
     path_limit, disjunct_limit = _limits(args)
     query = _read_query(args.query)
     outcome = rewrite(query, schema, disjunct_limit=disjunct_limit, path_limit=path_limit)
-    explain = _explain_rows(query, schema, path_limit)
+    explain = derivation_rows(outcome.logs)
     emitted: dict[str, object] = {}
     for target in args.target or ["sql:postgres"]:
         if target == "cypher":

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 
 from .ast import (
     AnnConcat,
@@ -65,9 +66,11 @@ class SchemaTriple:
 
 @dataclass
 class InferenceLog:
-    """Collects warnings (currently only the path-enumeration cap)."""
+    """Collects warnings (currently only the path-enumeration cap) and, in
+    post-order, every sub-term inference finished with the triples it got."""
 
     warnings: list[str] = field(default_factory=list)
+    steps: list[tuple[PathExpr, set[SchemaTriple]]] = field(default_factory=list)
 
 
 def _canonical(triples: set[SchemaTriple]) -> tuple[SchemaTriple, ...]:
@@ -126,63 +129,67 @@ def _infer(
     log: InferenceLog | None,
 ) -> set[SchemaTriple]:
     if isinstance(expr, Label):
-        return set(basics.get(expr.name, ()))
-    if isinstance(expr, Reverse):
-        return {
+        out = set(basics.get(expr.name, ()))
+    elif isinstance(expr, Reverse):
+        out = {
             SchemaTriple(t.trg, Reverse(expr.name), t.src) for t in basics.get(expr.name, ())
         }
-    if isinstance(expr, Concat):
+    elif isinstance(expr, Concat):
         left = _grouped(_infer(expr.left, basics, path_limit, log), lambda t: t.trg)
         right = _grouped(_infer(expr.right, basics, path_limit, log), lambda t: t.src)
         _check_join_work(left, right)
-        return {
+        out = {
             SchemaTriple(t1.src, AnnConcat(t1.expr, frozenset({t1.trg}), t2.expr), t2.trg)
             for key, group in left.items()
             for t1 in group
             for t2 in right.get(key, ())
         }
-    if isinstance(expr, Union):
-        return _infer(expr.left, basics, path_limit, log) | _infer(
+    elif isinstance(expr, Union):
+        out = _infer(expr.left, basics, path_limit, log) | _infer(
             expr.right, basics, path_limit, log
         )
-    if isinstance(expr, Conj):
+    elif isinstance(expr, Conj):
         left = _grouped(_infer(expr.left, basics, path_limit, log), lambda t: (t.src, t.trg))
         right = _grouped(_infer(expr.right, basics, path_limit, log), lambda t: (t.src, t.trg))
         _check_join_work(left, right)
-        return {
+        out = {
             SchemaTriple(t1.src, Conj(t1.expr, t2.expr), t1.trg)
             for key, group in left.items()
             for t1 in group
             for t2 in right.get(key, ())
         }
-    if isinstance(expr, BranchR):
+    elif isinstance(expr, BranchR):
         main = _grouped(_infer(expr.main, basics, path_limit, log), lambda t: t.trg)
         test = _grouped(_infer(expr.test, basics, path_limit, log), lambda t: t.src)
         _check_join_work(main, test)
-        return {
+        out = {
             SchemaTriple(t1.src, BranchR(t1.expr, t2.expr), t1.trg)
             for key, group in main.items()
             for t1 in group
             for t2 in test.get(key, ())
         }
-    if isinstance(expr, BranchL):
+    elif isinstance(expr, BranchL):
         test = _grouped(_infer(expr.test, basics, path_limit, log), lambda t: t.src)
         main = _grouped(_infer(expr.main, basics, path_limit, log), lambda t: t.src)
         _check_join_work(test, main)
-        return {
+        out = {
             SchemaTriple(t2.src, BranchL(t1.expr, t2.expr), t2.trg)
             for key, group in test.items()
             for t1 in group
             for t2 in main.get(key, ())
         }
-    if isinstance(expr, TransClos):
+    elif isinstance(expr, TransClos):
         inner = _infer(expr.inner, basics, path_limit, log)
-        return set(plus_comp(expr.inner, _canonical(inner), path_limit, log))
-    if isinstance(expr, Repeat):
+        out = set(plus_comp(expr.inner, _canonical(inner), path_limit, log))
+    elif isinstance(expr, Repeat):
         raise ValueError("infer expects a desugared (repeat-free) expression")
-    if isinstance(expr, AnnConcat):
+    elif isinstance(expr, AnnConcat):
         raise ValueError("infer operates on plain (annotation-free) path expressions")
-    raise TypeError(f"not a path expression: {expr!r}")
+    else:
+        raise TypeError(f"not a path expression: {expr!r}")
+    if log is not None:
+        log.steps.append((expr, out))
+    return out
 
 
 @dataclass(frozen=True)
@@ -374,28 +381,20 @@ def derive(
     log: InferenceLog | None = None,
 ) -> list[DerivationRow]:
     """Triples of every distinct sub-term, innermost first."""
-    rows: list[DerivationRow] = []
-    seen: set[str] = set()
+    own = InferenceLog()
+    infer(expr, schema, path_limit, own)
+    if log is not None:
+        log.warnings.extend(own.warnings)
+    return derivation_rows([own])
 
-    def visit(node: PathExpr) -> None:
-        if isinstance(node, TransClos):
-            visit(node.inner)
-        elif isinstance(node, (Concat, Union, Conj)):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, BranchR):
-            visit(node.main)
-            visit(node.test)
-        elif isinstance(node, BranchL):
-            visit(node.test)
-            visit(node.main)
-        text = to_text(node)
-        if text in seen:
-            return
-        seen.add(text)
-        rows.append(
-            DerivationRow(text, _RULE_NAMES[type(node)], infer(node, schema, path_limit, log))
-        )
 
-    visit(expr)
-    return rows
+def derivation_rows(logs: Iterable[InferenceLog]) -> list[DerivationRow]:
+    """One row per distinct sub-term recorded on the logs, in step order;
+    the first occurrence of a term text wins."""
+    rows: dict[str, DerivationRow] = {}
+    for log in logs:
+        for node, triples in log.steps:
+            text = to_text(node)
+            if text not in rows:
+                rows[text] = DerivationRow(text, _RULE_NAMES[type(node)], _canonical(triples))
+    return list(rows.values())

@@ -109,45 +109,23 @@ def _merge_exprs(exprs: list[PathExpr]) -> PathExpr:
     raise MergeShapeError(f"cannot merge expression kind {type(first).__name__}")
 
 
-def source_label_set(expr: PathExpr, schema: GraphSchema) -> frozenset[str]:
-    """Schema-permitted labels of nodes a result pair can start from."""
+def end_label_set(expr: PathExpr, schema: GraphSchema, source: bool) -> frozenset[str]:
+    """Schema-permitted labels of nodes a result pair can start from
+    (``source``) or end at (not ``source``)."""
     if isinstance(expr, Label):
-        return schema.source_labels(expr.name)
+        return (schema.source_labels if source else schema.target_labels)(expr.name)
     if isinstance(expr, Reverse):
-        return schema.target_labels(expr.name)
+        return end_label_set(Label(expr.name), schema, not source)
     if isinstance(expr, (Concat, AnnConcat)):
-        return source_label_set(expr.left, schema)
+        return end_label_set(expr.left if source else expr.right, schema, source)
     if isinstance(expr, Union):
-        return source_label_set(expr.left, schema) | source_label_set(expr.right, schema)
+        return end_label_set(expr.left, schema, source) | end_label_set(expr.right, schema, source)
     if isinstance(expr, Conj):
-        return source_label_set(expr.left, schema) & source_label_set(expr.right, schema)
-    if isinstance(expr, BranchR):
-        return source_label_set(expr.main, schema)
-    if isinstance(expr, BranchL):
-        return source_label_set(expr.main, schema)
+        return end_label_set(expr.left, schema, source) & end_label_set(expr.right, schema, source)
+    if isinstance(expr, (BranchR, BranchL)):
+        return end_label_set(expr.main, schema, source)
     if isinstance(expr, (TransClos, Repeat)):
-        return source_label_set(expr.inner, schema)
-    raise TypeError(f"not a path expression: {expr!r}")
-
-
-def target_label_set(expr: PathExpr, schema: GraphSchema) -> frozenset[str]:
-    """Schema-permitted labels of nodes a result pair can end at."""
-    if isinstance(expr, Label):
-        return schema.target_labels(expr.name)
-    if isinstance(expr, Reverse):
-        return schema.source_labels(expr.name)
-    if isinstance(expr, (Concat, AnnConcat)):
-        return target_label_set(expr.right, schema)
-    if isinstance(expr, Union):
-        return target_label_set(expr.left, schema) | target_label_set(expr.right, schema)
-    if isinstance(expr, Conj):
-        return target_label_set(expr.left, schema) & target_label_set(expr.right, schema)
-    if isinstance(expr, BranchR):
-        return target_label_set(expr.main, schema)
-    if isinstance(expr, BranchL):
-        return target_label_set(expr.main, schema)
-    if isinstance(expr, (TransClos, Repeat)):
-        return target_label_set(expr.inner, schema)
+        return end_label_set(expr.inner, schema, source)
     raise TypeError(f"not a path expression: {expr!r}")
 
 
@@ -163,8 +141,8 @@ def remove_redundant(merged: MergedTriple, schema: GraphSchema) -> MergedTriple:
         if isinstance(expr, AnnConcat):
             left = prune(expr.left)
             right = prune(expr.right)
-            delivered = target_label_set(expr.left, schema)
-            accepted = source_label_set(expr.right, schema)
+            delivered = end_label_set(expr.left, schema, source=False)
+            accepted = end_label_set(expr.right, schema, source=True)
             if expr.labels >= delivered or expr.labels >= accepted:
                 return Concat(left, right)
             return AnnConcat(left, expr.labels, right)
@@ -184,10 +162,10 @@ def remove_redundant(merged: MergedTriple, schema: GraphSchema) -> MergedTriple:
 
     expr = prune(merged.expr)
     src_set = merged.src_set
-    if src_set and src_set >= source_label_set(merged.expr, schema):
+    if src_set and src_set >= end_label_set(merged.expr, schema, source=True):
         src_set = frozenset()
     trg_set = merged.trg_set
-    if trg_set and trg_set >= target_label_set(merged.expr, schema):
+    if trg_set and trg_set >= end_label_set(merged.expr, schema, source=False):
         trg_set = frozenset()
     return MergedTriple(src_set=src_set, expr=expr, trg_set=trg_set)
 
@@ -304,11 +282,14 @@ def _translate_chain(
 @dataclass(frozen=True)
 class RewriteOutcome:
     """Enriched query plus, per (input disjunct index, relation index),
-    whether the relation kept its original expression."""
+    whether the relation kept its original expression, and one inference
+    log per relation in that order. An atom left alone has no steps; one
+    cut off by the join work limit keeps the steps finished before it."""
 
     enriched: UcqtQuery
     reverted: dict[tuple[int, int], bool]
     warnings: tuple[str, ...]
+    logs: tuple[InferenceLog, ...]
 
 
 @dataclass(frozen=True)
@@ -337,64 +318,55 @@ def rewrite(
         used |= conjunct.variables()
     fresh = _fresh_names(frozenset(used))
 
+    def enrichment(rel: Relation, phi: PathExpr, log: InferenceLog) -> list[MergedTriple] | None:
+        """Merged triples to replace the atom with, [] when the atom is
+        unsatisfiable, or None when it keeps its simplified expression."""
+        if has_annotations(phi):
+            # the atom already carries junction labels; leave it alone
+            return None
+        try:
+            triples = infer(phi, schema, path_limit, log)
+        except InferenceOverflow as exc:
+            warnings.append(f"{exc}; reverting ({rel.src_var}, ..., {rel.trg_var})")
+            return None
+        warnings.extend(log.warnings)
+        if not triples:
+            warnings.append(
+                f"unsatisfiable: ({rel.src_var}, {to_text(rel.expr)}, {rel.trg_var}) "
+                "matches nothing under the schema"
+            )
+            return []
+        merged = [remove_redundant(m, schema) for m in merge_triples(triples)]
+        plain = merged[0]
+        if len(merged) == 1 and not plain.src_set and not plain.trg_set and plain.expr == phi:
+            return None
+        if len(merged) > disjunct_limit:
+            warnings.append(
+                f"{len(merged)} alternatives for ({rel.src_var}, {to_text(rel.expr)}, "
+                f"{rel.trg_var}) exceed the limit of {disjunct_limit}; reverting"
+            )
+            return None
+        return merged
+
     reverted: dict[tuple[int, int], bool] = {}
+    logs: list[InferenceLog] = []
     out_disjuncts: list[Conjunct] = []
     for d_index, conjunct in enumerate(query.disjuncts):
         per_atom: list[list[_Alternative]] = []
         dead = False
         for a_index, rel in enumerate(conjunct.relations):
             phi = simplify(desugar(rel.expr))
-            if has_annotations(phi):
-                # the atom already carries junction labels; leave it alone
-                reverted[(d_index, a_index)] = True
+            logs.append(InferenceLog())
+            merged = enrichment(rel, phi, logs[-1])
+            reverted[(d_index, a_index)] = merged is None
+            if merged is None:
                 per_atom.append(
                     [_Alternative(relations=(Relation(rel.src_var, phi, rel.trg_var),), labels=())]
                 )
                 continue
-            log = InferenceLog()
-            key = (d_index, a_index)
-            try:
-                triples = infer(phi, schema, path_limit, log)
-            except InferenceOverflow as exc:
-                warnings.append(f"{exc}; reverting ({rel.src_var}, ..., {rel.trg_var})")
-                reverted[key] = True
-                per_atom.append(
-                    [_Alternative(relations=(Relation(rel.src_var, phi, rel.trg_var),), labels=())]
-                )
-                continue
-            warnings.extend(log.warnings)
-            if not triples:
-                warnings.append(
-                    f"unsatisfiable: ({rel.src_var}, {to_text(rel.expr)}, {rel.trg_var}) "
-                    "matches nothing under the schema"
-                )
-                reverted[key] = False
+            if not merged:
                 dead = True
                 continue
-            merged = [remove_redundant(m, schema) for m in merge_triples(triples)]
-            plain_revert = (
-                len(merged) == 1
-                and not merged[0].src_set
-                and not merged[0].trg_set
-                and merged[0].expr == phi
-            )
-            if plain_revert:
-                reverted[key] = True
-                per_atom.append(
-                    [_Alternative(relations=(Relation(rel.src_var, phi, rel.trg_var),), labels=())]
-                )
-                continue
-            if len(merged) > disjunct_limit:
-                warnings.append(
-                    f"{len(merged)} alternatives for ({rel.src_var}, {to_text(rel.expr)}, "
-                    f"{rel.trg_var}) exceed the limit of {disjunct_limit}; reverting"
-                )
-                reverted[key] = True
-                per_atom.append(
-                    [_Alternative(relations=(Relation(rel.src_var, phi, rel.trg_var),), labels=())]
-                )
-                continue
-            reverted[key] = False
             alternatives = []
             for m in merged:
                 fragment = Fragment()
@@ -453,5 +425,8 @@ def rewrite(
     else:
         warnings.append("query is unsatisfiable under the schema; emitting the empty query")
     return RewriteOutcome(
-        enriched=enriched, reverted=reverted, warnings=tuple(dict.fromkeys(warnings))
+        enriched=enriched,
+        reverted=reverted,
+        warnings=tuple(dict.fromkeys(warnings)),
+        logs=tuple(logs),
     )

@@ -2,11 +2,14 @@ import json
 
 import pytest
 
+import pathforge.inference
+import pathforge.rewriter
 from pathforge import parse_path_expr, parse_query
 from pathforge.cli import run
 
 YAGO = "tests/data/yago_schema.json"
 DB = "tests/data/yago_nodes.csv,tests/data/yago_edges.csv"
+README_QUERY = "x,y <- (x, livesIn/isLocatedIn+/dealsWith+, y)"
 
 
 @pytest.fixture()
@@ -208,3 +211,32 @@ def test_no_color_env(query_file, monkeypatch, capsys):
     path = query_file("x,y <- (x, owns/owns, y)")
     run(["rewrite", "--schema", YAGO, "--query", path])
     assert "\x1b[" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["rewrite", "--explain"], ["pipeline"]])
+def test_join_work_overflow_reverts_under_explain(command, query_file, monkeypatch, capsys):
+    monkeypatch.setattr(pathforge.inference, "DEFAULT_JOIN_WORK_LIMIT", 0)
+    argv = command + ["--json", "--schema", YAGO, "--query", query_file(README_QUERY)]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert "reverting" in captured.err
+    doc = json.loads(captured.out)
+    assert doc["reverted"] == {"0.0": True}
+    # only the sub-terms inferred before the cap stopped the atom
+    assert [row["term"] for row in doc["explain"]] == ["livesIn", "isLocatedIn", "isLocatedIn+"]
+    assert run(argv + ["--strict"]) == 4
+    assert "reverting" in capsys.readouterr().err
+
+
+def test_pipeline_infers_each_atom_once(query_file, monkeypatch, capsys):
+    calls = []
+    for module in (pathforge.rewriter, pathforge.inference):
+
+        def counted(*args, _infer=module.infer, **kwargs):
+            calls.append(args[0])
+            return _infer(*args, **kwargs)
+
+        monkeypatch.setattr(module, "infer", counted)
+    assert run(["pipeline", "--json", "--schema", YAGO, "--query", query_file(README_QUERY)]) == 0
+    assert len(calls) == 1
+    assert len(json.loads(capsys.readouterr().out)["explain"]) == 7

@@ -178,6 +178,21 @@ def test_derive_rows_for_full_chain(yago_schema):
     assert to_text(by_term["dealsWith+"].triples[0].expr) == "dealsWith+"
 
 
+def test_derive_rows_match_per_subterm_inference():
+    rng = random.Random(303)
+    for _ in range(50):
+        schema = random_schema(rng)
+        expr = simplify(desugar(random_expr(rng, schema_edge_alphabet(schema), depth=4)))
+        rows = derive(expr, schema)
+        terms = [row.term for row in rows]
+        assert len(set(terms)) == len(terms)
+        assert terms[-1] == to_text(expr)
+        subterms = {to_text(node): node for node in walk(expr)}
+        assert set(terms) == set(subterms)
+        for row in rows:
+            assert row.triples == infer(subterms[row.term], schema), row.term
+
+
 def _labels_of(db):
     return db.node_label
 
