@@ -6,8 +6,8 @@ to an explicit join plan first: each relation atom becomes a chain of pair
 sources with optional junction label filters, transitive closures become
 recursive CTEs named tc_1, tc_2, ... in traversal order, and label atoms
 become node-table semi-joins. The same plan drives both the SQL renderer
-and a small interpreter used to cross-check the translation against the
-reference evaluator.
+and a small interpreter, on the reference evaluator's compose, closure and
+join, used to cross-check the translation against the evaluator.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .ast import (
     desugar,
     flatten_chain,
 )
+from .evaluator import Pair, _closure_delta, _compose, _join_atoms
 from .query import UcqtQuery
 from .schema import GraphDB, GraphSchema
 
@@ -230,23 +231,17 @@ def _plain_item(plan: PairPlan) -> str:
     return f"({_pair_sql(plan)})"
 
 
-def _step_item(step: Step) -> str:
+def _step_item(step: Step, sep: str = " ") -> str:
+    """A step as a FROM-clause item; an annotated step is a semi-join with
+    its junction labels, its clauses separated by ``sep``."""
     if step.source_filter is None:
         return _plain_item(step.plan)
-    return (
-        f"(SELECT e.Sr AS Sr, e.Tr AS Tr FROM ({_node_set_sql(step.source_filter)}) AS n "
-        f"JOIN {_plain_item(step.plan)} AS e ON e.Sr = n.Sr)"
-    )
-
-
-def _step_item_multiline(step: Step) -> str:
-    """Semi-join layout for an annotated step at the top level of a conjunct."""
-    if step.source_filter is None:
-        return _plain_item(step.plan)
-    return (
-        "(SELECT e.Sr AS Sr, e.Tr AS Tr\n"
-        f"          FROM ({_node_set_sql(step.source_filter)}) AS n\n"
-        f"          JOIN {_plain_item(step.plan)} AS e ON e.Sr = n.Sr)"
+    return sep.join(
+        (
+            "(SELECT e.Sr AS Sr, e.Tr AS Tr",
+            f"FROM ({_node_set_sql(step.source_filter)}) AS n",
+            f"JOIN {_plain_item(step.plan)} AS e ON e.Sr = n.Sr)",
+        )
     )
 
 
@@ -272,7 +267,7 @@ def _render_conjunct(plan: ConjunctPlan, head: tuple[str, ...], schema: GraphSch
             conditions: list[str] = []
             if previous is not None:
                 conditions.append(f"{previous}.Tr = {alias}.Sr")
-            items.append((alias, _step_item_multiline(step), conditions))
+            items.append((alias, _step_item(step, "\n          "), conditions))
             if first_alias is None:
                 first_alias = alias
             previous = alias
@@ -368,134 +363,45 @@ def _wrap_view(body: str, dialect: str, as_view: bool) -> str:
 # --- plan interpretation, used to cross-check the translation ---
 
 
-Pair = tuple[str, str]
-
-
-@dataclass(frozen=True)
-class RelationalDB:
-    """Relational encoding of a graph: one pair table per edge label,
-    one id table per node label."""
-
-    edges: dict[str, frozenset[Pair]]
-    nodes: dict[str, frozenset[str]]
-    all_nodes: frozenset[str]
-
-
-def relational_encoding(db: GraphDB) -> RelationalDB:
-    return RelationalDB(
-        edges=dict(db.edge_pairs),
-        nodes=dict(db.nodes_by_label),
-        all_nodes=frozenset(node.id for node in db.nodes),
-    )
-
-
-def _node_set(rel: RelationalDB, labels: frozenset[str]) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for label in labels:
-        out |= rel.nodes.get(label, frozenset())
-    return out
-
-
-def _compose_pairs(left: frozenset[Pair], right: frozenset[Pair]) -> frozenset[Pair]:
-    by_src: dict[str, set[str]] = {}
-    for src, trg in right:
-        by_src.setdefault(src, set()).add(trg)
-    return frozenset((s, t) for s, mid in left for t in by_src.get(mid, ()))
-
-
 def _eval_pair_plan(
-    plan: PairPlan, rel: RelationalDB, ctes: dict[str, frozenset[Pair]]
+    plan: PairPlan, db: GraphDB, ctes: dict[str, frozenset[Pair]]
 ) -> frozenset[Pair]:
     if isinstance(plan, TableScan):
-        return rel.edges.get(plan.label, frozenset())
+        return db.edge_pairs.get(plan.label, frozenset())
     if isinstance(plan, ReverseScan):
-        return frozenset((t, s) for s, t in rel.edges.get(plan.label, frozenset()))
+        return frozenset((t, s) for s, t in db.edge_pairs.get(plan.label, frozenset()))
     if isinstance(plan, CteRef):
         return ctes[plan.name]
     if isinstance(plan, PairUnion):
-        out: frozenset[Pair] = frozenset()
-        for part in plan.parts:
-            out |= _eval_pair_plan(part, rel, ctes)
-        return out
+        return frozenset().union(*(_eval_pair_plan(part, db, ctes) for part in plan.parts))
     if isinstance(plan, PairConj):
-        return _eval_pair_plan(plan.left, rel, ctes) & _eval_pair_plan(plan.right, rel, ctes)
+        return _eval_pair_plan(plan.left, db, ctes) & _eval_pair_plan(plan.right, db, ctes)
     if isinstance(plan, PairBranch):
-        main = _eval_pair_plan(plan.main, rel, ctes)
-        starts = {s for s, _ in _eval_pair_plan(plan.test, rel, ctes)}
+        main = _eval_pair_plan(plan.main, db, ctes)
+        starts = {s for s, _ in _eval_pair_plan(plan.test, db, ctes)}
         if plan.at_target:
             return frozenset((s, t) for s, t in main if t in starts)
         return frozenset((s, t) for s, t in main if s in starts)
     if isinstance(plan, ChainPlan):
-        out = None
-        for step in plan.steps:
-            pairs = _eval_pair_plan(step.plan, rel, ctes)
-            if step.source_filter is not None:
-                keep = _node_set(rel, step.source_filter)
-                pairs = frozenset((s, t) for s, t in pairs if s in keep)
-            out = pairs if out is None else _compose_pairs(out, pairs)
-        assert out is not None
+        # a step's source filter is the junction label set of its composition;
+        # the first step of a chain never carries one
+        out = _eval_pair_plan(plan.steps[0].plan, db, ctes)
+        for step in plan.steps[1:]:
+            out = _compose(out, _eval_pair_plan(step.plan, db, ctes), step.source_filter, db)
         return out
     raise TypeError(f"not a pair plan: {plan!r}")
 
 
 def evaluate_plan(plan: QueryPlan, db: GraphDB) -> frozenset[tuple]:
-    """Run the join plan the way the emitted SQL would, over the encoding."""
-    rel = relational_encoding(db)
+    """Run the join plan the way the emitted SQL would, on the evaluator's kernel."""
     ctes: dict[str, frozenset[Pair]] = {}
     for cte in plan.ctes:
-        base = _eval_pair_plan(cte.inner, rel, ctes)
-        closure = set(base)
-        delta = set(base)
-        while delta:
-            delta = set(_compose_pairs(frozenset(delta), base)) - closure
-            closure |= delta
-        ctes[cte.name] = frozenset(closure)
-
+        ctes[cte.name] = _closure_delta(_eval_pair_plan(cte.inner, db, ctes))
     out: set[tuple] = set()
     for conjunct in plan.conjuncts:
-        label_map = dict(conjunct.labels)
-
-        def allowed(var: str, node: str) -> bool:
-            wanted = label_map.get(var)
-            return wanted is None or node in _node_set(rel, wanted)
-
-        solutions: list[dict[str, str]] = [{}]
-        for atom in conjunct.atoms:
-            pairs = _eval_pair_plan(atom.chain, rel, ctes)
-            next_solutions = []
-            for solution in solutions:
-                for s, t in pairs:
-                    if not (allowed(atom.src_var, s) and allowed(atom.trg_var, t)):
-                        continue
-                    extended = dict(solution)
-                    if extended.get(atom.src_var, s) != s:
-                        continue
-                    extended[atom.src_var] = s
-                    if extended.get(atom.trg_var, t) != t:
-                        continue
-                    extended[atom.trg_var] = t
-                    next_solutions.append(extended)
-            solutions = next_solutions
-        bound = frozenset(solutions[0]) if solutions else frozenset()
-        labeled_vars = [var for var, _ in conjunct.labels]
-        pending = [
-            var
-            for var in dict.fromkeys(list(plan.head) + labeled_vars)
-            if var not in bound
+        atoms = [
+            (atom.src_var, atom.trg_var, _eval_pair_plan(atom.chain, db, ctes))
+            for atom in conjunct.atoms
         ]
-        for solution in solutions:
-            combos = [[n for n in sorted(rel.all_nodes) if allowed(var, n)] for var in pending]
-            _expand(solution, pending, combos, plan.head, out)
+        out |= _join_atoms(plan.head, atoms, dict(conjunct.labels), db)
     return frozenset(out)
-
-
-def _expand(solution, pending, combos, head, out) -> None:
-    if not pending:
-        out.add(tuple(solution[h] for h in head))
-        return
-    from itertools import product
-
-    for combo in product(*combos):
-        full = dict(solution)
-        full.update(zip(pending, combo))
-        out.add(tuple(full[h] for h in head))

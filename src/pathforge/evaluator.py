@@ -1,17 +1,23 @@
 """Reference evaluator over in-memory graphs, plus a conforming-database generator.
 
-Everything here favors obviousness over speed; it is the ground truth the
-rewriter and emitters are checked against. Path expressions evaluate to sets
-of (source id, target id) pairs under set semantics, so transitive closure
-always terminates.
+It is the ground truth the rewriter and emitters are checked against. Path
+expressions evaluate to sets of (source id, target id) pairs under set
+semantics, so transitive closure always terminates; closure is semi-naive.
+A conjunct's atoms are hash-joined as binding tables, smallest first, with
+variables projected out as soon as nothing later needs them. The SQL plan
+interpreter in ``emit_sql`` drives the same compose, closure and join. Their
+independent oracles: ``_closure_naive`` for the closure, and a brute-force
+enumeration of variable assignments in the evaluator tests for the join.
 """
 
 from __future__ import annotations
 
 import random
 import string
+from collections.abc import Set
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 
 from .ast import (
     AnnConcat,
@@ -27,10 +33,12 @@ from .ast import (
     Union,
     desugar,
 )
-from .query import Conjunct, UcqtQuery
+from .query import UcqtQuery
 from .schema import DbEdge, DbNode, GraphDB, GraphSchema
 
 Pair = tuple[str, str]
+# a binding table: its variables, and one row of node ids per binding
+Table = tuple[tuple[str, ...], Set[tuple]]
 
 
 @dataclass
@@ -119,18 +127,22 @@ def _eval_node(
         return frozenset((n, m) for n, m in main if n in test_sources)
     if isinstance(expr, TransClos):
         base = _eval(expr.inner, db, stats, naive, memo)
-        return _closure_naive(base, db) if naive else _closure_delta(base, db)
+        return _closure_naive(base, db) if naive else _closure_delta(base)
     if isinstance(expr, Repeat):
         return _eval(desugar(expr), db, stats, naive, memo)
     raise TypeError(f"not a path expression: {expr!r}")
 
 
-def _closure_delta(base: frozenset[Pair], db: GraphDB) -> frozenset[Pair]:
-    # semi-naive iteration: only newly discovered pairs are extended
+def _closure_delta(base: frozenset[Pair]) -> frozenset[Pair]:
+    # semi-naive iteration: only newly discovered pairs are extended, through
+    # an index of the base built once per closure
+    successors: dict[str, list[str]] = {}
+    for src, trg in base:
+        successors.setdefault(src, []).append(trg)
     closure = set(base)
-    delta = set(base)
+    delta = closure.copy()
     while delta:
-        delta = set(_compose(frozenset(delta), base, None, db)) - closure
+        delta = {(s, t) for s, mid in delta for t in successors.get(mid, ())} - closure
         closure |= delta
     return frozenset(closure)
 
@@ -149,75 +161,130 @@ def eval_ucqt(query: UcqtQuery, db: GraphDB, stats: EvalStats | None = None) -> 
     """All head-variable tuples, as the union over the query's conjuncts."""
     out: set[tuple] = set()
     for conjunct in query.disjuncts:
-        out |= _eval_conjunct(query.head, conjunct, db, stats)
+        atoms = [
+            (rel.src_var, rel.trg_var, eval_path(rel.expr, db, stats))
+            for rel in conjunct.relations
+        ]
+        out |= _join_atoms(query.head, atoms, conjunct.label_map(), db)
     return frozenset(out)
 
 
-def _eval_conjunct(
-    head: tuple[str, ...], conjunct: Conjunct, db: GraphDB, stats: EvalStats | None
-) -> set[tuple]:
-    label_map = conjunct.label_map()
-    node_ids = [node.id for node in db.nodes]
+def _columns(positions: list[int]):
+    """A function that picks the given positions of a row as a tuple."""
+    if len(positions) == 1:
+        (index,) = positions
+        return lambda row: (row[index],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+def _join_atoms(
+    head: tuple[str, ...],
+    atoms: list[tuple[str, str, frozenset[Pair]]],
+    label_map: dict[str, frozenset[str]],
+    db: GraphDB,
+) -> Set[tuple]:
+    """Head tuples of one conjunct, given the pairs of its relation atoms.
+
+    Each atom is a binding table over its one or two variables, filtered by
+    the label atoms. The join starts from the smallest table and hash-joins
+    the smallest remaining one that shares a variable with the columns so
+    far (the smallest of all, a cross product, if none does). After every
+    step it projects out each variable that neither the head nor a
+    remaining table needs, so rows that differ only there collapse under
+    set semantics. Variables no relation atom binds range over the nodes
+    their label atom allows, or over all nodes.
+    """
     labels = db.node_label
-
-    def allowed(var: str, node: str) -> bool:
-        wanted = label_map.get(var)
-        return wanted is None or labels[node] in wanted
-
-    atom_pairs = []
-    for rel in conjunct.relations:
-        pairs = [
-            (s, t)
-            for s, t in eval_path(rel.expr, db, stats)
-            if allowed(rel.src_var, s) and allowed(rel.trg_var, t)
-        ]
-        atom_pairs.append((rel.src_var, rel.trg_var, pairs))
-
-    solutions: list[dict[str, str]] = [{}]
-    # most-constrained-first: repeatedly pick the atom with the fewest
-    # tuples compatible with the bindings made so far
-    remaining = list(atom_pairs)
-    while remaining:
-        best_index = None
-        best_filtered: list[Pair] = []
-        for index, (u, v, pairs) in enumerate(remaining):
-            # count against the first partial solution as a cheap estimate
-            probe = solutions[0] if solutions else {}
-            filtered = [
+    tables: list[Table] = []
+    for u, v, pairs in atoms:
+        want_u, want_v = label_map.get(u), label_map.get(v)
+        if u == v:
+            rows = {(s,) for s, t in pairs if s == t and (want_u is None or labels[s] in want_u)}
+            tables.append(((u,), rows))
+            continue
+        if want_u is not None or want_v is not None:
+            pairs = {
                 (s, t)
                 for s, t in pairs
-                if probe.get(u, s) == s and probe.get(v, t) == t
-            ]
-            if best_index is None or len(filtered) < len(best_filtered):
-                best_index, best_filtered = index, filtered
-        u, v, pairs = remaining.pop(best_index)
-        next_solutions = []
-        for solution in solutions:
-            for s, t in pairs:
-                # bind one endpoint at a time so (x, e, x) only takes loops
-                extended = dict(solution)
-                if extended.get(u, s) != s:
-                    continue
-                extended[u] = s
-                if extended.get(v, t) != t:
-                    continue
-                extended[v] = t
-                next_solutions.append(extended)
-        solutions = next_solutions
-        if not solutions:
+                if (want_u is None or labels[s] in want_u)
+                and (want_v is None or labels[t] in want_v)
+            }
+        tables.append(((u, v), pairs))
+    if not all(rows for _, rows in tables):
+        return set()
+
+    bound = {var for cols, _ in tables for var in cols}
+    ranges = []
+    for var in dict.fromkeys((*head, *label_map)):
+        if var in bound:
+            continue
+        want = label_map.get(var)
+        nodes = [node.id for node in db.nodes if want is None or node.label in want]
+        if not nodes:
+            return set()
+        if var in head:
+            ranges.append((var, nodes))
+
+    tables.sort(key=lambda table: len(table[1]))
+    cols: tuple[str, ...] = ()
+    rows: Set[tuple] = {()}
+    while tables:
+        index = next((i for i, (vs, _) in enumerate(tables) if not cols or set(vs) & set(cols)), 0)
+        table = tables.pop(index)
+        keep = set(head).union(*(vs for vs, _ in tables))
+        cols, rows = (
+            _project(*table, keep) if not cols else _hash_join(cols, rows, *table, keep)
+        )
+        if not rows:
             return set()
 
-    # variables constrained only by a label atom, or not at all, range over nodes
-    bound = frozenset(solutions[0]) if solutions else frozenset()
-    unbound = [var for var in sorted(conjunct.variables() | frozenset(head)) if var not in bound]
-    candidates = [[n for n in node_ids if allowed(var, n)] for var in unbound]
-    out = set()
-    for solution in solutions:
-        for combo in product(*candidates):
-            full = dict(solution)
-            full.update(zip(unbound, combo))
-            out.add(tuple(full[h] for h in head))
-    return out
+    if ranges:
+        cols += tuple(var for var, _ in ranges)
+        combos = list(product(*(nodes for _, nodes in ranges)))
+        rows = {row + combo for row in rows for combo in combos}
+    if cols == head:
+        return rows
+    pick = _columns([cols.index(var) for var in head])
+    return {pick(row) for row in rows}
+
+
+def _project(cols: tuple[str, ...], rows: Set[tuple], keep: set[str]) -> Table:
+    kept = [i for i, var in enumerate(cols) if var in keep]
+    if len(kept) == len(cols):
+        return cols, rows
+    pick = _columns(kept)
+    return tuple(cols[i] for i in kept), {pick(row) for row in rows}
+
+
+def _hash_join(
+    cols: tuple[str, ...],
+    rows: Set[tuple],
+    table_cols: tuple[str, ...],
+    table_rows: Set[tuple],
+    keep: set[str],
+) -> Table:
+    """Join ``rows`` with a table on their shared columns, keeping ``keep``."""
+    shared = [var for var in table_cols if var in cols]
+    added = [i for i, var in enumerate(table_cols) if var not in cols and var in keep]
+    table_key = _columns([table_cols.index(var) for var in shared])
+    row_key = _columns([cols.index(var) for var in shared])
+    kept = [i for i, var in enumerate(cols) if var in keep]
+    left_pick = _columns(kept)
+    out_cols = tuple(cols[i] for i in kept) + tuple(table_cols[i] for i in added)
+    if not added:
+        keys = {table_key(row) for row in table_rows}
+        return out_cols, {left_pick(row) for row in rows if row_key(row) in keys}
+    index: dict[tuple, set[tuple]] = {}
+    value = _columns(added)
+    for row in table_rows:
+        index.setdefault(table_key(row), set()).add(value(row))
+    out: set[tuple] = set()
+    for row in rows:
+        match = index.get(row_key(row))
+        if match:
+            prefix = left_pick(row)
+            out.update([prefix + rest for rest in match])
+    return out_cols, out
 
 
 _WORDS = ("ada", "bo", "cy", "dee", "eli", "fay", "gus", "hal", "ivy", "jo")

@@ -77,11 +77,21 @@ class GraphSchema:
         by_id = self._node_label_by_id
         return frozenset((by_id[e.src], e.label, by_id[e.trg]) for e in self.edges)
 
+    @cached_property
+    def _end_labels(self) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
+        """Source and target labels of each edge label, indexed once."""
+        ends: dict[str, tuple[set[str], set[str]]] = {}
+        for src, label, trg in self.edge_signatures:
+            sources, targets = ends.setdefault(label, (set(), set()))
+            sources.add(src)
+            targets.add(trg)
+        return {label: (frozenset(s), frozenset(t)) for label, (s, t) in ends.items()}
+
     def source_labels(self, edge_label: str) -> frozenset[str]:
-        return frozenset(s for s, lab, _ in self.edge_signatures if lab == edge_label)
+        return self._end_labels.get(edge_label, (frozenset(), frozenset()))[0]
 
     def target_labels(self, edge_label: str) -> frozenset[str]:
-        return frozenset(t for _, lab, t in self.edge_signatures if lab == edge_label)
+        return self._end_labels.get(edge_label, (frozenset(), frozenset()))[1]
 
 
 @dataclass(frozen=True)
@@ -115,13 +125,6 @@ class GraphDB:
             out.setdefault(edge.label, set()).add((edge.src, edge.trg))
         return {label: frozenset(pairs) for label, pairs in out.items()}
 
-    @cached_property
-    def nodes_by_label(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {}
-        for node in self.nodes:
-            out.setdefault(node.label, set()).add(node.id)
-        return {label: frozenset(ids) for label, ids in out.items()}
-
 
 _ISO_DATE = "%Y-%m-%d"
 
@@ -141,6 +144,11 @@ def value_type(value: PropertyValue) -> str:
         except ValueError:
             return "String"
     raise FormatError(f"unsupported property value {value!r}")
+
+
+def _has_type(value: PropertyValue, type_name: str) -> bool:
+    # any string, date-like or not, is a valid String
+    return value_type(value) == type_name or (type_name == "String" and isinstance(value, str))
 
 
 def load_schema(source: str | Path) -> GraphSchema:
@@ -322,16 +330,15 @@ def check_consistency(db: GraphDB, schema: GraphSchema) -> ConsistencyReport:
                         f"property {key!r} not declared for label {node.label!r}",
                     )
                 )
-            else:
-                actual = value_type(value)
-                if actual != declared[key]:
-                    violations.append(
-                        Violation(
-                            "property_type_mismatch",
-                            node.id,
-                            f"property {key!r} has type {actual}, schema wants {declared[key]}",
-                        )
+            elif not _has_type(value, declared[key]):
+                violations.append(
+                    Violation(
+                        "property_type_mismatch",
+                        node.id,
+                        f"property {key!r} has type {value_type(value)}, "
+                        f"schema wants {declared[key]}",
                     )
+                )
     node_label = db.node_label
     for edge in db.edges:
         signature = (node_label[edge.src], edge.label, node_label[edge.trg])

@@ -70,6 +70,23 @@ def test_check_inconsistent(tmp_path, capsys):
     assert "unknown_node_label" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "declared,value,code",
+    [("String", "2020-01-01", 0), ("Date", "2020-01-01", 0), ("Date", "soon", 3)],
+)
+def test_check_types_values_by_declared_type(declared, value, code, tmp_path, capsys):
+    # a date-like string is still a valid String; a Date must parse as one
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"nodes": [{"label": "P", "properties": {"p": declared}}]}))
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text(f'id,label,props\nn1,P,"{{""p"": ""{value}""}}"\n')
+    edges = tmp_path / "edges.csv"
+    edges.write_text("src,label,trg\n")
+    assert run(["check", "--schema", str(schema), "--db", f"{nodes},{edges}"]) == code
+    out = capsys.readouterr().out
+    assert ("property_type_mismatch" in out) == (code == 3), out
+
+
 def test_rewrite_command(query_file, capsys):
     path = query_file("x,y <- (x, livesIn/isLocatedIn+/dealsWith+, y)")
     assert run(["rewrite", "--schema", YAGO, "--query", path]) == 0

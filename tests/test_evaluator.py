@@ -1,7 +1,12 @@
 import random
+from itertools import product
 
 from pathforge import (
+    Conjunct,
     EvalStats,
+    LabelAtom,
+    Relation,
+    UcqtQuery,
     desugar,
     eval_path,
     eval_ucqt,
@@ -161,3 +166,73 @@ def test_stats_counts_pairs(fig2_db):
 def test_gen_db_seeded_reproducible(yago_schema):
     assert gen_db(yago_schema, 3, 2, 0.7) == gen_db(yago_schema, 3, 2, 0.7)
     assert gen_db(yago_schema, 3, 2, 0.7) != gen_db(yago_schema, 4, 2, 0.7)
+
+
+def brute_force_ucqt(query, db):
+    """Head tuples by enumerating every assignment of each conjunct's variables
+    over the node ids; shares no join code with the evaluator."""
+    node_ids = [node.id for node in db.nodes]
+    out = set()
+    for conjunct in query.disjuncts:
+        variables = sorted(conjunct.variables() | set(query.head))
+        atoms = [(rel, eval_path(rel.expr, db)) for rel in conjunct.relations]
+        for values in product(node_ids, repeat=len(variables)):
+            env = dict(zip(variables, values))
+            if all((env[rel.src_var], env[rel.trg_var]) in pairs for rel, pairs in atoms) and all(
+                db.node_label[env[atom.var]] in atom.labels for atom in conjunct.labels
+            ):
+                out.add(tuple(env[var] for var in query.head))
+    return out
+
+
+def random_conjunct(rng, variables):
+    relations = []
+    for _ in range(rng.randint(0, 3)):
+        if relations and rng.random() < 0.3:
+            # the same variable pair as an earlier atom, either way round
+            ends = rng.choice(relations)
+            src, trg = rng.sample([ends.src_var, ends.trg_var], 2)
+        else:
+            src, trg = rng.choice(variables), rng.choice(variables)
+        relations.append(Relation(src, random_expr(rng, ["a", "b"], depth=2), trg))
+    relations = tuple(relations)
+    labelled = rng.sample(variables, rng.randint(0 if relations else 1, 2))
+    labels = tuple(
+        LabelAtom(var, frozenset(rng.sample(["L0", "L1", "L2"], rng.randint(1, 2))))
+        for var in labelled
+    )
+    return Conjunct(relations, labels)
+
+
+def test_join_matches_brute_force_enumeration():
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(100):
+        db = random_db(rng, ["a", "b"], max_nodes=6)
+        head = tuple(rng.sample(["x", "y", "z"], rng.randint(1, 2)))
+        disjuncts = tuple(
+            random_conjunct(rng, ["x", "y", "z", "w"]) for _ in range(rng.choice([0, 1, 1, 2]))
+        )
+        query = UcqtQuery(head, disjuncts)
+        assert eval_ucqt(query, db) == brute_force_ucqt(query, db), query
+        # which shapes the suite exercised, so a generator change cannot drop one
+        seen.update(shape for conjunct in disjuncts for shape in shapes(head, conjunct))
+        if not disjuncts:
+            seen.add("empty")
+    assert seen == {"self-loop", "same pair", "cross product", "label-only", "head-only", "empty"}
+
+
+def shapes(head, conjunct):
+    rels = conjunct.relations
+    pairs = [frozenset((rel.src_var, rel.trg_var)) for rel in rels]
+    in_atoms = {var for pair in pairs for var in pair}
+    if any(rel.src_var == rel.trg_var for rel in rels):
+        yield "self-loop"
+    if len(set(pairs)) < len(pairs):
+        yield "same pair"
+    if any(not (p & q) for i, p in enumerate(pairs) for q in pairs[i + 1 :]):
+        yield "cross product"
+    if any(atom.var not in in_atoms for atom in conjunct.labels):
+        yield "label-only"
+    if set(head) - conjunct.variables():
+        yield "head-only"
