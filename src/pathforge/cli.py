@@ -24,7 +24,7 @@ from .inference import derive  # noqa: F401  the benchmark tracer (perfbench/tra
 from .parser import QuerySyntaxError, parse_path_expr, parse_query
 from .query import UcqtQuery, query_to_text
 from .rewriter import DEFAULT_DISJUNCT_LIMIT, rewrite
-from .schema import FormatError, check_consistency, load_db, load_schema, save_db
+from .schema import FormatError, GraphSchema, check_consistency, load_db, load_schema, save_db
 from .simplify import simplify
 
 
@@ -111,6 +111,17 @@ def _cmd_infer(args) -> int:
     return _finish(args, log.warnings)
 
 
+def _explain_json(rows: list[DerivationRow]) -> list[dict]:
+    return [
+        {"term": row.term, "rule": row.rule, "triples": [_triple_json(t) for t in row.triples]}
+        for row in rows
+    ]
+
+
+def _reverted_json(reverted: dict[tuple[int, int], bool]) -> dict[str, bool]:
+    return {f"{d}.{a}": flag for (d, a), flag in sorted(reverted.items())}
+
+
 def _derivation_table(rows: list[DerivationRow]) -> str:
     cells = [
         (row.term, "; ".join(f"({t.src}, {to_text(t.expr)}, {t.trg})" for t in row.triples), row.rule)
@@ -135,14 +146,11 @@ def _cmd_rewrite(args) -> int:
     if args.json:
         doc = {
             "enriched": query_to_text(outcome.enriched),
-            "reverted": {f"{d}.{a}": flag for (d, a), flag in sorted(outcome.reverted.items())},
+            "reverted": _reverted_json(outcome.reverted),
             "warnings": list(outcome.warnings),
         }
         if explain is not None:
-            doc["explain"] = [
-                {"term": r.term, "rule": r.rule, "triples": [_triple_json(t) for t in r.triples]}
-                for r in explain
-            ]
+            doc["explain"] = _explain_json(explain)
         print(json.dumps(doc))
     else:
         if explain is not None:
@@ -164,38 +172,35 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _emit_target(
+    target: str, query: UcqtQuery, schema: GraphSchema, as_view: bool
+) -> str | UnsupportedReport:
+    """Emit a query for a ``sql:DIALECT`` or ``cypher`` target."""
+    if target == "cypher":
+        return emit_cypher(query, schema)
+    kind, _, dialect = target.partition(":")
+    if kind != "sql":
+        raise EmitError(f"unknown target {target!r}")
+    return emit_sql(query, schema, dialect=dialect or "postgres", as_view=as_view)
+
+
+def _unsupported_json(report: UnsupportedReport) -> dict:
+    return {"construct": report.construct, "detail": report.detail}
+
+
 def _cmd_emit(args) -> int:
     schema = load_schema(Path(args.schema))
     query = _read_query(args.query)
-    warnings: list[str] = []
-    if args.target == "cypher":
-        result = emit_cypher(query, schema)
-        if isinstance(result, UnsupportedReport):
-            if args.json:
-                print(
-                    json.dumps(
-                        {
-                            "target": args.target,
-                            "unsupported": {
-                                "construct": result.construct,
-                                "detail": result.detail,
-                            },
-                        }
-                    )
-                )
-            warnings.append(str(result))
-            return _finish(args, warnings)
-        text = result
-    else:
-        kind, _, dialect = args.target.partition(":")
-        if kind != "sql":
-            raise EmitError(f"unknown target {args.target!r}")
-        text = emit_sql(query, schema, dialect=dialect or "postgres", as_view=args.as_view)
+    result = _emit_target(args.target, query, schema, args.as_view)
+    if isinstance(result, UnsupportedReport):
+        if args.json:
+            print(json.dumps({"target": args.target, "unsupported": _unsupported_json(result)}))
+        return _finish(args, [str(result)])
     if args.json:
-        print(json.dumps({"target": args.target, "text": text}))
+        print(json.dumps({"target": args.target, "text": result}))
     else:
-        print(text, end="")
-    return _finish(args, warnings)
+        print(result, end="")
+    return 0
 
 
 def _cmd_gen(args) -> int:
@@ -250,40 +255,20 @@ def _cmd_pipeline(args) -> int:
     explain = derivation_rows(outcome.logs)
     emitted: dict[str, object] = {}
     for target in args.target or ["sql:postgres"]:
-        if target == "cypher":
-            result = emit_cypher(outcome.enriched, schema)
-            if isinstance(result, UnsupportedReport):
-                emitted[target] = {"construct": result.construct, "detail": result.detail}
-            else:
-                emitted[target] = result
-        else:
-            kind, _, dialect = target.partition(":")
-            if kind != "sql":
-                raise EmitError(f"unknown target {target!r}")
-            emitted[target] = emit_sql(
-                outcome.enriched, schema, dialect=dialect or "postgres", as_view=args.as_view
-            )
+        result = _emit_target(target, outcome.enriched, schema, args.as_view)
+        if isinstance(result, UnsupportedReport):
+            result = _unsupported_json(result)
+        emitted[target] = result
     if args.json:
         print(
             json.dumps(
                 {
                     "baseline": query_to_text(query),
                     "enriched": query_to_text(outcome.enriched),
-                    "reverted": {
-                        f"{d}.{a}": flag for (d, a), flag in sorted(outcome.reverted.items())
-                    },
+                    "reverted": _reverted_json(outcome.reverted),
                     "warnings": list(outcome.warnings),
-                    "explain": [
-                        {
-                            "term": r.term,
-                            "rule": r.rule,
-                            "triples": [_triple_json(t) for t in r.triples],
-                        }
-                        for r in explain
-                    ],
-                    "emitted": {
-                        k: v if isinstance(v, str) else v for k, v in emitted.items()
-                    },
+                    "explain": _explain_json(explain),
+                    "emitted": emitted,
                 }
             )
         )

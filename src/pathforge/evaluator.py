@@ -4,8 +4,7 @@ It is the ground truth the rewriter and emitters are checked against. Path
 expressions evaluate to sets of (source id, target id) pairs under set
 semantics, so transitive closure always terminates; closure is semi-naive.
 A conjunct's atoms are hash-joined as binding tables, smallest first, with
-variables projected out as soon as nothing later needs them. The SQL plan
-interpreter in ``emit_sql`` drives the same compose, closure and join. Their
+variables projected out as soon as nothing later needs them. Their
 independent oracles: ``_closure_naive`` for the closure, and a brute-force
 enumeration of variable assignments in the evaluator tests for the join.
 """

@@ -18,6 +18,7 @@ import csv
 import datetime
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -127,10 +128,13 @@ class GraphDB:
 
 
 _ISO_DATE = "%Y-%m-%d"
+# strptime alone accepts unpadded fields such as "2020-1-1"
+_ISO_DATE_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def value_type(value: PropertyValue) -> str:
-    """Data type of a property value; ISO-8601 date strings count as Date."""
+    """Data type of a property value; a string that is exactly YYYY-MM-DD and
+    a real calendar day counts as Date."""
     if isinstance(value, bool):
         return "Bool"
     if isinstance(value, int):
@@ -138,11 +142,13 @@ def value_type(value: PropertyValue) -> str:
     if isinstance(value, float):
         return "Float"
     if isinstance(value, str):
-        try:
-            datetime.datetime.strptime(value, _ISO_DATE)
-            return "Date"
-        except ValueError:
-            return "String"
+        if _ISO_DATE_SHAPE.fullmatch(value):
+            try:
+                datetime.datetime.strptime(value, _ISO_DATE)
+                return "Date"
+            except ValueError:
+                pass
+        return "String"
     raise FormatError(f"unsupported property value {value!r}")
 
 

@@ -72,7 +72,12 @@ def test_check_inconsistent(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "declared,value,code",
-    [("String", "2020-01-01", 0), ("Date", "2020-01-01", 0), ("Date", "soon", 3)],
+    [
+        ("String", "2020-01-01", 0),
+        ("Date", "2020-01-01", 0),
+        ("Date", "soon", 3),
+        ("Date", "2020-1-1", 3),
+    ],
 )
 def test_check_types_values_by_declared_type(declared, value, code, tmp_path, capsys):
     # a date-like string is still a valid String; a Date must parse as one

@@ -78,6 +78,9 @@ def test_db_duplicate_node_id_rejected():
 def test_value_types():
     assert value_type("hello") == "String"
     assert value_type("2024-05-01") == "Date"
+    # a Date is exactly YYYY-MM-DD and a real calendar day
+    for text in ("2020-1-1", "2020-02-30", "20200101", "2020-W01-1", "2020-01-01\n"):
+        assert value_type(text) == "String", text
     assert value_type(True) == "Bool"
     assert value_type(7) == "Int"
     assert value_type(1.25) == "Float"
