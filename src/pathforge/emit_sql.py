@@ -2,11 +2,13 @@
 
 Every edge label is a table with columns Sr and Tr (source and target node
 ids); every node label is a table whose key column is Sr. A query renders in
-one pass over its desugared atoms: each relation atom becomes a chain of
-FROM items joined target to source, a junction label set becomes a semi-join
-with its node tables, transitive closures become recursive CTEs named tc_1,
-tc_2, ... in post order, left to right, and label atoms become node-table
-joins.
+one pass over its desugared atoms. Each relation atom is projected to its
+distinct (Sr, Tr) pairs as one FROM item: a bare edge table or closure CTE,
+or a derived table whose composition steps are joined target to source,
+with a junction label set as a semi-join with its node tables. The atoms are
+then joined on their shared variables, and label atoms become node-table
+joins. Transitive closures become recursive CTEs named tc_1, tc_2, ... in
+post order, left to right.
 """
 
 from __future__ import annotations
@@ -30,29 +32,12 @@ from .schema import GraphSchema
 
 DIALECTS = ("postgres", "sqlite", "mysql")
 
-Junction = frozenset[str] | None
-
-
 class EmitError(ValueError):
     """Unknown dialect, or a label with no table in the schema encoding."""
 
 
 def _node_set_sql(labels: frozenset[str]) -> str:
     return " UNION ".join(f"SELECT Sr FROM {label}" for label in sorted(labels))
-
-
-def _step_item(junction: Junction, item: str, sep: str = " ") -> str:
-    """A chain step as a FROM-clause item; a step after a junction label set
-    is a semi-join with those node tables, its clauses separated by ``sep``."""
-    if junction is None:
-        return item
-    return sep.join(
-        (
-            "(SELECT e.Sr AS Sr, e.Tr AS Tr",
-            f"FROM ({_node_set_sql(junction)}) AS n",
-            f"JOIN {item} AS e ON e.Sr = n.Sr)",
-        )
-    )
 
 
 class _Renderer:
@@ -71,17 +56,6 @@ class _Renderer:
         unknown = labels - self.schema.node_labels
         if unknown:
             raise EmitError(f"no node table for label {sorted(unknown)[0]!r}")
-
-    def chain(self, expr: PathExpr) -> list[tuple[Junction, str]]:
-        """The composition spine as (junction, FROM item) steps; the first
-        step has no junction, and a non-composition is a single step."""
-        factors, junctions = flatten_chain(expr)
-        steps: list[tuple[Junction, str]] = [(None, self.pair(factors[0])[1])]
-        for junction, factor in zip(junctions, factors[1:]):
-            if junction is not None:
-                self.check_nodes(junction)
-            steps.append((junction, self.pair(factor)[1]))
-        return steps
 
     def pair(self, expr: PathExpr) -> tuple[str, str]:
         """A self-contained SELECT yielding columns Sr, Tr, and the same
@@ -106,11 +80,22 @@ class _Renderer:
             self.check_edge(expr.name)
             select = f"SELECT Tr AS Sr, Sr AS Tr FROM {expr.name}"
         elif isinstance(expr, (Concat, AnnConcat)):
-            steps = self.chain(expr)
-            items = [f"FROM {_step_item(*steps[0])} AS s1"]
-            for index, step in enumerate(steps[1:], start=2):
-                items.append(f"JOIN {_step_item(*step)} AS s{index} ON s{index - 1}.Tr = s{index}.Sr")
-            select = f"SELECT s1.Sr AS Sr, s{len(steps)}.Tr AS Tr " + " ".join(items)
+            factors, junctions = flatten_chain(expr)
+            items = [f"FROM {self.pair(factors[0])[1]} AS s1"]
+            for index, (junction, factor) in enumerate(zip(junctions, factors[1:]), start=2):
+                item = self.pair(factor)[1]
+                if junction is not None:
+                    # the step after a junction label set is a semi-join
+                    # with those node tables
+                    self.check_nodes(junction)
+                    item = (
+                        f"(SELECT e.Sr AS Sr, e.Tr AS Tr FROM ({_node_set_sql(junction)}) AS n "
+                        f"JOIN {item} AS e ON e.Sr = n.Sr)"
+                    )
+                items.append(f"JOIN {item} AS s{index} ON s{index - 1}.Tr = s{index}.Sr")
+            # paths through the chain repeat their endpoint pairs; projecting
+            # them away here keeps later joins from multiplying them
+            select = f"SELECT DISTINCT s1.Sr AS Sr, s{len(factors)}.Tr AS Tr " + " ".join(items)
         elif isinstance(expr, Union):
             select = self.pair(expr.left)[0] + " UNION " + self.pair(expr.right)[0]
         elif isinstance(expr, Conj):
@@ -135,20 +120,15 @@ class _Renderer:
         items: list[tuple[str, str, list[str]]] = []  # (alias, item text, join conditions)
         var_column: dict[str, str] = {}
 
-        def bind(var: str, column: str, conditions: list[str]) -> None:
-            if var in var_column:
-                conditions.append(f"{var_column[var]} = {column}")
-            else:
-                var_column[var] = column
-
-        for rel in conjunct.relations:
-            first = len(items)
-            for junction, item in self.chain(desugar(rel.expr)):
-                alias = f"e{len(items) + 1}"
-                conditions = [f"e{len(items)}.Tr = {alias}.Sr"] if len(items) > first else []
-                items.append((alias, _step_item(junction, item, "\n          "), conditions))
-            bind(rel.src_var, f"e{first + 1}.Sr", items[first][2])
-            bind(rel.trg_var, f"e{len(items)}.Tr", items[-1][2])
+        for index, rel in enumerate(conjunct.relations, start=1):
+            alias = f"e{index}"
+            conditions: list[str] = []
+            for var, column in ((rel.src_var, f"{alias}.Sr"), (rel.trg_var, f"{alias}.Tr")):
+                if var in var_column:
+                    conditions.append(f"{var_column[var]} = {column}")
+                else:
+                    var_column[var] = column
+            items.append((alias, self.pair(desugar(rel.expr))[1], conditions))
 
         for atom in conjunct.labels:
             self.check_nodes(atom.labels)

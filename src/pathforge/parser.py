@@ -13,9 +13,10 @@ Path expression grammar, loosest binding first:
 
 Binary operators associate to the left. A `{` directly after `/` always
 introduces a junction label set; after a complete operand it is a bounded
-repetition. Query text is a head variable list, `<-`, then conjuncts joined
-by `||`, each a `&&`-separated mix of relation atoms `(x, expr, y)` and
-label atoms `x:{A,B}`. The head `EMPTY` body form denotes the query with no
+repetition. Brackets, `(` and `[` together, nest at most MAX_NESTING deep.
+Query text is a head variable list, `<-`, then conjuncts joined by `||`,
+each a `&&`-separated mix of relation atoms `(x, expr, y)` and label atoms
+`x:{A,B}`. The head `EMPTY` body form denotes the query with no
 conjuncts at all (it returns nothing on every database).
 """
 
@@ -38,6 +39,11 @@ from .ast import (
     Union,
 )
 from .query import Conjunct, LabelAtom, Relation, UcqtQuery, validate_query
+
+
+# deeper nesting is rejected before the recursive descent here, or the
+# recursive passes over the tree after it, can exhaust Python's stack
+MAX_NESTING = 100
 
 
 class QuerySyntaxError(ValueError):
@@ -89,6 +95,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -107,6 +114,17 @@ class _Parser:
 
     def fail(self, message: str) -> None:
         raise QuerySyntaxError(message, self.peek().offset)
+
+    def parse_nested(self, close: str) -> PathExpr:
+        """A union between the opening bracket at the cursor and ``close``."""
+        token = self.next()
+        if self.depth == MAX_NESTING:
+            raise QuerySyntaxError(f"brackets nested deeper than {MAX_NESTING}", token.offset)
+        self.depth += 1
+        expr = self.parse_union()
+        self.expect(close)
+        self.depth -= 1
+        return expr
 
     # --- path expressions ---
 
@@ -137,16 +155,11 @@ class _Parser:
 
     def parse_branch(self) -> PathExpr:
         if self.peek().kind == "[":
-            self.next()
-            test = self.parse_union()
-            self.expect("]")
+            test = self.parse_nested("]")
             return BranchL(test, self.parse_branch())
         expr = self.parse_postfix()
         while self.peek().kind == "[":
-            self.next()
-            test = self.parse_union()
-            self.expect("]")
-            expr = BranchR(expr, test)
+            expr = BranchR(expr, self.parse_nested("]"))
         return expr
 
     def parse_postfix(self) -> PathExpr:
@@ -181,10 +194,7 @@ class _Parser:
                 self.fail("reverse applies to a single edge label")
             return Reverse(self.next().text)
         if token.kind == "(":
-            self.next()
-            expr = self.parse_union()
-            self.expect(")")
-            return expr
+            return self.parse_nested(")")
         self.fail(f"expected a path expression, found {token.text or 'end of input'!r}")
         raise AssertionError  # unreachable
 

@@ -410,7 +410,9 @@ def rewrite(
                 continue
             generated.append(
                 Conjunct(
-                    relations=tuple(relations),
+                    # translation can repeat a relation atom, as for both
+                    # halves of `e0&e0`; conjoining it twice adds nothing
+                    relations=tuple(dict.fromkeys(relations)),
                     labels=tuple(LabelAtom(v, l) for v, l in sorted(labels.items())),
                 )
             )

@@ -1,4 +1,2 @@
-SELECT DISTINCT e1.Sr AS SRC, e3.Tr AS TRG
-  FROM knows AS e1
-  JOIN workAt AS e2 ON e1.Tr = e2.Sr
-  JOIN isLocatedIn AS e3 ON e2.Tr = e3.Sr;
+SELECT DISTINCT e1.Sr AS SRC, e1.Tr AS TRG
+  FROM (SELECT DISTINCT s1.Sr AS Sr, s3.Tr AS Tr FROM knows AS s1 JOIN workAt AS s2 ON s1.Tr = s2.Sr JOIN isLocatedIn AS s3 ON s2.Tr = s3.Sr) AS e1;

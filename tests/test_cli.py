@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,7 @@ import pathforge.inference
 import pathforge.rewriter
 from pathforge import parse_path_expr, parse_query
 from pathforge.cli import run
+from pathforge.parser import MAX_NESTING
 
 YAGO = "tests/data/yago_schema.json"
 DB = "tests/data/yago_nodes.csv,tests/data/yago_edges.csv"
@@ -262,3 +267,45 @@ def test_pipeline_infers_each_atom_once(query_file, monkeypatch, capsys):
     assert run(["pipeline", "--json", "--schema", YAGO, "--query", query_file(README_QUERY)]) == 0
     assert len(calls) == 1
     assert len(json.loads(capsys.readouterr().out)["explain"]) == 7
+
+
+NEST = MAX_NESTING // 2
+AT_THE_CAP = [
+    "(isMarriedTo/" * MAX_NESTING + "isMarriedTo" + ")" * MAX_NESTING,
+    "isMarriedTo[" * MAX_NESTING + "isMarriedTo" + "]" * MAX_NESTING,
+    "([" * NEST + "isMarriedTo" + "]isMarriedTo)+" * NEST,
+]
+
+
+@pytest.mark.parametrize("expr", AT_THE_CAP, ids=["concat", "branch", "mixed"])
+def test_nesting_at_the_cap_runs_every_stage(expr, query_file):
+    assert run(["simplify", expr]) == 0
+    path = query_file(f"x,y <- (x, {expr}, y)")
+    argv = ["pipeline", "--schema", YAGO, "--query", path, "--target", "sql:sqlite"]
+    assert run(argv + ["--target", "cypher"]) == 0
+
+
+def test_nesting_past_the_cap_exits_2(query_file, capsys):
+    deeper = "(" * (MAX_NESTING + 1) + "isMarriedTo" + ")" * (MAX_NESTING + 1)
+    assert run(["simplify", deeper]) == 2
+    assert f"nested deeper than {MAX_NESTING}" in capsys.readouterr().err
+    assert run(["rewrite", "--schema", YAGO, "--query", query_file(f"x,y <- (x, {deeper}, y)")]) == 2
+    # "[" counts toward the same cap as "("
+    at_the_cap = "(" * MAX_NESTING + "isMarriedTo" + ")" * MAX_NESTING
+    assert run(["simplify", at_the_cap]) == 0
+    assert run(["simplify", "[" + at_the_cap + "]isMarriedTo"]) == 2
+
+
+def test_deep_nesting_exits_2_without_traceback():
+    expr = "(" * 3000 + "a" + ")" * 3000
+    src = str(Path(pathforge.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathforge.cli", "simplify", expr],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "error: brackets nested deeper than" in proc.stderr
+    assert "Traceback" not in proc.stderr

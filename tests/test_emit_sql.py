@@ -4,7 +4,8 @@ import sqlite3
 
 import pytest
 
-from pathforge import eval_ucqt, gen_db, parse_query, rewrite, to_text
+from pathforge import desugar, eval_ucqt, gen_db, parse_query, rewrite, to_text
+from pathforge.ast import flatten_chain
 from pathforge.emit_sql import EmitError, emit_sql
 
 from randutil import random_expr, random_schema, schema_edge_alphabet
@@ -132,12 +133,12 @@ def test_only_schema_tables_and_ctes_appear(yago_schema):
 
 
 def test_self_loop_atom_constrains_both_columns(yago_schema, fig2_db):
-    # both endpoints on one chain: the equality lands in the join condition
+    # both endpoints on one atom, which is one FROM item: the equality
+    # compares the item's two columns in a WHERE clause
     query = parse_query("x <- (x, isMarriedTo/isMarriedTo, x)")
     sql = emit_sql(query, yago_schema)
-    assert "ON e1.Tr = e2.Sr AND e1.Sr = e2.Tr" in sql
+    assert "WHERE e1.Sr = e1.Tr" in sql
     assert sqlite_rows(sql, fig2_db, yago_schema) == eval_ucqt(query, fig2_db) == {("n2",), ("n3",)}
-    # a single-step self loop has no later item, so it needs a WHERE clause
     single = parse_query("x <- (x, isMarriedTo, x)")
     sql = emit_sql(single, yago_schema)
     assert "WHERE e1.Sr = e1.Tr" in sql
@@ -153,6 +154,38 @@ def test_repeat_desugars_to_union_of_chains(yago_schema):
 def test_multi_label_junction_unions_node_tables(yago_schema):
     sql = emit_sql(parse_query("x,y <- (x, livesIn/{CITY,REGION}isLocatedIn, y)"), yago_schema)
     assert "(SELECT Sr FROM CITY UNION SELECT Sr FROM REGION)" in sql
+
+
+README_QUERY = "x,y <- (x, livesIn/isLocatedIn+/dealsWith+, y)"
+UNROLLED_QUERY = "x,y <- (x, livesIn/isLocatedIn+, y)"
+
+
+def test_each_relation_atom_is_one_projected_from_item(yago_schema):
+    enriched = rewrite(parse_query(README_QUERY), yago_schema).enriched
+    (conjunct,) = enriched.disjuncts
+    sql = emit_sql(enriched, yago_schema)
+    # the outer SELECT's FROM items; recursive CTE lines are indented as
+    # "  SELECT" and "  UNION" and never match
+    items = re.findall(r"^  (?:FROM|JOIN) (.*) AS (\w+)(?: ON .*)?;?$", sql, re.M)
+    atom_items = [text for text, alias in items if alias.startswith("e")]
+    assert len(atom_items) == len(conjunct.relations) == 2
+    for rel, text in zip(conjunct.relations, atom_items):
+        assert len(flatten_chain(desugar(rel.expr))[0]) > 1
+        assert text.startswith("(SELECT DISTINCT "), text
+    # a bare closure needs no derived table
+    assert "(SELECT" not in emit_sql(parse_query("x,y <- (x, dealsWith+, y)"), yago_schema)
+
+
+def test_sqlite_matches_evaluator_on_yago_queries(yago_schema):
+    db = gen_db(yago_schema, seed=3, nodes_per_label=8, edge_prob=0.3)
+    for text in (README_QUERY, UNROLLED_QUERY):
+        query = parse_query(text)
+        enriched = rewrite(query, yago_schema).enriched
+        assert enriched != query, text
+        want = eval_ucqt(query, db)
+        assert want, text
+        assert run_sql(query, yago_schema, db) == want, text
+        assert run_sql(enriched, yago_schema, db) == want, text
 
 
 def test_sqlite_matches_evaluator_single_atom():

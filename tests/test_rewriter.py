@@ -312,3 +312,34 @@ def test_rewrite_equivalence_on_random_inputs():
         for seed in (round_index, round_index + 1000):
             db = gen_db(schema, seed=seed, nodes_per_label=3, edge_prob=0.35)
             assert eval_ucqt(outcome.enriched, db) == eval_ucqt(query, db), to_text(expr)
+
+
+def test_rewrite_conjuncts_repeat_no_relation_atom():
+    # this closure query once produced `(_g1, e0, _g2) && (_g1, e0, _g2)`
+    arcs = "00 11 12 13 21 22 32".split()
+    doc = {
+        "nodes": [{"label": f"N{i}"} for i in range(4)],
+        "edges": [{"src": f"N{a}", "label": "e0", "trg": f"N{b}"} for a, b in arcs],
+    }
+    cases = [
+        (
+            load_schema(json.dumps(doc)),
+            parse_query("x,y <- (x, e0{1,2}{2,3}+[([e0]-e0)[e0&e0]&e0{2,4}/[-e0]e0], y)"),
+        )
+    ]
+    rng = random.Random(919)
+    for _ in range(25):
+        schema = random_schema(rng)
+        alphabet = schema_edge_alphabet(schema)
+        e1 = to_text(random_expr(rng, alphabet, depth=3))
+        e2 = to_text(random_expr(rng, alphabet, depth=2))
+        text = rng.choice(
+            [f"x,y <- (x, {e1}, y) && (y, {e2}, z)", f"x,y <- (x, {e1}, y) && (x, {e2}, y)"]
+        )
+        cases.append((schema, parse_query(text)))
+    for index, (schema, query) in enumerate(cases):
+        enriched = rewrite(query, schema).enriched
+        for conjunct in enriched.disjuncts:
+            assert len(set(conjunct.relations)) == len(conjunct.relations), query_to_text(enriched)
+        db = gen_db(schema, seed=index, nodes_per_label=3, edge_prob=0.4)
+        assert eval_ucqt(enriched, db) == eval_ucqt(query, db), query_to_text(query)
