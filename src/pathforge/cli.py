@@ -291,6 +291,12 @@ def _cmd_pipeline(args) -> int:
     return _finish(args, list(outcome.warnings))
 
 
+DISJUNCT_LIMIT_HELP = (
+    "max disjuncts one conjunct's enrichment may produce; past it, the atom with the "
+    f"most alternatives reverts until the product fits (default {DEFAULT_DISJUNCT_LIMIT})"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathforge",
@@ -319,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--explain", action="store_true", help="print the triple derivation table")
     p.add_argument("--path-limit", type=int, default=None)
-    p.add_argument("--disjunct-limit", type=int, default=None)
+    p.add_argument("--disjunct-limit", type=int, default=None, help=DISJUNCT_LIMIT_HELP)
     p.add_argument("--config", default=None)
 
     p = add("eval", _cmd_eval, "evaluate a query on a database")
@@ -353,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", action="append", help="repeatable; sql:DIALECT or cypher")
     p.add_argument("--as-view", action="store_true")
     p.add_argument("--path-limit", type=int, default=None)
-    p.add_argument("--disjunct-limit", type=int, default=None)
+    p.add_argument("--disjunct-limit", type=int, default=None, help=DISJUNCT_LIMIT_HELP)
     p.add_argument("--config", default=None)
 
     return parser

@@ -8,7 +8,8 @@ or a derived table whose composition steps are joined target to source,
 with a junction label set as a semi-join with its node tables. The atoms are
 then joined on their shared variables, and label atoms become node-table
 joins. Transitive closures become recursive CTEs named tc_1, tc_2, ... in
-post order, left to right.
+post order, left to right; a closure that recurs anywhere in the query
+reuses the CTE of its first occurrence.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ class _Renderer:
     def __init__(self, schema: GraphSchema):
         self.schema = schema
         self.ctes: list[str] = []
+        self.cte_names: dict[str, str] = {}  # base SELECT -> CTE name
 
     def check_edge(self, label: str) -> None:
         if label not in self.schema.edge_labels:
@@ -67,7 +69,10 @@ class _Renderer:
             # one rendering serves both the base and the recursive join, so
             # the closures nested inside register once
             select, item = self.pair(expr.inner)
-            name = f"tc_{len(self.ctes) + 1}"
+            name = self.cte_names.get(select)
+            if name is not None:
+                return f"SELECT Sr, Tr FROM {name}", name
+            name = self.cte_names[select] = f"tc_{len(self.ctes) + 1}"
             self.ctes.append(
                 f"{name}(Sr, Tr) AS (\n"
                 f"  {select}\n"

@@ -13,7 +13,8 @@ Path expression grammar, loosest binding first:
 
 Binary operators associate to the left. A `{` directly after `/` always
 introduces a junction label set; after a complete operand it is a bounded
-repetition. Brackets, `(` and `[` together, nest at most MAX_NESTING deep.
+repetition. Brackets, `(` and `[` together, nest at most MAX_NESTING deep;
+each leading source-side test counts as one level for what follows it.
 Query text is a head variable list, `<-`, then conjuncts joined by `||`,
 each a `&&`-separated mix of relation atoms `(x, expr, y)` and label atoms
 `x:{A,B}`. The head `EMPTY` body form denotes the query with no
@@ -156,7 +157,12 @@ class _Parser:
     def parse_branch(self) -> PathExpr:
         if self.peek().kind == "[":
             test = self.parse_nested("]")
-            return BranchL(test, self.parse_branch())
+            # the rest of the branch nests inside this BranchL, one level
+            # deeper, so a run of leading tests counts toward the cap
+            self.depth += 1
+            main = self.parse_branch()
+            self.depth -= 1
+            return BranchL(test, main)
         expr = self.parse_postfix()
         while self.peek().kind == "[":
             expr = BranchR(expr, self.parse_nested("]"))

@@ -1,16 +1,26 @@
 """Schema-aware query rewriting.
 
 Pipeline per relation atom: desugar and simplify the path expression, infer
-its compatible label triples, merge triples sharing a plain expression,
-drop annotations the schema makes vacuous, then either revert to the
-original atom (nothing was gained) or replace it with one conjunct per
-merged triple, translated so that surviving junction annotations become
-label atoms on fresh variables.
+its compatible label triples, merge triples sharing a plain expression, and
+drop annotations the schema makes vacuous. What happens next depends on the
+merged alternatives:
+
+- When none carries label information (no endpoint label set, no junction
+  annotation), they fold into one union. The atom reverts to its simplified
+  expression when the union removes no closure and is no smaller; else it
+  becomes that single union atom. Label-free alternatives never multiply
+  disjuncts.
+- Otherwise each alternative is translated so that surviving junction
+  annotations become label atoms on fresh variables, and the conjunct is
+  distributed over the atoms' alternatives. When that product exceeds the
+  disjunct limit, the atom with the most alternatives reverts, until it fits.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -32,6 +42,7 @@ from .ast import (
     has_annotations,
     strip_annotations,
     to_text,
+    walk,
 )
 from .inference import (
     DEFAULT_PATH_LIMIT,
@@ -298,6 +309,14 @@ class _Alternative:
     labels: tuple[tuple[str, frozenset[str]], ...]
 
 
+def _closures(expr: PathExpr) -> int:
+    return sum(isinstance(node, TransClos) for node in walk(expr))
+
+
+def _size(expr: PathExpr) -> int:
+    return sum(1 for _ in walk(expr))
+
+
 def rewrite(
     query: UcqtQuery,
     schema: GraphSchema,
@@ -307,10 +326,10 @@ def rewrite(
     """Schema-enrich every relation atom of a query.
 
     Atoms whose enrichment adds nothing keep their simplified expression
-    ("revert"); so do atoms whose enrichment would exceed ``disjunct_limit``
-    alternatives. Atoms unsatisfiable under the schema erase their conjunct
-    with a warning; when every conjunct dies the result is the canonical
-    empty query.
+    ("revert"), and so do the atoms reverted to bring a conjunct's product
+    of alternatives within ``disjunct_limit``. Atoms unsatisfiable under the
+    schema erase their conjunct with a warning; when every conjunct dies the
+    result is the canonical empty query.
     """
     warnings: list[str] = []
     used: set[str] = set(query.head)
@@ -337,35 +356,48 @@ def rewrite(
             )
             return []
         merged = [remove_redundant(m, schema) for m in merge_triples(triples)]
-        plain = merged[0]
-        if len(merged) == 1 and not plain.src_set and not plain.trg_set and plain.expr == phi:
+        if any(m.src_set or m.trg_set or has_annotations(m.expr) for m in merged):
+            return merged
+        # no alternative carries label information: keep them in one atom,
+        # unless their union removes no closure and is no smaller than phi
+        folded = functools.reduce(Union, (m.expr for m in merged))
+        if _closures(folded) >= _closures(phi) and _size(folded) >= _size(phi):
             return None
-        if len(merged) > disjunct_limit:
-            warnings.append(
-                f"{len(merged)} alternatives for ({rel.src_var}, {to_text(rel.expr)}, "
-                f"{rel.trg_var}) exceed the limit of {disjunct_limit}; reverting"
-            )
-            return None
-        return merged
+        return [MergedTriple(frozenset(), folded, frozenset())]
 
     reverted: dict[tuple[int, int], bool] = {}
     logs: list[InferenceLog] = []
     out_disjuncts: list[Conjunct] = []
     for d_index, conjunct in enumerate(query.disjuncts):
-        per_atom: list[list[_Alternative]] = []
-        dead = False
+        phis: list[PathExpr] = []
+        per_atom_merged: list[list[MergedTriple] | None] = []
         for a_index, rel in enumerate(conjunct.relations):
-            phi = simplify(desugar(rel.expr))
+            phis.append(simplify(desugar(rel.expr)))
             logs.append(InferenceLog())
-            merged = enrichment(rel, phi, logs[-1])
-            reverted[(d_index, a_index)] = merged is None
+            per_atom_merged.append(enrichment(rel, phis[-1], logs[-1]))
+            reverted[(d_index, a_index)] = per_atom_merged[-1] is None
+        if any(merged == [] for merged in per_atom_merged):
+            continue
+
+        counts = [1 if merged is None else len(merged) for merged in per_atom_merged]
+        while (product := math.prod(counts)) > disjunct_limit and max(counts) > 1:
+            widest = counts.index(max(counts))
+            rel = conjunct.relations[widest]
+            warnings.append(
+                f"{counts[widest]} alternatives for ({rel.src_var}, {to_text(rel.expr)}, "
+                f"{rel.trg_var}) make {product} disjuncts and exceed the limit of "
+                f"{disjunct_limit}; reverting"
+            )
+            counts[widest] = 1
+            per_atom_merged[widest] = None
+            reverted[(d_index, widest)] = True
+
+        per_atom: list[list[_Alternative]] = []
+        for rel, phi, merged in zip(conjunct.relations, phis, per_atom_merged):
             if merged is None:
                 per_atom.append(
                     [_Alternative(relations=(Relation(rel.src_var, phi, rel.trg_var),), labels=())]
                 )
-                continue
-            if not merged:
-                dead = True
                 continue
             alternatives = []
             for m in merged:
@@ -386,8 +418,6 @@ def rewrite(
                     )
                 )
             per_atom.append(alternatives)
-        if dead:
-            continue
 
         generated: list[Conjunct] = []
         for combo in itertools.product(*per_atom):

@@ -115,7 +115,7 @@ def test_rewrite_explain_table(query_file, capsys):
 
 
 def test_rewrite_json_round_trips(query_file, capsys):
-    path = query_file("x,y <- (x, owns|livesIn, y)")
+    path = query_file("x,y <- (x, livesIn/isLocatedIn+, y)")
     assert run(["rewrite", "--schema", YAGO, "--query", path, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert parse_query(doc["enriched"])
@@ -207,9 +207,9 @@ def test_pipeline_command(query_file, capsys):
 def test_config_file_limits(query_file, tmp_path, capsys):
     config = tmp_path / "pathforge.conf"
     config.write_text("disjunct_limit=1\npath_limit=9999\n")
-    path = query_file("x,y <- (x, owns|livesIn, y)")
+    path = query_file("x,y <- (x, livesIn/isLocatedIn+, y)")
     assert run(["rewrite", "--schema", YAGO, "--query", path, "--config", str(config)]) == 0
-    assert capsys.readouterr().out.strip() == "x,y <- (x, owns|livesIn, y)"
+    assert capsys.readouterr().out.strip() == "x,y <- (x, livesIn/isLocatedIn+, y)"
     # flags override the file
     assert (
         run(
@@ -220,7 +220,10 @@ def test_config_file_limits(query_file, tmp_path, capsys):
         )
         == 0
     )
-    assert capsys.readouterr().out.strip() == "x,y <- (x, livesIn, y) || (x, owns, y)"
+    assert capsys.readouterr().out.strip() == (
+        "x,y <- (x, livesIn/isLocatedIn, _g1) && (_g1, isLocatedIn, y) && _g1:{REGION}"
+        " && y:{COUNTRY} || (x, livesIn/isLocatedIn, y) && y:{REGION}"
+    )
 
 
 def test_missing_file_is_exit_2(capsys):
@@ -274,10 +277,11 @@ AT_THE_CAP = [
     "(isMarriedTo/" * MAX_NESTING + "isMarriedTo" + ")" * MAX_NESTING,
     "isMarriedTo[" * MAX_NESTING + "isMarriedTo" + "]" * MAX_NESTING,
     "([" * NEST + "isMarriedTo" + "]isMarriedTo)+" * NEST,
+    "[isMarriedTo]" * MAX_NESTING + "isMarriedTo",
 ]
 
 
-@pytest.mark.parametrize("expr", AT_THE_CAP, ids=["concat", "branch", "mixed"])
+@pytest.mark.parametrize("expr", AT_THE_CAP, ids=["concat", "branch", "mixed", "leading"])
 def test_nesting_at_the_cap_runs_every_stage(expr, query_file):
     assert run(["simplify", expr]) == 0
     path = query_file(f"x,y <- (x, {expr}, y)")
@@ -294,18 +298,30 @@ def test_nesting_past_the_cap_exits_2(query_file, capsys):
     at_the_cap = "(" * MAX_NESTING + "isMarriedTo" + ")" * MAX_NESTING
     assert run(["simplify", at_the_cap]) == 0
     assert run(["simplify", "[" + at_the_cap + "]isMarriedTo"]) == 2
+    # so does each leading source-side test
+    assert run(["simplify", "[isMarriedTo]" * (MAX_NESTING + 1) + "isMarriedTo"]) == 2
 
 
-def test_deep_nesting_exits_2_without_traceback():
-    expr = "(" * 3000 + "a" + ")" * 3000
+def _simplify_in_fresh_process(expr):
     src = str(Path(pathforge.__file__).parents[1])
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "pathforge.cli", "simplify", expr],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
         timeout=60,
     )
+
+
+def test_deep_nesting_exits_2_without_traceback():
+    proc = _simplify_in_fresh_process("(" * 3000 + "a" + ")" * 3000)
+    assert proc.returncode == 2
+    assert "error: brackets nested deeper than" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_many_leading_tests_exit_2_without_traceback():
+    proc = _simplify_in_fresh_process("[a]" * 3000 + "a")
     assert proc.returncode == 2
     assert "error: brackets nested deeper than" in proc.stderr
     assert "Traceback" not in proc.stderr

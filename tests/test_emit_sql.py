@@ -116,6 +116,17 @@ def test_nested_closure_references_inner_cte(yago_schema):
     assert "tc_1" in outer
 
 
+def test_repeated_closure_shares_one_cte(yago_schema, fig2_db):
+    query = parse_query(
+        "x,y <- (x, dealsWith+, y) && (y, isMarriedTo+/dealsWith+, z)"
+        " || (x, livesIn/isLocatedIn/dealsWith+, y)"
+    )
+    sql = emit_sql(query, yago_schema)
+    assert sql.count("(Sr, Tr) AS (") == 2
+    assert sql.count("tc_1 AS ") == 3  # the dealsWith+ closure, read thrice
+    assert run_sql(query, yago_schema, fig2_db) == eval_ucqt(query, fig2_db)
+
+
 # bare table names sit directly after FROM/JOIN; subqueries start with "("
 IDENT = re.compile(r"(?:FROM|JOIN)\s+([A-Za-z_][A-Za-z0-9_]*)")
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -7,10 +8,14 @@ from pathforge import (
     AnnConcat,
     Label,
     MergedTriple,
+    Relation,
     SchemaTriple,
     TransClos,
+    Union,
+    desugar,
     eval_ucqt,
     gen_db,
+    infer,
     merge_triples,
     parse_path_expr,
     parse_query,
@@ -18,8 +23,11 @@ from pathforge import (
     query_to_text,
     remove_redundant,
     rewrite,
+    simplify,
     to_text,
 )
+from pathforge.ast import has_annotations
+from pathforge.inference import InferenceOverflow
 from pathforge.rewriter import MergeShapeError
 from pathforge.schema import load_schema
 
@@ -223,16 +231,58 @@ def test_rewrite_contradictory_label_atom_kills_conjunct(yago_schema):
     assert any("empty intersection" in w for w in outcome.warnings)
 
 
+LABELLED_UNION = "x,y <- (x, livesIn/isLocatedIn+, y)"
+
+
 def test_rewrite_distributes_union(yago_schema):
+    # only alternatives carrying label information are distributed: these
+    # two end at REGION and at COUNTRY
+    outcome = rewrite(parse_query(LABELLED_UNION), yago_schema)
+    assert query_to_text(outcome.enriched) == (
+        "x,y <- (x, livesIn/isLocatedIn, _g1) && (_g1, isLocatedIn, y) && _g1:{REGION}"
+        " && y:{COUNTRY} || (x, livesIn/isLocatedIn, y) && y:{REGION}"
+    )
+    assert outcome.reverted == {(0, 0): False}
+    # livesIn and owns carry none, and their union is no smaller than the
+    # original, so nothing is gained
     outcome = rewrite(parse_query("x,y <- (x, owns|livesIn, y)"), yago_schema)
-    assert query_to_text(outcome.enriched) == "x,y <- (x, livesIn, y) || (x, owns, y)"
+    assert query_to_text(outcome.enriched) == "x,y <- (x, owns|livesIn, y)"
+    assert outcome.reverted == {(0, 0): True}
+    assert outcome.warnings == ()
+
+
+def test_rewrite_pruned_label_free_union_is_one_atom(yago_schema):
+    # owns/owns matches nothing, so the folded union is smaller: a gain
+    outcome = rewrite(parse_query("x,y <- (x, owns|owns/owns|livesIn, y)"), yago_schema)
+    assert query_to_text(outcome.enriched) == "x,y <- (x, livesIn|owns, y)"
+    assert outcome.reverted == {(0, 0): False}
+    again = rewrite(outcome.enriched, yago_schema)
+    assert query_to_text(again.enriched) == query_to_text(outcome.enriched)
 
 
 def test_rewrite_alternative_cap_reverts(yago_schema):
-    outcome = rewrite(parse_query("x,y <- (x, owns|livesIn, y)"), yago_schema, disjunct_limit=1)
-    assert query_to_text(outcome.enriched) == "x,y <- (x, owns|livesIn, y)"
+    outcome = rewrite(parse_query(LABELLED_UNION), yago_schema, disjunct_limit=1)
+    assert query_to_text(outcome.enriched) == LABELLED_UNION
     assert outcome.reverted == {(0, 0): True}
     assert any("exceed the limit" in w for w in outcome.warnings)
+
+
+def test_rewrite_disjunct_limit_bounds_the_product(yago_schema):
+    query = parse_query(
+        "x,y <- (x, livesIn/isLocatedIn+, y) && (y, livesIn/isLocatedIn+, z) && (z, owns, w)"
+    )
+    assert len(rewrite(query, yago_schema).enriched.disjuncts) == 4
+    # 2 x 2 alternatives exceed 3: the first of the two widest atoms reverts
+    outcome = rewrite(query, yago_schema, disjunct_limit=3)
+    assert len(outcome.enriched.disjuncts) == 2
+    assert outcome.reverted == {(0, 0): True, (0, 1): False, (0, 2): True}
+    assert [w for w in outcome.warnings if "exceed the limit" in w] == [
+        "2 alternatives for (x, livesIn/isLocatedIn+, y) make 4 disjuncts and exceed the "
+        "limit of 3; reverting"
+    ]
+    outcome = rewrite(query, yago_schema, disjunct_limit=1)
+    assert outcome.reverted == {(0, 0): True, (0, 1): True, (0, 2): True}
+    assert sum("exceed the limit" in w for w in outcome.warnings) == 2
 
 
 def test_rewrite_fresh_vars_avoid_user_names(yago_schema):
@@ -262,12 +312,13 @@ def test_rewrite_all_reverting_disjuncts_keep_query_text(yago_schema):
 
 
 def test_rewrite_preserves_head_and_multiplies_atoms(yago_schema):
-    query = parse_query("x,y <- (x, owns|livesIn, y) && (y, isLocatedIn, z)")
+    query = parse_query("x,y <- (x, livesIn/isLocatedIn+, y) && (y, isLocatedIn, z)")
     outcome = rewrite(query, yago_schema)
     assert outcome.enriched.head == ("x", "y")
     assert len(outcome.enriched.disjuncts) == 2
+    # the isLocatedIn atom rides along in each disjunct
     for conjunct in outcome.enriched.disjuncts:
-        assert len(conjunct.relations) == 2
+        assert Relation("y", Label("isLocatedIn"), "z") in conjunct.relations
 
 
 def test_rewrite_output_structure_and_label_hygiene(yago_schema):
@@ -294,8 +345,10 @@ def test_rewrite_output_structure_and_label_hygiene(yago_schema):
                         assert node.labels <= yago_schema.node_labels
                         # annotations never sit beneath a closure
                         assert id(node) not in inside_closure
-                if rel.expr == baseline:
-                    continue  # a reverted atom may keep top-level unions
+                if rel.expr == baseline or (len(conjunct.relations) == 1 and not conjunct.labels):
+                    # a reverted atom, or one folded from alternatives with
+                    # no label information, may keep top-level unions
+                    continue
                 for node in walk(rel.expr):
                     if isinstance(node, Un):
                         assert id(node) in inside_closure, to_text(rel.expr)
@@ -314,19 +367,78 @@ def test_rewrite_equivalence_on_random_inputs():
             assert eval_ucqt(outcome.enriched, db) == eval_ucqt(query, db), to_text(expr)
 
 
+def _e0_schema(count, arcs):
+    """Node labels N0..N(count-1), with e0 edges between the numbered pairs."""
+    doc = {
+        "nodes": [{"label": f"N{i}"} for i in range(count)],
+        "edges": [{"src": f"N{a}", "label": "e0", "trg": f"N{b}"} for a, b in arcs.split()],
+    }
+    return load_schema(json.dumps(doc))
+
+
+# label inference explodes on these two, through composition joins (A) and
+# closure enumeration (B); their alternatives carry no label information
+BLOWUP_A = (_e0_schema(3, "00 11 12 20 21 22"), "x,y <- (x, (e0/([-e0]e0){1,2}){1,3}, y)")
+BLOWUP_B = (
+    _e0_schema(4, "00 11 12 13 21 22 32"),
+    "x,y <- (x, e0{1,2}{2,3}+[([e0]-e0)[e0&e0]&e0{2,4}/[-e0]e0], y)",
+)
+
+
+@pytest.mark.parametrize("schema, text", [BLOWUP_A, BLOWUP_B], ids=["A", "B"])
+def test_rewrite_label_free_blowup_reverts(schema, text):
+    query = parse_query(text)
+    outcome = rewrite(query, schema)
+    assert set(outcome.reverted.values()) == {True}
+    assert len(outcome.enriched.disjuncts) == 1
+    assert len(outcome.enriched.disjuncts[0].relations) == 1
+    for seed in range(3):
+        db = gen_db(schema, seed=seed, nodes_per_label=3, edge_prob=0.4)
+        assert eval_ucqt(outcome.enriched, db) == eval_ucqt(query, db)
+    again = rewrite(outcome.enriched, schema)
+    assert query_to_text(again.enriched) == query_to_text(outcome.enriched)
+
+
+def test_rewrite_keeps_label_free_alternatives_in_one_atom():
+    rng = random.Random(4242)
+    folds = {True: 0, False: 0}  # label-free atoms by whether they reverted
+    for round_index in range(100):
+        schema = random_schema(rng)
+        alphabet = schema_edge_alphabet(schema)
+        e1, e2 = (to_text(random_expr(rng, alphabet, depth=3)) for _ in range(2))
+        query = parse_query(f"x,y <- (x, {e1}, y) && (y, {e2}, z)")
+        outcome = rewrite(query, schema)
+        bound = 1  # the product of the label-carrying alternative counts
+        for a_index, rel in enumerate(query.disjuncts[0].relations):
+            phi = simplify(desugar(rel.expr))
+            try:
+                merged = [remove_redundant(m, schema) for m in merge_triples(infer(phi, schema))]
+            except InferenceOverflow:
+                continue
+            if any(m.src_set or m.trg_set or has_annotations(m.expr) for m in merged):
+                bound *= len(merged)
+                continue
+            if len(merged) < 2:
+                continue
+            folded = functools.reduce(Union, (m.expr for m in merged))
+            reverted = outcome.reverted[(0, a_index)]
+            folds[reverted] += 1
+            expected = Relation(rel.src_var, phi if reverted else folded, rel.trg_var)
+            for conjunct in outcome.enriched.disjuncts:
+                same_ends = [
+                    r for r in conjunct.relations if (r.src_var, r.trg_var) == (rel.src_var, rel.trg_var)
+                ]
+                assert same_ends == [expected], query_to_text(outcome.enriched)
+        assert len(outcome.enriched.disjuncts) <= bound, query_to_text(query)
+        db = gen_db(schema, seed=round_index, nodes_per_label=3, edge_prob=0.35)
+        assert eval_ucqt(outcome.enriched, db) == eval_ucqt(query, db), query_to_text(query)
+    # both outcomes of the fold occur
+    assert folds[True] and folds[False], folds
+
+
 def test_rewrite_conjuncts_repeat_no_relation_atom():
     # this closure query once produced `(_g1, e0, _g2) && (_g1, e0, _g2)`
-    arcs = "00 11 12 13 21 22 32".split()
-    doc = {
-        "nodes": [{"label": f"N{i}"} for i in range(4)],
-        "edges": [{"src": f"N{a}", "label": "e0", "trg": f"N{b}"} for a, b in arcs],
-    }
-    cases = [
-        (
-            load_schema(json.dumps(doc)),
-            parse_query("x,y <- (x, e0{1,2}{2,3}+[([e0]-e0)[e0&e0]&e0{2,4}/[-e0]e0], y)"),
-        )
-    ]
+    cases = [(BLOWUP_B[0], parse_query(BLOWUP_B[1]))]
     rng = random.Random(919)
     for _ in range(25):
         schema = random_schema(rng)
