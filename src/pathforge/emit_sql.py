@@ -47,8 +47,8 @@ class _Renderer:
 
     def __init__(self, schema: GraphSchema):
         self.schema = schema
-        self.ctes: list[str] = []
-        self.cte_names: dict[str, str] = {}  # base SELECT -> CTE name
+        # base SELECT of each closure -> its CTE, named tc_1, tc_2, ... in order
+        self.ctes: dict[str, str] = {}
 
     def check_edge(self, label: str) -> None:
         if label not in self.schema.edge_labels:
@@ -69,17 +69,16 @@ class _Renderer:
             # one rendering serves both the base and the recursive join, so
             # the closures nested inside register once
             select, item = self.pair(expr.inner)
-            name = self.cte_names.get(select)
-            if name is not None:
-                return f"SELECT Sr, Tr FROM {name}", name
-            name = self.cte_names[select] = f"tc_{len(self.ctes) + 1}"
-            self.ctes.append(
-                f"{name}(Sr, Tr) AS (\n"
-                f"  {select}\n"
-                "  UNION\n"
-                f"  SELECT {name}.Sr, s.Tr FROM {name} JOIN {item} AS s ON {name}.Tr = s.Sr\n"
-                ")"
-            )
+            if select not in self.ctes:
+                name = f"tc_{len(self.ctes) + 1}"
+                self.ctes[select] = (
+                    f"{name}(Sr, Tr) AS (\n"
+                    f"  {select}\n"
+                    "  UNION\n"
+                    f"  SELECT {name}.Sr, s.Tr FROM {name} JOIN {item} AS s ON {name}.Tr = s.Sr\n"
+                    ")"
+                )
+            name = self.ctes[select].partition("(")[0]
             return f"SELECT Sr, Tr FROM {name}", name
         if isinstance(expr, Reverse):
             self.check_edge(expr.name)
@@ -198,7 +197,7 @@ def emit_sql(
     selects = [renderer.conjunct(conjunct, query.head) for conjunct in query.disjuncts]
     body = "\nUNION\n".join(selects) + ";"
     if renderer.ctes:
-        body = f"WITH RECURSIVE {', '.join(renderer.ctes)}\n" + body
+        body = f"WITH RECURSIVE {', '.join(renderer.ctes.values())}\n" + body
     return _wrap_view(body, dialect, as_view)
 
 

@@ -6,9 +6,9 @@ drop annotations the schema makes vacuous. What happens next depends on the
 merged alternatives:
 
 - When none carries label information (no endpoint label set, no junction
-  annotation), they fold into one union. The atom reverts to its simplified
-  expression when the union removes no closure and is no smaller; else it
-  becomes that single union atom. Label-free alternatives never multiply
+  annotation), they fold into one union. The atom becomes that single union
+  atom when the union has fewer AST nodes than the simplified expression,
+  and otherwise reverts to it. Label-free alternatives never multiply
   disjuncts.
 - Otherwise each alternative is translated so that surviving junction
   annotations become label atoms on fresh variables, and the conjunct is
@@ -309,10 +309,6 @@ class _Alternative:
     labels: tuple[tuple[str, frozenset[str]], ...]
 
 
-def _closures(expr: PathExpr) -> int:
-    return sum(isinstance(node, TransClos) for node in walk(expr))
-
-
 def _size(expr: PathExpr) -> int:
     return sum(1 for _ in walk(expr))
 
@@ -359,9 +355,9 @@ def rewrite(
         if any(m.src_set or m.trg_set or has_annotations(m.expr) for m in merged):
             return merged
         # no alternative carries label information: keep them in one atom,
-        # unless their union removes no closure and is no smaller than phi
+        # and only when their union is smaller than phi
         folded = functools.reduce(Union, (m.expr for m in merged))
-        if _closures(folded) >= _closures(phi) and _size(folded) >= _size(phi):
+        if _size(folded) >= _size(phi):
             return None
         return [MergedTriple(frozenset(), folded, frozenset())]
 

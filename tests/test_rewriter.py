@@ -26,7 +26,7 @@ from pathforge import (
     simplify,
     to_text,
 )
-from pathforge.ast import has_annotations
+from pathforge.ast import has_annotations, walk
 from pathforge.inference import InferenceOverflow
 from pathforge.rewriter import MergeShapeError
 from pathforge.schema import load_schema
@@ -325,7 +325,6 @@ def test_rewrite_output_structure_and_label_hygiene(yago_schema):
     from pathforge import Union as Un
     from pathforge import desugar, simplify
     from pathforge.ast import AnnConcat as Ann
-    from pathforge.ast import walk
 
     rng = random.Random(227)
     for _ in range(40):
@@ -345,10 +344,8 @@ def test_rewrite_output_structure_and_label_hygiene(yago_schema):
                         assert node.labels <= yago_schema.node_labels
                         # annotations never sit beneath a closure
                         assert id(node) not in inside_closure
-                if rel.expr == baseline or (len(conjunct.relations) == 1 and not conjunct.labels):
-                    # a reverted atom, or one folded from alternatives with
-                    # no label information, may keep top-level unions
-                    continue
+                if rel.expr == baseline:
+                    continue  # a reverted atom may keep top-level unions
                 for node in walk(rel.expr):
                     if isinstance(node, Un):
                         assert id(node) in inside_closure, to_text(rel.expr)
@@ -418,10 +415,14 @@ def test_rewrite_keeps_label_free_alternatives_in_one_atom():
             if any(m.src_set or m.trg_set or has_annotations(m.expr) for m in merged):
                 bound *= len(merged)
                 continue
-            if len(merged) < 2:
+            if not merged:
                 continue
+            # the fold is kept only when it has fewer AST nodes than phi
             folded = functools.reduce(Union, (m.expr for m in merged))
-            reverted = outcome.reverted[(0, a_index)]
+            reverted = len(list(walk(folded))) >= len(list(walk(phi)))
+            assert outcome.reverted[(0, a_index)] == reverted, query_to_text(query)
+            if len(merged) == 1:
+                continue  # one alternative is translated like any other
             folds[reverted] += 1
             expected = Relation(rel.src_var, phi if reverted else folded, rel.trg_var)
             for conjunct in outcome.enriched.disjuncts:
@@ -436,9 +437,25 @@ def test_rewrite_keeps_label_free_alternatives_in_one_atom():
     assert folds[True] and folds[False], folds
 
 
-def test_rewrite_conjuncts_repeat_no_relation_atom():
-    # this closure query once produced `(_g1, e0, _g2) && (_g1, e0, _g2)`
-    cases = [(BLOWUP_B[0], parse_query(BLOWUP_B[1]))]
+def test_rewrite_conjuncts_repeat_no_relation_atom(yago_schema):
+    # both halves of the conjunction carry labels, so they are translated,
+    # and the REGION-ending alternative translates to the same atom twice
+    query = parse_query("x,y <- (x, livesIn/isLocatedIn+&livesIn/isLocatedIn+, y)")
+    merged = [
+        remove_redundant(m, yago_schema)
+        for m in merge_triples(infer(simplify(desugar(query.disjuncts[0].relations[0].expr)), yago_schema))
+    ]
+    repeated = [
+        f.relations
+        for f in (query_of("x", "y", m.expr) for m in merged)
+        if len(set(f.relations)) < len(f.relations)
+    ]
+    assert repeated == [[Relation("x", parse_path_expr("livesIn/isLocatedIn"), "y")] * 2]
+    outcome = rewrite(query, yago_schema)
+    assert query_to_text(outcome.enriched).endswith(
+        " || (x, livesIn/isLocatedIn, y) && y:{REGION}"
+    )
+    cases = [(yago_schema, query), (BLOWUP_B[0], parse_query(BLOWUP_B[1]))]
     rng = random.Random(919)
     for _ in range(25):
         schema = random_schema(rng)
