@@ -6,12 +6,17 @@ postfix `+` for transitive closure, `{m,n}` for bounded repetition, `-label`
 for reversal of a single edge label, `main[test]` / `[test]main` for the two
 branch filters, and `/{A,B}` for a composition step constrained to junction
 nodes labeled A or B.
+
+`map_children` is the one rebuild of a node over new children. Each
+structural rewrite (`desugar`, `strip_annotations`, the simplifier's
+normalisation, the rewriter's pruning of vacuous annotations) is its one
+special case plus `map_children`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,14 +199,56 @@ def edge_labels(expr: PathExpr) -> frozenset[str]:
     return frozenset(e.name for e in walk(expr) if isinstance(e, (Label, Reverse)))
 
 
+# node types by how `map_children` rebuilds them
+_LEAF, _PAIR, _ANN, _BRANCH_R, _BRANCH_L, _CLOSURE, _REPEAT = range(7)
+_SHAPE = {
+    Label: _LEAF,
+    Reverse: _LEAF,
+    Concat: _PAIR,
+    Union: _PAIR,
+    Conj: _PAIR,
+    AnnConcat: _ANN,
+    BranchR: _BRANCH_R,
+    BranchL: _BRANCH_L,
+    TransClos: _CLOSURE,
+    Repeat: _REPEAT,
+}
+
+
+def map_children(expr: PathExpr, f: Callable[[PathExpr], PathExpr]) -> PathExpr:
+    """The node rebuilt with `f` applied to each child, in `children` order.
+
+    A leaf comes back as it is; anything other than a path expression raises
+    TypeError.
+    """
+    # f is called from this frame, so a recursive rewrite through here nests
+    # two frames per tree level; a per-type helper that called f would add a
+    # third and cut the chain length that fits under the recursion limit
+    kind = type(expr)
+    shape = _SHAPE.get(kind)
+    if shape == _PAIR:
+        return kind(f(expr.left), f(expr.right))
+    if shape == _LEAF:
+        return expr
+    if shape == _ANN:
+        return AnnConcat(f(expr.left), expr.labels, f(expr.right))
+    if shape == _BRANCH_R:
+        return BranchR(f(expr.main), f(expr.test))
+    if shape == _BRANCH_L:
+        return BranchL(f(expr.test), f(expr.main))
+    if shape == _CLOSURE:
+        return TransClos(f(expr.inner))
+    if shape == _REPEAT:
+        return Repeat(f(expr.inner), expr.lo, expr.hi)
+    raise TypeError(f"not a path expression: {expr!r}")
+
+
 def desugar(expr: PathExpr) -> PathExpr:
     """Expand every bounded repetition into a union of compositions.
 
     e{m,n} becomes e^m | e^(m+1) | ... | e^n with left-leaning unions and
     compositions, e.g. a{2,3} -> (a/a) | (a/a/a).
     """
-    if isinstance(expr, (Label, Reverse)):
-        return expr
     if isinstance(expr, Repeat):
         inner = desugar(expr.inner)
         alternatives = [_power(inner, k) for k in range(expr.lo, expr.hi + 1)]
@@ -209,21 +256,7 @@ def desugar(expr: PathExpr) -> PathExpr:
         for alt in alternatives[1:]:
             out = Union(out, alt)
         return out
-    if isinstance(expr, TransClos):
-        return TransClos(desugar(expr.inner))
-    if isinstance(expr, BranchR):
-        return BranchR(desugar(expr.main), desugar(expr.test))
-    if isinstance(expr, BranchL):
-        return BranchL(desugar(expr.test), desugar(expr.main))
-    if isinstance(expr, Concat):
-        return Concat(desugar(expr.left), desugar(expr.right))
-    if isinstance(expr, AnnConcat):
-        return AnnConcat(desugar(expr.left), expr.labels, desugar(expr.right))
-    if isinstance(expr, Union):
-        return Union(desugar(expr.left), desugar(expr.right))
-    if isinstance(expr, Conj):
-        return Conj(desugar(expr.left), desugar(expr.right))
-    raise TypeError(f"not a path expression: {expr!r}")
+    return map_children(expr, desugar)
 
 
 def _power(expr: PathExpr, k: int) -> PathExpr:
@@ -235,25 +268,9 @@ def _power(expr: PathExpr, k: int) -> PathExpr:
 
 def strip_annotations(expr: PathExpr) -> PathExpr:
     """The plain expression underlying an annotated one."""
-    if isinstance(expr, (Label, Reverse)):
-        return expr
     if isinstance(expr, AnnConcat):
         return Concat(strip_annotations(expr.left), strip_annotations(expr.right))
-    if isinstance(expr, Concat):
-        return Concat(strip_annotations(expr.left), strip_annotations(expr.right))
-    if isinstance(expr, Union):
-        return Union(strip_annotations(expr.left), strip_annotations(expr.right))
-    if isinstance(expr, Conj):
-        return Conj(strip_annotations(expr.left), strip_annotations(expr.right))
-    if isinstance(expr, BranchR):
-        return BranchR(strip_annotations(expr.main), strip_annotations(expr.test))
-    if isinstance(expr, BranchL):
-        return BranchL(strip_annotations(expr.test), strip_annotations(expr.main))
-    if isinstance(expr, TransClos):
-        return TransClos(strip_annotations(expr.inner))
-    if isinstance(expr, Repeat):
-        return Repeat(strip_annotations(expr.inner), expr.lo, expr.hi)
-    raise TypeError(f"not a path expression: {expr!r}")
+    return map_children(expr, strip_annotations)
 
 
 def flatten_chain(expr: PathExpr) -> tuple[list[PathExpr], list[frozenset[str] | None]]:

@@ -21,7 +21,7 @@ from .emit_sql import DIALECTS, EmitError, emit_sql
 from .evaluator import eval_ucqt, gen_db
 from .inference import DEFAULT_PATH_LIMIT, DerivationRow, InferenceLog, derivation_rows, infer
 from .inference import derive  # noqa: F401  the benchmark tracer (perfbench/tracer.py) wraps it
-from .parser import QuerySyntaxError, parse_path_expr, parse_query
+from .parser import parse_path_expr, parse_query
 from .query import UcqtQuery, query_to_text
 from .rewriter import DEFAULT_DISJUNCT_LIMIT, rewrite
 from .schema import FormatError, GraphSchema, check_consistency, load_db, load_schema, save_db
@@ -371,13 +371,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QuerySyntaxError, FormatError, EmitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,15 +16,17 @@ connecting paths pass through. The rules mirror the expression structure:
   TPlus     closure triples come from cycle analysis of the triple graph
 
 For closures, the triples of the inner expression form a directed graph over
-node labels. If a closure walk can be confined to finitely many label paths
-(no cycle touched), the closure unrolls into those annotated fixed-length
-paths; any path touching a cycle keeps the closure, with annotations dropped.
+node labels. A label is cyclic when it is reachable from itself in that graph.
+If a closure walk can be confined to finitely many label paths (no cyclic
+label touched), the closure unrolls into those annotated fixed-length paths;
+any path touching a cyclic label keeps the closure, with annotations dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable
 
 from .ast import (
@@ -39,6 +41,7 @@ from .ast import (
     Reverse,
     TransClos,
     Union,
+    children,
     to_text,
 )
 from .schema import GraphSchema
@@ -106,20 +109,44 @@ def infer(
     return _canonical(_infer(expr, by_label, path_limit, log))
 
 
-def _grouped(triples: set[SchemaTriple], key) -> dict:
-    out: dict = {}
-    for triple in triples:
-        out.setdefault(key(triple), []).append(triple)
-    return out
+_SRC = attrgetter("src")
+_TRG = attrgetter("trg")
+_ENDS = attrgetter("src", "trg")
 
 
-def _check_join_work(left: dict, right: dict) -> None:
-    work = sum(len(group) * len(right[k]) for k, group in left.items() if k in right)
+def _join(left, right, left_key, right_key, make) -> set[SchemaTriple]:
+    """`make(t1, t2)` for every t1 in ``left`` and t2 in ``right`` with equal
+    keys. The work, one unit per matching pair, is checked against the join
+    work limit before any triple is built."""
+    groups: dict = {}
+    for t2 in right:
+        groups.setdefault(right_key(t2), []).append(t2)
+    matches = [(t1, groups[key]) for t1 in left if (key := left_key(t1)) in groups]
+    work = sum(len(group) for _, group in matches)
     if work > DEFAULT_JOIN_WORK_LIMIT:
         raise InferenceOverflow(
             f"inference join would need {work} combinations "
             f"(limit {DEFAULT_JOIN_WORK_LIMIT})"
         )
+    return {make(t1, t2) for t1, group in matches for t2 in group}
+
+
+# TConcat, TConj, TBranchR and TBranchL by node type: the key of the first
+# operand's triples, the key of the second's, and the triple a matching pair
+# makes. Operands are inferred in `children` order, so TBranchL infers its
+# test before its main.
+_JOIN_RULES = {
+    Concat: (
+        _TRG,
+        _SRC,
+        lambda t1, t2: SchemaTriple(
+            t1.src, AnnConcat(t1.expr, frozenset({t1.trg}), t2.expr), t2.trg
+        ),
+    ),
+    Conj: (_ENDS, _ENDS, lambda t1, t2: SchemaTriple(t1.src, Conj(t1.expr, t2.expr), t1.trg)),
+    BranchR: (_TRG, _SRC, lambda t1, t2: SchemaTriple(t1.src, BranchR(t1.expr, t2.expr), t1.trg)),
+    BranchL: (_SRC, _SRC, lambda t1, t2: SchemaTriple(t2.src, BranchL(t1.expr, t2.expr), t2.trg)),
+}
 
 
 def _infer(
@@ -134,50 +161,17 @@ def _infer(
         out = {
             SchemaTriple(t.trg, Reverse(expr.name), t.src) for t in basics.get(expr.name, ())
         }
-    elif isinstance(expr, Concat):
-        left = _grouped(_infer(expr.left, basics, path_limit, log), lambda t: t.trg)
-        right = _grouped(_infer(expr.right, basics, path_limit, log), lambda t: t.src)
-        _check_join_work(left, right)
-        out = {
-            SchemaTriple(t1.src, AnnConcat(t1.expr, frozenset({t1.trg}), t2.expr), t2.trg)
-            for key, group in left.items()
-            for t1 in group
-            for t2 in right.get(key, ())
-        }
+    elif type(expr) in _JOIN_RULES:
+        first, second = children(expr)
+        out = _join(
+            _infer(first, basics, path_limit, log),
+            _infer(second, basics, path_limit, log),
+            *_JOIN_RULES[type(expr)],
+        )
     elif isinstance(expr, Union):
         out = _infer(expr.left, basics, path_limit, log) | _infer(
             expr.right, basics, path_limit, log
         )
-    elif isinstance(expr, Conj):
-        left = _grouped(_infer(expr.left, basics, path_limit, log), lambda t: (t.src, t.trg))
-        right = _grouped(_infer(expr.right, basics, path_limit, log), lambda t: (t.src, t.trg))
-        _check_join_work(left, right)
-        out = {
-            SchemaTriple(t1.src, Conj(t1.expr, t2.expr), t1.trg)
-            for key, group in left.items()
-            for t1 in group
-            for t2 in right.get(key, ())
-        }
-    elif isinstance(expr, BranchR):
-        main = _grouped(_infer(expr.main, basics, path_limit, log), lambda t: t.trg)
-        test = _grouped(_infer(expr.test, basics, path_limit, log), lambda t: t.src)
-        _check_join_work(main, test)
-        out = {
-            SchemaTriple(t1.src, BranchR(t1.expr, t2.expr), t1.trg)
-            for key, group in main.items()
-            for t1 in group
-            for t2 in test.get(key, ())
-        }
-    elif isinstance(expr, BranchL):
-        test = _grouped(_infer(expr.test, basics, path_limit, log), lambda t: t.src)
-        main = _grouped(_infer(expr.main, basics, path_limit, log), lambda t: t.src)
-        _check_join_work(test, main)
-        out = {
-            SchemaTriple(t2.src, BranchL(t1.expr, t2.expr), t2.trg)
-            for key, group in test.items()
-            for t1 in group
-            for t2 in main.get(key, ())
-        }
     elif isinstance(expr, TransClos):
         inner = _infer(expr.inner, basics, path_limit, log)
         out = set(plus_comp(expr.inner, _canonical(inner), path_limit, log))
@@ -214,59 +208,27 @@ class TripleGraph:
         return {src: tuple(sorted(arcs, key=SchemaTriple.sort_key)) for src, arcs in out.items()}
 
     @cached_property
+    def reachable(self) -> frozenset[tuple[str, str]]:
+        """Label pairs (a, b) such that a walk of one or more arcs leads
+        from a to b."""
+        out = set()
+        for start in self.vertices:
+            seen: set[str] = set()
+            frontier = [start]
+            while frontier:
+                vertex = frontier.pop()
+                for arc in self.arcs_by_src.get(vertex, ()):
+                    out.add((start, arc.trg))
+                    if arc.trg not in seen:
+                        seen.add(arc.trg)
+                        frontier.append(arc.trg)
+        return frozenset(out)
+
+    @cached_property
     def cyclic_vertices(self) -> frozenset[str]:
-        """Vertices on some cycle: members of a multi-vertex strongly
-        connected component, or carrying a self-loop arc."""
-        order: list[str] = []
-        seen: set[str] = set()
-        for start in sorted(self.vertices):
-            if start in seen:
-                continue
-            stack: list[tuple[str, int]] = [(start, 0)]
-            seen.add(start)
-            while stack:
-                vertex, edge_index = stack[-1]
-                targets = sorted({t.trg for t in self.arcs_by_src.get(vertex, ())})
-                if edge_index < len(targets):
-                    stack[-1] = (vertex, edge_index + 1)
-                    nxt = targets[edge_index]
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append((nxt, 0))
-                else:
-                    order.append(stack.pop()[0])
-
-        reverse: dict[str, set[str]] = {}
-        for arc in self.arcs:
-            reverse.setdefault(arc.trg, set()).add(arc.src)
-
-        component_of: dict[str, int] = {}
-        component_sizes: dict[int, int] = {}
-        current = 0
-        assigned: set[str] = set()
-        for start in reversed(order):
-            if start in assigned:
-                continue
-            stack2 = [start]
-            assigned.add(start)
-            members = []
-            while stack2:
-                vertex = stack2.pop()
-                members.append(vertex)
-                for prev in reverse.get(vertex, ()):
-                    if prev not in assigned:
-                        assigned.add(prev)
-                        stack2.append(prev)
-            for member in members:
-                component_of[member] = current
-            component_sizes[current] = len(members)
-            current += 1
-
-        cyclic = {v for v in self.vertices if component_sizes[component_of[v]] > 1}
-        for arc in self.arcs:
-            if arc.src == arc.trg:
-                cyclic.add(arc.src)
-        return frozenset(cyclic)
+        """Vertices on some cycle, self-loops included: those reachable
+        from themselves."""
+        return frozenset(v for v in self.vertices if (v, v) in self.reachable)
 
 
 class _PathLimitHit(Exception):
@@ -299,7 +261,7 @@ def plus_comp(
         if budget[0] < 0:
             raise _PathLimitHit
         start, end = path[0].src, path[-1].trg
-        if any(v in cyclic for v in _path_vertices(path)):
+        if start in cyclic or any(arc.trg in cyclic for arc in path):
             out.add(SchemaTriple(start, closure_expr, end))
         else:
             expr = path[-1].expr
@@ -335,24 +297,10 @@ def plus_comp(
     return _canonical(out)
 
 
-def _path_vertices(path: list[SchemaTriple]) -> list[str]:
-    return [path[0].src] + [arc.trg for arc in path]
-
-
-def _reachable_pairs(graph: TripleGraph) -> set[tuple[str, str]]:
-    out = set()
-    for start in graph.vertices:
-        seen: set[str] = set()
-        frontier = [start]
-        while frontier:
-            vertex = frontier.pop()
-            for arc in graph.arcs_by_src.get(vertex, ()):
-                if (start, arc.trg) not in out:
-                    out.add((start, arc.trg))
-                if arc.trg not in seen:
-                    seen.add(arc.trg)
-                    frontier.append(arc.trg)
-    return out
+def _reachable_pairs(graph: TripleGraph) -> frozenset[tuple[str, str]]:
+    # called only on the path-limit fallback; the benchmark tracer
+    # (perfbench/tracer.py) counts path-limit hits by wrapping this name
+    return graph.reachable
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from .ast import (
     desugar,
     flatten_chain,
     has_annotations,
+    map_children,
     strip_annotations,
     to_text,
     walk,
@@ -157,19 +158,7 @@ def remove_redundant(merged: MergedTriple, schema: GraphSchema) -> MergedTriple:
             if expr.labels >= delivered or expr.labels >= accepted:
                 return Concat(left, right)
             return AnnConcat(left, expr.labels, right)
-        if isinstance(expr, Concat):
-            return Concat(prune(expr.left), prune(expr.right))
-        if isinstance(expr, Union):
-            return Union(prune(expr.left), prune(expr.right))
-        if isinstance(expr, Conj):
-            return Conj(prune(expr.left), prune(expr.right))
-        if isinstance(expr, BranchR):
-            return BranchR(prune(expr.main), prune(expr.test))
-        if isinstance(expr, BranchL):
-            return BranchL(prune(expr.test), prune(expr.main))
-        if isinstance(expr, TransClos):
-            return TransClos(prune(expr.inner))
-        return expr
+        return map_children(expr, prune)
 
     expr = prune(merged.expr)
     src_set = merged.src_set
@@ -254,9 +243,6 @@ def _translate_chain(
         if run:
             pieces.append((build_chain(run, [None] * (len(run) - 1)), junction))
             run = []
-        elif pieces and junction is not None:
-            piece, _ = pieces[-1]
-            pieces[-1] = (piece, junction)
 
     for index, factor in enumerate(factors):
         junction_after = junctions[index] if index < len(junctions) else None

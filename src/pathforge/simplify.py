@@ -22,17 +22,14 @@ their existence, flow into the result.
 from __future__ import annotations
 
 from .ast import (
-    AnnConcat,
     BranchL,
     BranchR,
     Concat,
-    Conj,
-    Label,
     PathExpr,
-    Reverse,
     TransClos,
-    Union,
+    build_chain,
     has_repeat,
+    map_children,
 )
 
 
@@ -44,32 +41,12 @@ def simplify(expr: PathExpr) -> PathExpr:
 
 
 def _normalize(expr: PathExpr) -> PathExpr:
-    expr = _rebuild(expr)
+    expr = map_children(expr, _normalize)
     step = _apply_root(expr)
     while step is not None:
         expr = _normalize(step)
         step = _apply_root(expr)
     return expr
-
-
-def _rebuild(expr: PathExpr) -> PathExpr:
-    if isinstance(expr, (Label, Reverse)):
-        return expr
-    if isinstance(expr, TransClos):
-        return TransClos(_normalize(expr.inner))
-    if isinstance(expr, BranchR):
-        return BranchR(_normalize(expr.main), _normalize(expr.test))
-    if isinstance(expr, BranchL):
-        return BranchL(_normalize(expr.test), _normalize(expr.main))
-    if isinstance(expr, Concat):
-        return Concat(_normalize(expr.left), _normalize(expr.right))
-    if isinstance(expr, AnnConcat):
-        return AnnConcat(_normalize(expr.left), expr.labels, _normalize(expr.right))
-    if isinstance(expr, Union):
-        return Union(_normalize(expr.left), _normalize(expr.right))
-    if isinstance(expr, Conj):
-        return Conj(_normalize(expr.left), _normalize(expr.right))
-    raise TypeError(f"not a simplifiable expression: {expr!r}")
 
 
 def _concat_factors(expr: PathExpr) -> list[PathExpr]:
@@ -78,11 +55,10 @@ def _concat_factors(expr: PathExpr) -> list[PathExpr]:
     return [expr]
 
 
-def _rebuild_concat(factors: list[PathExpr]) -> PathExpr:
-    out = factors[0]
-    for factor in factors[1:]:
-        out = Concat(out, factor)
-    return out
+def _peel(test: Concat) -> BranchR:
+    """`a/b/...` as `a[b/...]`: the leading factor, filtered by the rest."""
+    first, *rest = _concat_factors(test)
+    return BranchR(first, build_chain(rest, [None] * (len(rest) - 1)))
 
 
 def _apply_root(expr: PathExpr) -> PathExpr | None:
@@ -93,14 +69,10 @@ def _apply_root(expr: PathExpr) -> PathExpr | None:
         if isinstance(expr.test, TransClos):
             return BranchR(expr.main, expr.test.inner)  # R2
         if isinstance(expr.test, Concat):
-            factors = _concat_factors(expr.test)
-            nested = BranchR(factors[0], _rebuild_concat(factors[1:]))
-            return BranchR(expr.main, nested)  # R3
+            return BranchR(expr.main, _peel(expr.test))  # R3
     if isinstance(expr, BranchL):
         if isinstance(expr.test, TransClos):
             return BranchL(expr.test.inner, expr.main)  # R4
         if isinstance(expr.test, Concat):
-            factors = _concat_factors(expr.test)
-            nested = BranchR(factors[0], _rebuild_concat(factors[1:]))
-            return BranchL(nested, expr.main)  # R5
+            return BranchL(_peel(expr.test), expr.main)  # R5
     return None

@@ -1,17 +1,26 @@
+import random
+
+import pytest
 from hypothesis import given, settings
 
 from pathforge import (
+    AnnConcat,
+    BranchL,
+    BranchR,
     Concat,
     Label,
     Repeat,
+    TransClos,
     Union,
     desugar,
     parse_path_expr,
+    simplify,
     strip_annotations,
     to_text,
 )
-from pathforge.ast import has_repeat
+from pathforge.ast import children, flatten_chain, has_repeat, map_children, walk
 
+from randutil import random_expr
 from test_parser import _exprs
 
 a = Label("a")
@@ -52,3 +61,67 @@ def test_branch_printing_disambiguates():
     assert left_then_right != right_then_left
     assert to_text(left_then_right) == "([x]y)[z]"
     assert to_text(right_then_left) == "[x]y[z]"
+
+
+def _random_annotated(rng: random.Random, depth: int = 4):
+    """randutil's random expressions with junction-annotated compositions
+    mixed in above them."""
+    if depth > 0 and rng.random() < 0.3:
+        labels = frozenset(rng.sample(["A", "B", "C"], rng.randint(1, 2)))
+        return AnnConcat(
+            _random_annotated(rng, depth - 1), labels, _random_annotated(rng, depth - 1)
+        )
+    return random_expr(rng, ["a", "b", "c"], depth)
+
+
+def _random_nodes():
+    """Every subexpression of 200 seeded random expressions; together they
+    cover each node type."""
+    rng = random.Random(7)
+    nodes = [node for _ in range(200) for node in walk(_random_annotated(rng))]
+    assert {type(node) for node in nodes} >= {AnnConcat, Repeat, BranchL, BranchR, TransClos}
+    return nodes
+
+
+def test_map_children_identity_rebuilds_an_equal_node():
+    for node in _random_nodes():
+        assert map_children(node, lambda child: child) == node
+
+
+def test_map_children_applies_f_to_each_child_and_keeps_the_rest():
+    for node in _random_nodes():
+        out = map_children(node, TransClos)
+        assert type(out) is type(node)
+        assert children(out) == tuple(map(TransClos, children(node)))
+        # labels of an annotation and bounds of a repetition carry over
+        assert map_children(out, lambda child: child.inner) == node
+
+
+def test_map_children_visits_children_in_children_order():
+    for node in _random_nodes():
+        seen = []
+        map_children(node, lambda child: seen.append(child) or child)
+        assert list(map(id, seen)) == list(map(id, children(node)))
+    seen = []
+    map_children(parse_path_expr("[t]m"), lambda child: seen.append(to_text(child)) or child)
+    map_children(parse_path_expr("m[t]"), lambda child: seen.append(to_text(child)) or child)
+    assert seen == ["t", "m", "m", "t"]
+
+
+def test_map_children_returns_a_leaf_as_it_is():
+    leaf = Label("a")
+    assert map_children(leaf, lambda child: pytest.fail("a leaf has no children")) is leaf
+
+
+@pytest.mark.parametrize("value", ["a", None, ("a", "b"), [Label("a")]])
+def test_map_children_rejects_a_non_expression(value):
+    with pytest.raises(TypeError):
+        map_children(value, lambda child: child)
+
+
+def test_rewrites_through_map_children_keep_their_recursion_depth():
+    # desugar and simplify recurse through map_children at two frames per
+    # tree level, as the hand-written rewrites did; a third frame per level
+    # would pass the default recursion limit on this 400-factor chain
+    factors, _ = flatten_chain(simplify(desugar(parse_path_expr("/".join(["a"] * 400)))))
+    assert factors == [a] * 400

@@ -18,8 +18,9 @@ from pathforge import (
     simplify,
     to_text,
 )
+import pathforge.inference
 from pathforge.ast import walk
-from pathforge.inference import InferenceLog
+from pathforge.inference import InferenceLog, InferenceOverflow, TripleGraph
 from pathforge.schema import load_schema
 
 from randutil import random_expr, random_schema, schema_edge_alphabet
@@ -224,3 +225,97 @@ def test_soundness_and_completeness_on_random_inputs():
             )
         checked += 1
     assert checked == 60
+
+
+def _warshall(vertices, arcs):
+    """Reachability by a boolean Warshall closure over the arc relation."""
+    order = sorted(vertices)
+    reach = {(u, v): False for u in order for v in order}
+    for src, trg in arcs:
+        reach[(src, trg)] = True
+    for k in order:
+        for i in order:
+            if reach[(i, k)]:
+                for j in order:
+                    if reach[(k, j)]:
+                        reach[(i, j)] = True
+    return {pair for pair, flag in reach.items() if flag}
+
+
+def _random_label_graph(rng):
+    """Arcs over cyclic-prone labels N*, forward-only labels A* (acyclic),
+    and arcs from N* into A*; some self-loops and 2-cycles are forced."""
+    cyclic = [f"N{i}" for i in range(rng.randint(1, 4))]
+    acyclic = [f"A{i}" for i in range(rng.randint(0, 4))]
+    arcs = set()
+    for _ in range(rng.randint(0, 6)):
+        arcs.add((rng.choice(cyclic), rng.choice(["e", "f"]), rng.choice(cyclic)))
+    if rng.random() < 0.4:
+        label = rng.choice(cyclic)
+        arcs.add((label, "e", label))
+    if rng.random() < 0.4:
+        u, v = rng.choice(cyclic), rng.choice(cyclic)
+        arcs.update({(u, "e", v), (v, "f", u)})
+    for i, j in ((i, j) for i in range(len(acyclic)) for j in range(i + 1, len(acyclic))):
+        if rng.random() < 0.5:
+            arcs.add((acyclic[i], "e", acyclic[j]))
+    if acyclic:
+        for _ in range(rng.randint(0, 2)):
+            arcs.add((rng.choice(cyclic), "e", rng.choice(acyclic)))
+    return arcs
+
+
+def test_reachable_and_cyclic_vertices_match_a_warshall_closure():
+    rng = random.Random(17)
+    saw = {"self-loop": 0, "2-cycle": 0, "acyclic vertex": 0}
+    for _ in range(150):
+        arcs = _random_label_graph(rng)
+        graph = TripleGraph.from_triples(
+            tuple(SchemaTriple(src, Label(name), trg) for src, name, trg in arcs)
+        )
+        expected = _warshall(graph.vertices, {(src, trg) for src, _, trg in arcs})
+        assert graph.reachable == expected
+        assert graph.cyclic_vertices == {v for v in graph.vertices if (v, v) in expected}
+        pairs = {(src, trg) for src, _, trg in arcs}
+        saw["self-loop"] += any(src == trg for src, trg in pairs)
+        saw["2-cycle"] += any(src != trg and (trg, src) in pairs for src, trg in pairs)
+        saw["acyclic vertex"] += bool(graph.vertices - graph.cyclic_vertices)
+    assert all(count >= 10 for count in saw.values()), saw
+
+
+# a: A->B, B->B, C->B; b: B->A, B->C; c: A->B
+_JOIN_SCHEMA = load_schema(
+    '{"nodes": [{"label": "A"}, {"label": "B"}, {"label": "C"}],'
+    ' "edges": [{"label": "a", "src": "A", "trg": "B"},'
+    '           {"label": "a", "src": "B", "trg": "B"},'
+    '           {"label": "a", "src": "C", "trg": "B"},'
+    '           {"label": "b", "src": "B", "trg": "A"},'
+    '           {"label": "b", "src": "B", "trg": "C"},'
+    '           {"label": "c", "src": "A", "trg": "B"}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "text, work, steps",
+    [
+        # a's three triples all end at B, where b's two start: 3 * 2
+        ("a/b", 6, ["a", "b", "a/b"]),
+        # equal (src, trg): (A, B) holds a and c on each side, (B, B) and
+        # (C, B) hold a alone: 2 * 2 + 1 + 1
+        ("(a|c)&(a|c)", 6, ["a", "c", "a|c", "a", "c", "a|c", "(a|c)&(a|c)"]),
+        # main's target B against test's source B: 3 * 2
+        ("a[b]", 6, ["a", "b", "a[b]"]),
+        # equal source, the test inferred first: A holds a in the test and
+        # a and c in the main, B and C one each: 1 * 2 + 1 + 1
+        ("[a](a|c)", 4, ["a", "a", "c", "a|c", "[a](a|c)"]),
+    ],
+)
+def test_join_work_limit_counts_matching_pairs(monkeypatch, text, work, steps):
+    expr = parse_path_expr(text)
+    monkeypatch.setattr(pathforge.inference, "DEFAULT_JOIN_WORK_LIMIT", work)
+    log = InferenceLog()
+    assert infer(expr, _JOIN_SCHEMA, log=log)
+    assert [to_text(node) for node, _ in log.steps] == steps
+    monkeypatch.setattr(pathforge.inference, "DEFAULT_JOIN_WORK_LIMIT", work - 1)
+    with pytest.raises(InferenceOverflow, match=f"need {work} combinations"):
+        infer(expr, _JOIN_SCHEMA)
