@@ -374,6 +374,9 @@ def run(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

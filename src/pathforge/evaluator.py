@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import string
-from collections.abc import Set
+from collections.abc import Callable, Set
 from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
@@ -72,63 +72,55 @@ def eval_path(
     expr: PathExpr, db: GraphDB, stats: EvalStats | None = None, naive_closure: bool = False
 ) -> frozenset[Pair]:
     """All node pairs connected by the expression."""
-    return _eval(expr, db, stats, naive_closure, {})
-
-
-def _eval(
-    expr: PathExpr, db: GraphDB, stats: EvalStats | None, naive: bool, memo: dict
-) -> frozenset[Pair]:
     # desugared repetitions alias their subtrees, so identical subterms are
     # evaluated once; keyed by identity (cheaper than deep-tree hashing),
     # with the expression kept alive so the id cannot be recycled
-    entry = memo.get(id(expr))
-    if entry is not None and entry[0] is expr:
-        return entry[1]
-    result = _eval_node(expr, db, stats, naive, memo)
-    memo[id(expr)] = (expr, result)
-    if stats is not None:
-        stats.record(result)
+    memo: dict[int, tuple[PathExpr, frozenset[Pair]]] = {}
+
+    def ev(node: PathExpr) -> frozenset[Pair]:
+        entry = memo.get(id(node))
+        if entry is not None and entry[0] is node:
+            return entry[1]
+        result = _eval_node(node, db, ev, naive_closure)
+        memo[id(node)] = (node, result)
+        if stats is not None:
+            stats.record(result)
+        return result
+
+    result = ev(expr)
+    del ev  # ev refers to itself: break the cycle so the memo is freed now, not by the collector
     return result
 
 
 def _eval_node(
-    expr: PathExpr, db: GraphDB, stats: EvalStats | None, naive: bool, memo: dict
+    expr: PathExpr, db: GraphDB, ev: Callable[[PathExpr], frozenset[Pair]], naive: bool
 ) -> frozenset[Pair]:
+    """One node's pairs, its children evaluated through ``ev``."""
     if isinstance(expr, Label):
         return db.edge_pairs.get(expr.name, frozenset())
     if isinstance(expr, Reverse):
         return frozenset((t, s) for s, t in db.edge_pairs.get(expr.name, frozenset()))
     if isinstance(expr, Concat):
-        return _compose(
-            _eval(expr.left, db, stats, naive, memo),
-            _eval(expr.right, db, stats, naive, memo),
-            None,
-            db,
-        )
+        return _compose(ev(expr.left), ev(expr.right), None, db)
     if isinstance(expr, AnnConcat):
-        return _compose(
-            _eval(expr.left, db, stats, naive, memo),
-            _eval(expr.right, db, stats, naive, memo),
-            expr.labels,
-            db,
-        )
+        return _compose(ev(expr.left), ev(expr.right), expr.labels, db)
     if isinstance(expr, Union):
-        return _eval(expr.left, db, stats, naive, memo) | _eval(expr.right, db, stats, naive, memo)
+        return ev(expr.left) | ev(expr.right)
     if isinstance(expr, Conj):
-        return _eval(expr.left, db, stats, naive, memo) & _eval(expr.right, db, stats, naive, memo)
+        return ev(expr.left) & ev(expr.right)
     if isinstance(expr, BranchR):
-        main = _eval(expr.main, db, stats, naive, memo)
-        test_sources = {s for s, _ in _eval(expr.test, db, stats, naive, memo)}
+        main = ev(expr.main)
+        test_sources = {s for s, _ in ev(expr.test)}
         return frozenset((n, m) for n, m in main if m in test_sources)
     if isinstance(expr, BranchL):
-        main = _eval(expr.main, db, stats, naive, memo)
-        test_sources = {s for s, _ in _eval(expr.test, db, stats, naive, memo)}
+        main = ev(expr.main)
+        test_sources = {s for s, _ in ev(expr.test)}
         return frozenset((n, m) for n, m in main if n in test_sources)
     if isinstance(expr, TransClos):
-        base = _eval(expr.inner, db, stats, naive, memo)
+        base = ev(expr.inner)
         return _closure_naive(base, db) if naive else _closure_delta(base)
     if isinstance(expr, Repeat):
-        return _eval(desugar(expr), db, stats, naive, memo)
+        return ev(desugar(expr))
     raise TypeError(f"not a path expression: {expr!r}")
 
 

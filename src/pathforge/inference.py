@@ -174,7 +174,7 @@ def _infer(
         )
     elif isinstance(expr, TransClos):
         inner = _infer(expr.inner, basics, path_limit, log)
-        out = set(plus_comp(expr.inner, _canonical(inner), path_limit, log))
+        out = set(plus_comp(expr.inner, inner, path_limit, log))
     elif isinstance(expr, Repeat):
         raise ValueError("infer expects a desugared (repeat-free) expression")
     elif isinstance(expr, AnnConcat):
@@ -201,11 +201,11 @@ class TripleGraph:
         return cls(vertices=frozenset(vertices), arcs=tuple(triples))
 
     @cached_property
-    def arcs_by_src(self) -> dict[str, tuple[SchemaTriple, ...]]:
+    def arcs_by_src(self) -> dict[str, list[SchemaTriple]]:
         out: dict[str, list[SchemaTriple]] = {}
         for arc in self.arcs:
             out.setdefault(arc.src, []).append(arc)
-        return {src: tuple(sorted(arcs, key=SchemaTriple.sort_key)) for src, arcs in out.items()}
+        return out
 
     @cached_property
     def reachable(self) -> frozenset[tuple[str, str]]:
@@ -237,7 +237,7 @@ class _PathLimitHit(Exception):
 
 def plus_comp(
     inner: PathExpr,
-    triples: tuple[SchemaTriple, ...],
+    triples: Iterable[SchemaTriple],
     path_limit: int = DEFAULT_PATH_LIMIT,
     log: InferenceLog | None = None,
 ) -> tuple[SchemaTriple, ...]:
@@ -279,7 +279,7 @@ def plus_comp(
                 extend(path + [arc], on_path | {arc.trg})
 
     try:
-        for start in sorted(graph.vertices):
+        for start in graph.vertices:
             for arc in graph.arcs_by_src.get(start, ()):
                 if arc.trg == start:
                     emit([arc])

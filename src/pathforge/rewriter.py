@@ -232,48 +232,40 @@ def _translate(alpha: str, beta: str, expr: PathExpr, fresh: Iterator[str], out:
 def _translate_chain(
     alpha: str, beta: str, expr: PathExpr, fresh: Iterator[str], out: Fragment
 ) -> None:
+    # a run of annotation-free factors is one relation atom; runs are cut at
+    # every surviving junction, whose labels go on the fresh variable there,
+    # and around every annotated factor (a branch holding annotations), which
+    # recurses
     factors, junctions = flatten_chain(expr)
-    # pieces are maximal annotation-free runs; annotated factors (branches
-    # holding annotations) are isolated so they can recurse
-    pieces: list[tuple[PathExpr | None, frozenset[str] | None]] = []
-    run: list[PathExpr] = []
+    var, run = alpha, [factors[0]]
+    for junction, left, right in zip(junctions, factors, factors[1:]):
+        if junction is None and not has_annotations(left) and not has_annotations(right):
+            run.append(right)
+            continue
+        nxt = next(fresh)
+        out.body_vars.append(nxt)
+        _translate_run(var, nxt, run, fresh, out)
+        if junction is not None:
+            _meet(out.labels, nxt, junction)
+        var, run = nxt, [right]
+    _translate_run(var, beta, run, fresh, out)
 
-    def flush(junction: frozenset[str] | None) -> None:
-        nonlocal run
-        if run:
-            pieces.append((build_chain(run, [None] * (len(run) - 1)), junction))
-            run = []
 
-    for index, factor in enumerate(factors):
-        junction_after = junctions[index] if index < len(junctions) else None
-        if has_annotations(factor):
-            flush(None)
-            pieces.append((factor, junction_after))
-        else:
-            run.append(factor)
-            if junction_after is not None:
-                flush(junction_after)
-    flush(None)
+def _translate_run(
+    alpha: str, beta: str, run: list[PathExpr], fresh: Iterator[str], out: Fragment
+) -> None:
+    piece = build_chain(run, [None] * (len(run) - 1))
+    if has_annotations(piece):
+        _translate(alpha, beta, piece, fresh, out)
+    else:
+        out.relations.append(Relation(alpha, piece, beta))
 
-    var = alpha
-    for index, (piece, junction_after) in enumerate(pieces):
-        last = index == len(pieces) - 1
-        if last:
-            nxt = beta
-        else:
-            nxt = next(fresh)
-            out.body_vars.append(nxt)
-        assert piece is not None
-        if has_annotations(piece):
-            _translate(var, nxt, piece, fresh, out)
-        else:
-            out.relations.append(Relation(var, piece, nxt))
-        if junction_after is not None:
-            if last:
-                raise AssertionError("junction annotation after the last chain factor")
-            existing = out.labels.get(nxt)
-            out.labels[nxt] = junction_after if existing is None else existing & junction_after
-        var = nxt
+
+def _meet(labels: dict[str, frozenset[str]], var: str, labs: frozenset[str]) -> frozenset[str]:
+    """Conjoin ``labs`` onto the entry of ``var`` in ``labels`` and return it."""
+    met = labels[var] & labs if var in labels else labs
+    labels[var] = met
+    return met
 
 
 @dataclass(frozen=True)
@@ -287,12 +279,6 @@ class RewriteOutcome:
     reverted: dict[tuple[int, int], bool]
     warnings: tuple[str, ...]
     logs: tuple[InferenceLog, ...]
-
-
-@dataclass(frozen=True)
-class _Alternative:
-    relations: tuple[Relation, ...]
-    labels: tuple[tuple[str, frozenset[str]], ...]
 
 
 def _size(expr: PathExpr) -> int:
@@ -374,52 +360,38 @@ def rewrite(
             per_atom_merged[widest] = None
             reverted[(d_index, widest)] = True
 
-        per_atom: list[list[_Alternative]] = []
+        per_atom: list[list[Fragment]] = []
         for rel, phi, merged in zip(conjunct.relations, phis, per_atom_merged):
             if merged is None:
-                per_atom.append(
-                    [_Alternative(relations=(Relation(rel.src_var, phi, rel.trg_var),), labels=())]
-                )
+                per_atom.append([Fragment([Relation(rel.src_var, phi, rel.trg_var)])])
                 continue
             alternatives = []
             for m in merged:
                 fragment = Fragment()
                 _translate(rel.src_var, rel.trg_var, m.expr, fresh, fragment)
-                labels = dict(fragment.labels)
                 for var, labs in ((rel.src_var, m.src_set), (rel.trg_var, m.trg_set)):
                     if labs:
-                        existing = labels.get(var)
-                        labels[var] = labs if existing is None else existing & labs
-                if any(not labs for labs in labels.values()):
-                    # endpoint sets clashed (same variable on both ends);
-                    # this alternative can never match
-                    continue
-                alternatives.append(
-                    _Alternative(
-                        relations=tuple(fragment.relations), labels=tuple(sorted(labels.items()))
-                    )
-                )
+                        _meet(fragment.labels, var, labs)
+                if all(fragment.labels.values()):
+                    # otherwise endpoint sets clashed (same variable on both
+                    # ends), and this alternative can never match
+                    alternatives.append(fragment)
             per_atom.append(alternatives)
 
         generated: list[Conjunct] = []
         for combo in itertools.product(*per_atom):
-            relations: list[Relation] = []
             labels: dict[str, frozenset[str]] = {a.var: a.labels for a in conjunct.labels}
             contradiction = None
-            for alternative in combo:
-                relations.extend(alternative.relations)
-                for var, labs in alternative.labels:
-                    if var in labels:
-                        labels[var] = labels[var] & labs
-                        if not labels[var]:
-                            contradiction = var
-                    else:
-                        labels[var] = labs
+            for fragment in combo:
+                for var, labs in sorted(fragment.labels.items()):
+                    if not _meet(labels, var, labs):
+                        contradiction = var
             if contradiction is not None:
                 warnings.append(
                     f"unsatisfiable: label sets for {contradiction!r} have empty intersection"
                 )
                 continue
+            relations = [rel for fragment in combo for rel in fragment.relations]
             generated.append(
                 Conjunct(
                     # translation can repeat a relation atom, as for both

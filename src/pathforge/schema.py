@@ -158,19 +158,15 @@ def _has_type(value: PropertyValue, type_name: str) -> bool:
 
 
 def load_schema(source: str | Path) -> GraphSchema:
-    """Load a schema from a JSON document (or a path to one).
+    """Load a schema from a JSON document: a ``Path`` is read from disk, a
+    ``str`` is the document itself.
 
     Expected shape::
 
         {"nodes": [{"label": "PERSON", "properties": {"name": "String"}}],
          "edges": [{"label": "owns", "src": "PERSON", "trg": "PROPERTY"}]}
     """
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif source.lstrip().startswith("{"):
-        text = source
-    else:
-        text = Path(source).read_text()
+    text = source.read_text() if isinstance(source, Path) else source
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -214,10 +210,7 @@ def load_schema(source: str | Path) -> GraphSchema:
 
 
 def _read_csv(source: str | Path, expected_header: list[str], what: str) -> list[dict[str, str]]:
-    if isinstance(source, Path) or "\n" not in str(source):
-        text = Path(source).read_text()
-    else:
-        text = str(source)
+    text = source.read_text() if isinstance(source, Path) else source
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
     if not rows or rows[0] != expected_header:
@@ -233,7 +226,8 @@ def _read_csv(source: str | Path, expected_header: list[str], what: str) -> list
 
 
 def load_db(nodes_source: str | Path, edges_source: str | Path) -> GraphDB:
-    """Load a database from nodes.csv and edges.csv contents or paths."""
+    """Load a database from nodes.csv and edges.csv: a ``Path`` is read from
+    disk, a ``str`` is the CSV text itself."""
     node_rows = _read_csv(nodes_source, ["id", "label", "props"], "nodes.csv")
     edge_rows = _read_csv(edges_source, ["src", "label", "trg"], "edges.csv")
 

@@ -325,3 +325,24 @@ def test_many_leading_tests_exit_2_without_traceback():
     assert proc.returncode == 2
     assert "error: brackets nested deeper than" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+TOO_DEEP = {
+    "chain": "/".join(["isMarriedTo"] * 2000),
+    "union": "|".join(["isMarriedTo"] * 2000),
+    "repeat": "isMarriedTo{1,600}",
+}
+
+
+@pytest.mark.parametrize("expr", TOO_DEEP.values(), ids=TOO_DEEP.keys())
+def test_too_deep_for_recursion_exits_2(expr, query_file, capsys):
+    assert run(["simplify", expr]) == 2
+    assert capsys.readouterr().err == "error: expression nested too deeply\n"
+    assert run(["rewrite", "--schema", YAGO, "--query", query_file(f"x,y <- (x, {expr}, y)")]) == 2
+    assert capsys.readouterr().err == "error: expression nested too deeply\n"
+
+
+def test_long_chain_within_recursion_depth_exits_0(query_file):
+    chain = "/".join(["isMarriedTo"] * 400)
+    assert run(["simplify", chain]) == 0
+    assert run(["rewrite", "--schema", YAGO, "--query", query_file(f"x,y <- (x, {chain}, y)")]) == 0

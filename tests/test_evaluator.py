@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import product
 
@@ -236,3 +237,16 @@ def shapes(head, conjunct):
         yield "label-only"
     if set(head) - conjunct.variables():
         yield "head-only"
+
+
+def test_eval_path_leaves_no_reference_cycle(fig2_db):
+    # the memo holds every intermediate pair set; caught in a cycle, it
+    # would stay alive until the garbage collector runs
+    expr = parse_path_expr("(owns/isLocatedIn+){1,3}")
+    gc.collect()
+    gc.disable()
+    try:
+        assert eval_path(expr, fig2_db)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

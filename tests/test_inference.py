@@ -319,3 +319,46 @@ def test_join_work_limit_counts_matching_pairs(monkeypatch, text, work, steps):
     monkeypatch.setattr(pathforge.inference, "DEFAULT_JOIN_WORK_LIMIT", work - 1)
     with pytest.raises(InferenceOverflow, match=f"need {work} combinations"):
         infer(expr, _JOIN_SCHEMA)
+
+
+def _warns(inner, triples, path_limit):
+    log = InferenceLog()
+    plus_comp(inner, triples, path_limit, log)
+    return bool(log.warnings)
+
+
+def _path_count(inner, triples):
+    """The number of label paths plus_comp enumerates: the least path_limit
+    at which it gives no warning."""
+    low, high = 0, 1
+    while _warns(inner, triples, high):
+        low, high = high + 1, high * 2
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (mid + 1, high) if _warns(inner, triples, mid) else (low, mid)
+    return low
+
+
+def test_plus_comp_ignores_the_order_of_its_triples():
+    rng = random.Random(23)
+    inner = Label("e")
+    fallbacks = 0
+    for _ in range(60):
+        arcs = _random_label_graph(rng)
+        triples = sorted(
+            (SchemaTriple(src, Label(name), trg) for src, name, trg in arcs),
+            key=SchemaTriple.sort_key,
+        )
+        count = _path_count(inner, triples)
+        # one limit below the path count (the fallback fires) and one at it
+        for path_limit in {max(count - 1, 0), count}:
+            expected_log = InferenceLog()
+            expected = plus_comp(inner, triples, path_limit, expected_log)
+            assert expected == tuple(sorted(expected, key=SchemaTriple.sort_key))
+            fallbacks += bool(expected_log.warnings)
+            for _ in range(4):
+                log = InferenceLog()
+                shuffled = rng.sample(triples, len(triples))
+                assert plus_comp(inner, shuffled, path_limit, log) == expected
+                assert log.warnings == expected_log.warnings
+    assert fallbacks >= 30, fallbacks

@@ -6,13 +6,22 @@ import pytest
 
 from pathforge import (
     AnnConcat,
+    BranchL,
+    BranchR,
+    Concat,
+    Conj,
+    Conjunct,
     Label,
+    LabelAtom,
     MergedTriple,
     Relation,
+    Reverse,
     SchemaTriple,
     TransClos,
+    UcqtQuery,
     Union,
     desugar,
+    eval_path,
     eval_ucqt,
     gen_db,
     infer,
@@ -26,12 +35,12 @@ from pathforge import (
     simplify,
     to_text,
 )
-from pathforge.ast import has_annotations, walk
+from pathforge.ast import flatten_chain, has_annotations, walk
 from pathforge.inference import InferenceOverflow
 from pathforge.rewriter import MergeShapeError
 from pathforge.schema import load_schema
 
-from randutil import random_expr, random_schema, schema_edge_alphabet
+from randutil import random_db, random_expr, random_schema, schema_edge_alphabet
 
 
 def _ann(left, labels, right):
@@ -472,3 +481,47 @@ def test_rewrite_conjuncts_repeat_no_relation_atom(yago_schema):
             assert len(set(conjunct.relations)) == len(conjunct.relations), query_to_text(enriched)
         db = gen_db(schema, seed=index, nodes_per_label=3, edge_prob=0.4)
         assert eval_ucqt(enriched, db) == eval_ucqt(query, db), query_to_text(query)
+
+
+def _random_annotated(rng, depth):
+    """An expression over a and b with junction annotations from L0-L2,
+    conjunctions and branches: every shape `query_of` translates."""
+    if depth <= 0 or rng.random() < 0.25:
+        name = rng.choice(["a", "b"])
+        return Reverse(name) if rng.random() < 0.2 else Label(name)
+    kind = rng.choice(["concat", "ann", "ann", "conj", "branchr", "branchl"])
+    left, right = _random_annotated(rng, depth - 1), _random_annotated(rng, depth - 1)
+    if kind == "concat":
+        return Concat(left, right)
+    if kind == "ann":
+        return AnnConcat(left, frozenset(rng.sample(["L0", "L1", "L2"], rng.randint(1, 2))), right)
+    return {"conj": Conj, "branchr": BranchR, "branchl": BranchL}[kind](left, right)
+
+
+def _annotated_chain_factor(expr):
+    return any(
+        any(has_annotations(factor) for factor in flatten_chain(node)[0])
+        for node in walk(expr)
+        if isinstance(node, (Concat, AnnConcat))
+    )
+
+
+def test_query_of_returns_exactly_the_expression_pairs():
+    rng = random.Random(5150)
+    nested, nonempty = 0, 0
+    for _ in range(300):
+        expr = _random_annotated(rng, depth=4)
+        fragment = query_of("x", "y", expr)
+        conjunct = Conjunct(
+            relations=tuple(fragment.relations),
+            labels=tuple(LabelAtom(var, labs) for var, labs in fragment.labels.items()),
+        )
+        query = UcqtQuery(head=("x", "y"), disjuncts=(conjunct,))
+        assert len(set(fragment.body_vars)) == len(fragment.body_vars)
+        assert set(fragment.body_vars) == query.body_vars(conjunct)
+        for db in (random_db(rng, ["a", "b"]), random_db(rng, ["a", "b"])):
+            expected = eval_path(expr, db)
+            assert eval_ucqt(query, db) == expected, to_text(expr)
+            nonempty += bool(expected)
+        nested += _annotated_chain_factor(expr)
+    assert nested >= 50 and nonempty >= 150, (nested, nonempty)

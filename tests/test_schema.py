@@ -131,3 +131,17 @@ def test_gen_db_extremes(yago_schema):
     full = gen_db(yago_schema, seed=1, nodes_per_label=2, edge_prob=1.0)
     # every schema edge contributes a complete bipartite pair set
     assert len(full.edges) == len(yago_schema.edges) * 2 * 2
+
+
+def test_header_only_csv_text_without_newline_is_an_empty_db():
+    db = load_db("id,label,props", "src,label,trg")
+    assert db.nodes == () and db.edges == ()
+
+
+def test_schema_text_that_is_not_json_raises_format_error(tmp_path):
+    # a str is the document itself, even when it names an existing file
+    path = tmp_path / "schema.json"
+    path.write_text('{"nodes": [], "edges": []}')
+    with pytest.raises(FormatError, match="not valid JSON"):
+        load_schema(str(path))
+    assert load_schema(path).nodes == ()
