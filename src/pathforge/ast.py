@@ -5,12 +5,15 @@ concrete syntax uses `/` for composition, `|` for union, `&` for conjunction,
 postfix `+` for transitive closure, `{m,n}` for bounded repetition, `-label`
 for reversal of a single edge label, `main[test]` / `[test]main` for the two
 branch filters, and `/{A,B}` for a composition step constrained to junction
-nodes labeled A or B.
+nodes labeled A or B. That junction label set is the optional third field of
+`Concat`: `None` is a plain composition, and a set (even an empty one) is a
+constraint, so code tests `labels is not None`, never its truth value.
 
 `map_children` is the one rebuild of a node over new children. Each
 structural rewrite (`desugar`, `strip_annotations`, the simplifier's
 normalisation, the rewriter's pruning of vacuous annotations) is its one
-special case plus `map_children`.
+special case plus `map_children`. A node whose children all come back as
+they are is returned itself, so subtrees that `desugar` shares stay shared.
 """
 
 from __future__ import annotations
@@ -32,17 +35,11 @@ class Reverse:
 
 @dataclass(frozen=True, slots=True)
 class Concat:
-    left: "PathExpr"
-    right: "PathExpr"
-
-
-@dataclass(frozen=True, slots=True)
-class AnnConcat:
-    """Composition whose junction node must carry one of the given labels."""
+    """Composition; with ``labels``, the junction node must carry one of them."""
 
     left: "PathExpr"
-    labels: frozenset[str]
     right: "PathExpr"
+    labels: frozenset[str] | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,9 +88,7 @@ class Repeat:
             raise ValueError(f"repeat bounds must satisfy 1 <= m <= n, got {{{self.lo},{self.hi}}}")
 
 
-PathExpr = (
-    Label | Reverse | Concat | AnnConcat | Union | Conj | BranchR | BranchL | TransClos | Repeat
-)
+PathExpr = Label | Reverse | Concat | Union | Conj | BranchR | BranchL | TransClos | Repeat
 
 # precedence levels, loosest first; used by the printer to decide parentheses
 _PREC_UNION = 0
@@ -111,7 +106,7 @@ def precedence(expr: PathExpr) -> int:
         return _PREC_POSTFIX
     if isinstance(expr, (BranchR, BranchL)):
         return _PREC_BRANCH
-    if isinstance(expr, (Concat, AnnConcat)):
+    if isinstance(expr, Concat):
         return _PREC_CONCAT
     if isinstance(expr, Conj):
         return _PREC_CONJ
@@ -154,11 +149,8 @@ def _render_raw(expr: PathExpr) -> str:
     if isinstance(expr, BranchL):
         return "[" + _render(expr.test, 0) + "]" + _render(expr.main, _PREC_BRANCH)
     if isinstance(expr, Concat):
-        return _render(expr.left, _PREC_CONCAT) + "/" + _render(expr.right, _PREC_BRANCH)
-    if isinstance(expr, AnnConcat):
-        left = _render(expr.left, _PREC_CONCAT)
-        right = _render(expr.right, _PREC_BRANCH)
-        return left + "/" + _label_set(expr.labels) + right
+        junction = "" if expr.labels is None else _label_set(expr.labels)
+        return _render(expr.left, _PREC_CONCAT) + "/" + junction + _render(expr.right, _PREC_BRANCH)
     if isinstance(expr, Conj):
         return _render(expr.left, _PREC_CONJ) + "&" + _render(expr.right, _PREC_CONCAT)
     if isinstance(expr, Union):
@@ -192,7 +184,7 @@ def has_repeat(expr: PathExpr) -> bool:
 
 
 def has_annotations(expr: PathExpr) -> bool:
-    return any(isinstance(e, AnnConcat) for e in walk(expr))
+    return any(isinstance(e, Concat) and e.labels is not None for e in walk(expr))
 
 
 def edge_labels(expr: PathExpr) -> frozenset[str]:
@@ -200,14 +192,13 @@ def edge_labels(expr: PathExpr) -> frozenset[str]:
 
 
 # node types by how `map_children` rebuilds them
-_LEAF, _PAIR, _ANN, _BRANCH_R, _BRANCH_L, _CLOSURE, _REPEAT = range(7)
+_LEAF, _PAIR, _CONCAT, _BRANCH_R, _BRANCH_L, _CLOSURE, _REPEAT = range(7)
 _SHAPE = {
     Label: _LEAF,
     Reverse: _LEAF,
-    Concat: _PAIR,
+    Concat: _CONCAT,
     Union: _PAIR,
     Conj: _PAIR,
-    AnnConcat: _ANN,
     BranchR: _BRANCH_R,
     BranchL: _BRANCH_L,
     TransClos: _CLOSURE,
@@ -218,29 +209,37 @@ _SHAPE = {
 def map_children(expr: PathExpr, f: Callable[[PathExpr], PathExpr]) -> PathExpr:
     """The node rebuilt with `f` applied to each child, in `children` order.
 
-    A leaf comes back as it is; anything other than a path expression raises
-    TypeError.
+    A node whose children `f` all returns as they are (`is`), a leaf
+    included, comes back itself; anything other than a path expression
+    raises TypeError.
     """
     # f is called from this frame, so a recursive rewrite through here nests
     # two frames per tree level; a per-type helper that called f would add a
     # third and cut the chain length that fits under the recursion limit
     kind = type(expr)
     shape = _SHAPE.get(kind)
-    if shape == _PAIR:
-        return kind(f(expr.left), f(expr.right))
     if shape == _LEAF:
         return expr
-    if shape == _ANN:
-        return AnnConcat(f(expr.left), expr.labels, f(expr.right))
+    if shape == _CLOSURE or shape == _REPEAT:
+        inner = f(expr.inner)
+        if inner is expr.inner:
+            return expr
+        return TransClos(inner) if shape == _CLOSURE else Repeat(inner, expr.lo, expr.hi)
     if shape == _BRANCH_R:
-        return BranchR(f(expr.main), f(expr.test))
-    if shape == _BRANCH_L:
-        return BranchL(f(expr.test), f(expr.main))
-    if shape == _CLOSURE:
-        return TransClos(f(expr.inner))
-    if shape == _REPEAT:
-        return Repeat(f(expr.inner), expr.lo, expr.hi)
-    raise TypeError(f"not a path expression: {expr!r}")
+        first, second = expr.main, expr.test
+    elif shape == _BRANCH_L:
+        first, second = expr.test, expr.main
+    elif shape is None:
+        raise TypeError(f"not a path expression: {expr!r}")
+    else:
+        first, second = expr.left, expr.right
+    new_first, new_second = f(first), f(second)
+    if new_first is first and new_second is second:
+        return expr
+    if shape == _CONCAT:
+        return Concat(new_first, new_second, expr.labels)
+    # Union, Conj, BranchR and BranchL take their children in `children` order
+    return kind(new_first, new_second)
 
 
 def desugar(expr: PathExpr) -> PathExpr:
@@ -268,7 +267,7 @@ def _power(expr: PathExpr, k: int) -> PathExpr:
 
 def strip_annotations(expr: PathExpr) -> PathExpr:
     """The plain expression underlying an annotated one."""
-    if isinstance(expr, AnnConcat):
+    if isinstance(expr, Concat) and expr.labels is not None:
         return Concat(strip_annotations(expr.left), strip_annotations(expr.right))
     return map_children(expr, strip_annotations)
 
@@ -287,10 +286,6 @@ def flatten_chain(expr: PathExpr) -> tuple[list[PathExpr], list[frozenset[str] |
     def go(node: PathExpr) -> None:
         if isinstance(node, Concat):
             go(node.left)
-            junctions.append(None)
-            go(node.right)
-        elif isinstance(node, AnnConcat):
-            go(node.left)
             junctions.append(node.labels)
             go(node.right)
         else:
@@ -304,8 +299,5 @@ def build_chain(factors: list[PathExpr], junctions: list[frozenset[str] | None])
     """Inverse of flatten_chain, rebuilt left-leaning."""
     out = factors[0]
     for junction, factor in zip(junctions, factors[1:]):
-        if junction is None:
-            out = Concat(out, factor)
-        else:
-            out = AnnConcat(out, junction, factor)
+        out = Concat(out, factor, junction)
     return out

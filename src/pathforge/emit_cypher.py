@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ast import (
-    AnnConcat,
     BranchL,
     BranchR,
+    Concat,
     Conj,
     Label,
     PathExpr,
@@ -24,6 +24,7 @@ from .ast import (
     Union,
     flatten_chain,
     to_text,
+    walk,
 )
 from .emit_sql import EmitError
 from .query import UcqtQuery
@@ -140,8 +141,6 @@ def _render_conjunct(query: UcqtQuery, conjunct) -> str:
 
 
 def _validate_labels(query: UcqtQuery, schema: GraphSchema) -> None:
-    from .ast import walk
-
     for conjunct in query.disjuncts:
         for atom in conjunct.labels:
             unknown = atom.labels - schema.node_labels
@@ -151,7 +150,7 @@ def _validate_labels(query: UcqtQuery, schema: GraphSchema) -> None:
             for sub in walk(rel.expr):
                 if isinstance(sub, (Label, Reverse)) and sub.name not in schema.edge_labels:
                     raise EmitError(f"no edge label {sub.name!r} in the schema")
-                if isinstance(sub, AnnConcat):
+                if isinstance(sub, Concat) and sub.labels is not None:
                     unknown = sub.labels - schema.node_labels
                     if unknown:
                         raise EmitError(f"no node label {sorted(unknown)[0]!r} in the schema")

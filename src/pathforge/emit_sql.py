@@ -15,7 +15,6 @@ reuses the CTE of its first occurrence.
 from __future__ import annotations
 
 from .ast import (
-    AnnConcat,
     BranchL,
     BranchR,
     Concat,
@@ -83,7 +82,7 @@ class _Renderer:
         if isinstance(expr, Reverse):
             self.check_edge(expr.name)
             select = f"SELECT Tr AS Sr, Sr AS Tr FROM {expr.name}"
-        elif isinstance(expr, (Concat, AnnConcat)):
+        elif isinstance(expr, Concat):
             factors, junctions = flatten_chain(expr)
             items = [f"FROM {self.pair(factors[0])[1]} AS s1"]
             for index, (junction, factor) in enumerate(zip(junctions, factors[1:]), start=2):

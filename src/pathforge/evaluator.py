@@ -19,7 +19,6 @@ from itertools import product
 from operator import itemgetter
 
 from .ast import (
-    AnnConcat,
     BranchL,
     BranchR,
     Concat,
@@ -101,8 +100,6 @@ def _eval_node(
     if isinstance(expr, Reverse):
         return frozenset((t, s) for s, t in db.edge_pairs.get(expr.name, frozenset()))
     if isinstance(expr, Concat):
-        return _compose(ev(expr.left), ev(expr.right), None, db)
-    if isinstance(expr, AnnConcat):
         return _compose(ev(expr.left), ev(expr.right), expr.labels, db)
     if isinstance(expr, Union):
         return ev(expr.left) | ev(expr.right)
@@ -321,14 +318,11 @@ def gen_db(schema: GraphSchema, seed: int, nodes_per_label: int, edge_prob: floa
             ids.append(node_id)
         instances[node.label] = ids
 
-    node_label_by_id = {n.id: n.label for n in schema.nodes}
     edges = []
     counter = 0
     for edge in sorted(schema.edges, key=lambda e: e.id):
-        src_label = node_label_by_id[edge.src]
-        trg_label = node_label_by_id[edge.trg]
-        for src in instances[src_label]:
-            for trg in instances[trg_label]:
+        for src in instances[edge.src]:
+            for trg in instances[edge.trg]:
                 if rng.random() < edge_prob:
                     edges.append(DbEdge(id=f"e{counter}", label=edge.label, src=src, trg=trg))
                     counter += 1

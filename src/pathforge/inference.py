@@ -30,7 +30,6 @@ from operator import attrgetter
 from typing import Iterable
 
 from .ast import (
-    AnnConcat,
     BranchL,
     BranchR,
     Concat,
@@ -82,12 +81,7 @@ def _canonical(triples: set[SchemaTriple]) -> tuple[SchemaTriple, ...]:
 
 def basic_triples(schema: GraphSchema) -> tuple[SchemaTriple, ...]:
     """One triple per schema edge: (source label, edge label, target label)."""
-    label_of = {node.id: node.label for node in schema.nodes}
-    triples = {
-        SchemaTriple(label_of[edge.src], Label(edge.label), label_of[edge.trg])
-        for edge in schema.edges
-    }
-    return _canonical(triples)
+    return _canonical({SchemaTriple(e.src, Label(e.label), e.trg) for e in schema.edges})
 
 
 def infer(
@@ -139,9 +133,7 @@ _JOIN_RULES = {
     Concat: (
         _TRG,
         _SRC,
-        lambda t1, t2: SchemaTriple(
-            t1.src, AnnConcat(t1.expr, frozenset({t1.trg}), t2.expr), t2.trg
-        ),
+        lambda t1, t2: SchemaTriple(t1.src, Concat(t1.expr, t2.expr, frozenset({t1.trg})), t2.trg),
     ),
     Conj: (_ENDS, _ENDS, lambda t1, t2: SchemaTriple(t1.src, Conj(t1.expr, t2.expr), t1.trg)),
     BranchR: (_TRG, _SRC, lambda t1, t2: SchemaTriple(t1.src, BranchR(t1.expr, t2.expr), t1.trg)),
@@ -161,6 +153,8 @@ def _infer(
         out = {
             SchemaTriple(t.trg, Reverse(expr.name), t.src) for t in basics.get(expr.name, ())
         }
+    elif isinstance(expr, Concat) and expr.labels is not None:
+        raise ValueError("infer operates on plain (annotation-free) path expressions")
     elif type(expr) in _JOIN_RULES:
         first, second = children(expr)
         out = _join(
@@ -177,8 +171,6 @@ def _infer(
         out = set(plus_comp(expr.inner, inner, path_limit, log))
     elif isinstance(expr, Repeat):
         raise ValueError("infer expects a desugared (repeat-free) expression")
-    elif isinstance(expr, AnnConcat):
-        raise ValueError("infer operates on plain (annotation-free) path expressions")
     else:
         raise TypeError(f"not a path expression: {expr!r}")
     if log is not None:
@@ -266,7 +258,7 @@ def plus_comp(
         else:
             expr = path[-1].expr
             for arc in reversed(path[:-1]):
-                expr = AnnConcat(arc.expr, frozenset({arc.trg}), expr)
+                expr = Concat(arc.expr, expr, frozenset({arc.trg}))
             out.add(SchemaTriple(start, expr, end))
 
     def extend(path: list[SchemaTriple], on_path: set[str]) -> None:

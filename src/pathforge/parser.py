@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .ast import (
     BranchL,
     BranchR,
     Concat,
-    AnnConcat,
     Conj,
     Label,
     PathExpr,
@@ -113,7 +113,7 @@ class _Parser:
             raise QuerySyntaxError(f"expected {kind!r}, found {found!r}", token.offset)
         return self.next()
 
-    def fail(self, message: str) -> None:
+    def fail(self, message: str) -> NoReturn:
         raise QuerySyntaxError(message, self.peek().offset)
 
     def parse_nested(self, close: str) -> PathExpr:
@@ -147,11 +147,8 @@ class _Parser:
         expr = self.parse_branch()
         while self.peek().kind == "/":
             self.next()
-            if self.peek().kind == "{":
-                labels = self.parse_label_set()
-                expr = AnnConcat(expr, labels, self.parse_branch())
-            else:
-                expr = Concat(expr, self.parse_branch())
+            labels = self.parse_label_set() if self.peek().kind == "{" else None
+            expr = Concat(expr, self.parse_branch(), labels)
         return expr
 
     def parse_branch(self) -> PathExpr:
@@ -202,7 +199,6 @@ class _Parser:
         if token.kind == "(":
             return self.parse_nested(")")
         self.fail(f"expected a path expression, found {token.text or 'end of input'!r}")
-        raise AssertionError  # unreachable
 
     def parse_label_set(self) -> frozenset[str]:
         self.expect("{")

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .ast import (
-    AnnConcat,
     BranchL,
     BranchR,
     Concat,
@@ -101,13 +100,13 @@ def _merge_exprs(exprs: list[PathExpr]) -> PathExpr:
         if any(e != first for e in exprs):
             raise MergeShapeError(f"diverging leaves: {exprs!r}")
         return first
-    if isinstance(first, AnnConcat):
-        labels = frozenset().union(*(e.labels for e in exprs))
-        return AnnConcat(
-            _merge_exprs([e.left for e in exprs]), labels, _merge_exprs([e.right for e in exprs])
-        )
     if isinstance(first, Concat):
-        return Concat(_merge_exprs([e.left for e in exprs]), _merge_exprs([e.right for e in exprs]))
+        junctions = [e.labels for e in exprs]
+        if junctions.count(None) not in (0, len(junctions)):
+            raise MergeShapeError(f"triples with one plain expression differ in shape: {exprs!r}")
+        labels = None if first.labels is None else frozenset().union(*junctions)
+        left, right = _merge_exprs([e.left for e in exprs]), _merge_exprs([e.right for e in exprs])
+        return Concat(left, right, labels)
     if isinstance(first, Union):
         return Union(_merge_exprs([e.left for e in exprs]), _merge_exprs([e.right for e in exprs]))
     if isinstance(first, Conj):
@@ -128,7 +127,7 @@ def end_label_set(expr: PathExpr, schema: GraphSchema, source: bool) -> frozense
         return (schema.source_labels if source else schema.target_labels)(expr.name)
     if isinstance(expr, Reverse):
         return end_label_set(Label(expr.name), schema, not source)
-    if isinstance(expr, (Concat, AnnConcat)):
+    if isinstance(expr, Concat):
         return end_label_set(expr.left if source else expr.right, schema, source)
     if isinstance(expr, Union):
         return end_label_set(expr.left, schema, source) | end_label_set(expr.right, schema, source)
@@ -150,14 +149,11 @@ def remove_redundant(merged: MergedTriple, schema: GraphSchema) -> MergedTriple:
     """
 
     def prune(expr: PathExpr) -> PathExpr:
-        if isinstance(expr, AnnConcat):
-            left = prune(expr.left)
-            right = prune(expr.right)
+        if isinstance(expr, Concat) and expr.labels is not None:
             delivered = end_label_set(expr.left, schema, source=False)
             accepted = end_label_set(expr.right, schema, source=True)
             if expr.labels >= delivered or expr.labels >= accepted:
-                return Concat(left, right)
-            return AnnConcat(left, expr.labels, right)
+                return Concat(prune(expr.left), prune(expr.right))
         return map_children(expr, prune)
 
     expr = prune(merged.expr)
@@ -221,7 +217,7 @@ def _translate(alpha: str, beta: str, expr: PathExpr, fresh: Iterator[str], out:
         _translate(alpha, beta, expr.left, fresh, out)
         _translate(alpha, beta, expr.right, fresh, out)
         return
-    if isinstance(expr, (Concat, AnnConcat)) and has_annotations(expr):
+    if isinstance(expr, Concat) and has_annotations(expr):
         _translate_chain(alpha, beta, expr, fresh, out)
         return
     if has_annotations(expr):

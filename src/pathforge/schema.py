@@ -34,7 +34,6 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class SchemaNode:
-    id: str
     label: str
     properties: tuple[tuple[str, str], ...] = ()
 
@@ -45,6 +44,7 @@ class SchemaNode:
 
 @dataclass(frozen=True)
 class SchemaEdge:
+    # src and trg are node labels: a strict schema has one node per label
     id: str
     label: str
     src: str
@@ -69,14 +69,9 @@ class GraphSchema:
         return frozenset(edge.label for edge in self.edges)
 
     @cached_property
-    def _node_label_by_id(self) -> dict[str, str]:
-        return {node.id: node.label for node in self.nodes}
-
-    @cached_property
     def edge_signatures(self) -> frozenset[tuple[str, str, str]]:
         """(source label, edge label, target label) of every schema edge."""
-        by_id = self._node_label_by_id
-        return frozenset((by_id[e.src], e.label, by_id[e.trg]) for e in self.edges)
+        return frozenset((e.src, e.label, e.trg) for e in self.edges)
 
     @cached_property
     def _end_labels(self) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
@@ -187,7 +182,7 @@ def load_schema(source: str | Path) -> GraphSchema:
         for key, type_name in props.items():
             if type_name not in DATA_TYPES:
                 raise FormatError(f"unknown data type {type_name!r} for property {key!r}")
-        nodes.append(SchemaNode(id=label, label=label, properties=tuple(sorted(props.items()))))
+        nodes.append(SchemaNode(label=label, properties=tuple(sorted(props.items()))))
 
     edges = []
     signatures = set()

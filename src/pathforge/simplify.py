@@ -12,7 +12,8 @@ for the branch filters:
 
 R3 and R5 peel composition chains head-first, so the leading factor of the
 test becomes the outer branch step. They fire only when the test's top
-operator is a plain composition; junction-annotated steps are left alone.
+operator is a plain composition (no junction label set); a junction-annotated
+step is left alone, and inside a chain it is one factor.
 All five rules preserve the evaluated pair set on every database. A test's
 own closures are dropped only at the top of the test: a `+` on the main
 expression of a branch is never removed, because the main's pairs, not just
@@ -49,8 +50,12 @@ def _normalize(expr: PathExpr) -> PathExpr:
     return expr
 
 
+def _plain_concat(expr: PathExpr) -> bool:
+    return isinstance(expr, Concat) and expr.labels is None
+
+
 def _concat_factors(expr: PathExpr) -> list[PathExpr]:
-    if isinstance(expr, Concat):
+    if _plain_concat(expr):
         return _concat_factors(expr.left) + _concat_factors(expr.right)
     return [expr]
 
@@ -68,11 +73,11 @@ def _apply_root(expr: PathExpr) -> PathExpr | None:
     if isinstance(expr, BranchR):
         if isinstance(expr.test, TransClos):
             return BranchR(expr.main, expr.test.inner)  # R2
-        if isinstance(expr.test, Concat):
+        if _plain_concat(expr.test):
             return BranchR(expr.main, _peel(expr.test))  # R3
     if isinstance(expr, BranchL):
         if isinstance(expr.test, TransClos):
             return BranchL(expr.test.inner, expr.main)  # R4
-        if isinstance(expr.test, Concat):
+        if _plain_concat(expr.test):
             return BranchL(_peel(expr.test), expr.main)  # R5
     return None

@@ -1,15 +1,18 @@
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings
 
 from pathforge import (
-    AnnConcat,
     BranchL,
     BranchR,
     Concat,
+    Conj,
     Label,
+    PathExpr,
     Repeat,
+    Reverse,
     TransClos,
     Union,
     desugar,
@@ -18,12 +21,36 @@ from pathforge import (
     strip_annotations,
     to_text,
 )
-from pathforge.ast import children, flatten_chain, has_repeat, map_children, walk
+import pathforge.ast
+from pathforge.ast import children, flatten_chain, has_repeat, map_children, precedence, walk
 
 from randutil import random_expr
 from test_parser import _exprs
 
 a = Label("a")
+
+
+def test_shape_table_precedence_children_and_printer_cover_the_node_set():
+    b = Label("b")
+    one_of_each = [
+        a,
+        Reverse("a"),
+        Concat(a, b),
+        Concat(a, b, frozenset({"X"})),
+        Union(a, b),
+        Conj(a, b),
+        BranchR(a, b),
+        BranchL(a, b),
+        TransClos(a),
+        Repeat(a, 1, 2),
+    ]
+    members = set(typing.get_args(PathExpr))
+    assert set(pathforge.ast._SHAPE) == members
+    assert {type(node) for node in one_of_each} == members
+    for node in one_of_each:
+        assert isinstance(precedence(node), int)
+        assert {type(child) for child in children(node)} <= {Label}
+        assert parse_path_expr(to_text(node)) == node
 
 
 def test_desugar_single():
@@ -68,8 +95,8 @@ def _random_annotated(rng: random.Random, depth: int = 4):
     mixed in above them."""
     if depth > 0 and rng.random() < 0.3:
         labels = frozenset(rng.sample(["A", "B", "C"], rng.randint(1, 2)))
-        return AnnConcat(
-            _random_annotated(rng, depth - 1), labels, _random_annotated(rng, depth - 1)
+        return Concat(
+            _random_annotated(rng, depth - 1), _random_annotated(rng, depth - 1), labels
         )
     return random_expr(rng, ["a", "b", "c"], depth)
 
@@ -79,13 +106,15 @@ def _random_nodes():
     cover each node type."""
     rng = random.Random(7)
     nodes = [node for _ in range(200) for node in walk(_random_annotated(rng))]
-    assert {type(node) for node in nodes} >= {AnnConcat, Repeat, BranchL, BranchR, TransClos}
+    assert {type(node) for node in nodes} >= {Repeat, BranchL, BranchR, TransClos}
+    assert any(isinstance(node, Concat) and node.labels is not None for node in nodes)
+    assert any(isinstance(node, Concat) and node.labels is None for node in nodes)
     return nodes
 
 
-def test_map_children_identity_rebuilds_an_equal_node():
+def test_map_children_returns_the_node_itself_when_no_child_changes():
     for node in _random_nodes():
-        assert map_children(node, lambda child: child) == node
+        assert map_children(node, lambda child: child) is node
 
 
 def test_map_children_applies_f_to_each_child_and_keeps_the_rest():

@@ -95,13 +95,13 @@ def test_branch_subset_invariants(fig2_db):
 
 
 def test_annotation_with_every_label_equals_plain_concat():
-    from pathforge import AnnConcat, Concat, Label
+    from pathforge import Concat, Label
 
     rng = random.Random(17)
     all_labels = frozenset({"L0", "L1", "L2"})  # the generator's full label set
     for _ in range(30):
         db = random_db(rng, ["a", "b"])
-        annotated = AnnConcat(Label("a"), all_labels, Label("b"))
+        annotated = Concat(Label("a"), Label("b"), all_labels)
         plain = Concat(Label("a"), Label("b"))
         assert eval_path(annotated, db) == eval_path(plain, db)
 

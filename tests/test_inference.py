@@ -156,6 +156,19 @@ def test_infer_requires_desugared():
         infer(parse_path_expr("a{1,2}"), schema)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "owns/{PROPERTY}isLocatedIn",
+        "livesIn|owns/{PROPERTY}isLocatedIn",
+        "(livesIn/{CITY}isLocatedIn)+",
+    ],
+)
+def test_infer_rejects_junction_annotations(yago_schema, text):
+    with pytest.raises(ValueError, match="annotation-free"):
+        infer(parse_path_expr(text), yago_schema)
+
+
 def test_canonical_order_is_deterministic(yago_schema):
     expr = parse_path_expr("isLocatedIn+")
     first = infer(expr, yago_schema)

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathforge import (
-    AnnConcat,
     BranchL,
     BranchR,
     Concat,
@@ -66,7 +65,7 @@ def test_reverse_label():
 
 def test_annotated_concat():
     expr = parse_path_expr("a/{CITY,REGION}b")
-    assert expr == AnnConcat(Label("a"), frozenset({"CITY", "REGION"}), Label("b"))
+    assert expr == Concat(Label("a"), Label("b"), frozenset({"CITY", "REGION"}))
 
 
 def test_branch_suffix_chain():
@@ -159,7 +158,7 @@ def _exprs():
             pairs.map(lambda p: BranchL(*p)),
             st.tuples(
                 children, st.sets(_LABELS, min_size=1, max_size=2).map(frozenset), children
-            ).map(lambda t: AnnConcat(t[0], t[1], t[2])),
+            ).map(lambda t: Concat(t[0], t[2], t[1])),
         )
 
     return st.recursive(leaves, extend, max_leaves=12)

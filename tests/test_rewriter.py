@@ -5,7 +5,6 @@ import random
 import pytest
 
 from pathforge import (
-    AnnConcat,
     BranchL,
     BranchR,
     Concat,
@@ -44,7 +43,7 @@ from randutil import random_db, random_expr, random_schema, schema_edge_alphabet
 
 
 def _ann(left, labels, right):
-    return AnnConcat(left, frozenset(labels), right)
+    return Concat(left, right, frozenset(labels))
 
 
 a, b, d = Label("a"), Label("b"), Label("d")
@@ -333,7 +332,6 @@ def test_rewrite_preserves_head_and_multiplies_atoms(yago_schema):
 def test_rewrite_output_structure_and_label_hygiene(yago_schema):
     from pathforge import Union as Un
     from pathforge import desugar, simplify
-    from pathforge.ast import AnnConcat as Ann
 
     rng = random.Random(227)
     for _ in range(40):
@@ -349,7 +347,7 @@ def test_rewrite_output_structure_and_label_hygiene(yago_schema):
                     if isinstance(node, TransClos):
                         inside_closure.update(id(sub) for sub in walk(node.inner))
                 for node in walk(rel.expr):
-                    if isinstance(node, Ann):
+                    if isinstance(node, Concat) and node.labels is not None:
                         assert node.labels <= yago_schema.node_labels
                         # annotations never sit beneath a closure
                         assert id(node) not in inside_closure
@@ -494,7 +492,7 @@ def _random_annotated(rng, depth):
     if kind == "concat":
         return Concat(left, right)
     if kind == "ann":
-        return AnnConcat(left, frozenset(rng.sample(["L0", "L1", "L2"], rng.randint(1, 2))), right)
+        return Concat(left, right, frozenset(rng.sample(["L0", "L1", "L2"], rng.randint(1, 2))))
     return {"conj": Conj, "branchr": BranchR, "branchl": BranchL}[kind](left, right)
 
 
@@ -502,7 +500,7 @@ def _annotated_chain_factor(expr):
     return any(
         any(has_annotations(factor) for factor in flatten_chain(node)[0])
         for node in walk(expr)
-        if isinstance(node, (Concat, AnnConcat))
+        if isinstance(node, Concat)
     )
 
 

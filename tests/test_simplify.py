@@ -3,6 +3,7 @@ import random
 import pytest
 
 from pathforge import desugar, eval_path, parse_path_expr, simplify, to_text
+from pathforge.ast import walk
 
 from randutil import random_db, random_expr
 
@@ -56,6 +57,38 @@ def test_rules_do_not_enter_union_tests():
 def test_closure_inside_test_chain_survives_mid_chain():
     # only the top of a test is existential; inner closures still matter
     assert norm("x[a+/b]") == "x[a+[b]]"
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        ("m[a/{X}b/c]", "m[(a/{X}b)[c]]"),
+        ("m[a/b/{X}c]", "m[a/b/{X}c]"),
+        ("[a/b/{X}c/d]m", "[(a/b/{X}c)[d]]m"),
+        ("m[(a/{X}b)+]", "m[a/{X}b]"),
+    ],
+)
+def test_r3_r5_peel_only_plain_compositions(before, after):
+    # a junction-annotated step is one factor of a test chain, and a test
+    # whose top step is annotated is left alone
+    assert norm(before) == after
+    # random_db labels its nodes L0-L2, so there the junction set filters
+    expr, expected = (parse_path_expr(text.replace("X", "L1")) for text in (before, after))
+    assert simplify(expr) == expected
+    rng = random.Random(41)
+    for _ in range(100):
+        db = random_db(rng, ["a", "b", "c", "d", "m"], max_nodes=8)
+        assert eval_path(expected, db) == eval_path(expr, db)
+
+
+def test_simplify_keeps_the_subtrees_desugar_shares():
+    # the benchmark's infer-blowup case A; the evaluator memoises by identity
+    expr = desugar(parse_path_expr("(e0/([-e0]e0){1,2}){1,3}"))
+
+    def distinct(e):
+        return len({id(node) for node in walk(e)})
+
+    assert distinct(simplify(expr)) == distinct(expr) < sum(1 for _ in walk(expr))
 
 
 def test_simplify_requires_desugared_input():
