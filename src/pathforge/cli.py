@@ -93,8 +93,9 @@ def _cmd_simplify(args) -> int:
     return 0
 
 
-def _triple_json(triple) -> dict:
-    return {"src": triple.src, "expr": to_text(triple.expr), "trg": triple.trg}
+def _triple_json(triple: tuple[str, str, str]) -> dict:
+    src, expr, trg = triple
+    return {"src": src, "expr": expr, "trg": trg}
 
 
 def _cmd_infer(args) -> int:
@@ -102,12 +103,12 @@ def _cmd_infer(args) -> int:
     path_limit, _ = _limits(args)
     expr = simplify(desugar(parse_path_expr(args.expr)))
     log = InferenceLog()
-    triples = infer(expr, schema, path_limit, log)
+    triples = [triple.sort_key() for triple in infer(expr, schema, path_limit, log)]
     if args.json:
         print(json.dumps({"expr": to_text(expr), "triples": [_triple_json(t) for t in triples]}))
     else:
-        for triple in triples:
-            print(f"{triple.src}  --[ {to_text(triple.expr)} ]-->  {triple.trg}")
+        for src, text, trg in triples:
+            print(f"{src}  --[ {text} ]-->  {trg}")
     return _finish(args, log.warnings)
 
 
@@ -124,7 +125,7 @@ def _reverted_json(reverted: dict[tuple[int, int], bool]) -> dict[str, bool]:
 
 def _derivation_table(rows: list[DerivationRow]) -> str:
     cells = [
-        (row.term, "; ".join(f"({t.src}, {to_text(t.expr)}, {t.trg})" for t in row.triples), row.rule)
+        (row.term, "; ".join("(%s, %s, %s)" % triple for triple in row.triples), row.rule)
         for row in rows
     ]
     headers = ("TERM", "TRIPLES", "RULE")

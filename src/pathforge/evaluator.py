@@ -3,6 +3,8 @@
 It is the ground truth the rewriter and emitters are checked against. Path
 expressions evaluate to sets of (source id, target id) pairs under set
 semantics, so transitive closure always terminates; closure is semi-naive.
+A repetition e{m,n} is the union of the powers e^m .. e^n, each composed
+from the one before; these powers are not expression nodes.
 A conjunct's atoms are hash-joined as binding tables, smallest first, with
 variables projected out as soon as nothing later needs them. Their
 independent oracles: ``_closure_naive`` for the closure, and a brute-force
@@ -29,7 +31,6 @@ from .ast import (
     Reverse,
     TransClos,
     Union,
-    desugar,
 )
 from .query import UcqtQuery
 from .schema import DbEdge, DbNode, GraphDB, GraphSchema
@@ -41,7 +42,11 @@ Table = tuple[tuple[str, ...], Set[tuple]]
 
 @dataclass
 class EvalStats:
-    """Counts pairs materialized across all subexpression evaluations."""
+    """Counts pairs materialized across all subexpression evaluations.
+
+    A repetition counts once, for the union of its powers; the intermediate
+    powers are not expression nodes and are not counted.
+    """
 
     pairs: int = 0
     per_expr: list[int] = field(default_factory=list)
@@ -71,23 +76,14 @@ def eval_path(
     expr: PathExpr, db: GraphDB, stats: EvalStats | None = None, naive_closure: bool = False
 ) -> frozenset[Pair]:
     """All node pairs connected by the expression."""
-    # desugared repetitions alias their subtrees, so identical subterms are
-    # evaluated once; keyed by identity (cheaper than deep-tree hashing),
-    # with the expression kept alive so the id cannot be recycled
-    memo: dict[int, tuple[PathExpr, frozenset[Pair]]] = {}
-
     def ev(node: PathExpr) -> frozenset[Pair]:
-        entry = memo.get(id(node))
-        if entry is not None and entry[0] is node:
-            return entry[1]
         result = _eval_node(node, db, ev, naive_closure)
-        memo[id(node)] = (node, result)
         if stats is not None:
             stats.record(result)
         return result
 
     result = ev(expr)
-    del ev  # ev refers to itself: break the cycle so the memo is freed now, not by the collector
+    del ev  # ev refers to itself: break the cycle so it is freed now, not by the collector
     return result
 
 
@@ -105,19 +101,22 @@ def _eval_node(
         return ev(expr.left) | ev(expr.right)
     if isinstance(expr, Conj):
         return ev(expr.left) & ev(expr.right)
-    if isinstance(expr, BranchR):
+    if isinstance(expr, (BranchR, BranchL)):
         main = ev(expr.main)
         test_sources = {s for s, _ in ev(expr.test)}
-        return frozenset((n, m) for n, m in main if m in test_sources)
-    if isinstance(expr, BranchL):
-        main = ev(expr.main)
-        test_sources = {s for s, _ in ev(expr.test)}
-        return frozenset((n, m) for n, m in main if n in test_sources)
+        end = 1 if isinstance(expr, BranchR) else 0
+        return frozenset(pair for pair in main if pair[end] in test_sources)
     if isinstance(expr, TransClos):
         base = ev(expr.inner)
         return _closure_naive(base, db) if naive else _closure_delta(base)
     if isinstance(expr, Repeat):
-        return ev(desugar(expr))
+        base = power = ev(expr.inner)
+        out = set(base) if expr.lo == 1 else set()
+        for k in range(2, expr.hi + 1):
+            power = _compose(power, base, None, db)
+            if k >= expr.lo:
+                out |= power
+        return frozenset(out)
     raise TypeError(f"not a path expression: {expr!r}")
 
 

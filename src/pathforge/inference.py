@@ -299,7 +299,8 @@ def _reachable_pairs(graph: TripleGraph) -> frozenset[tuple[str, str]]:
 class DerivationRow:
     term: str
     rule: str
-    triples: tuple[SchemaTriple, ...]
+    # each triple as its sort key (source, expression text, target), in order
+    triples: tuple[tuple[str, str, str], ...]
 
 
 _RULE_NAMES = {
@@ -315,17 +316,12 @@ _RULE_NAMES = {
 
 
 def derive(
-    expr: PathExpr,
-    schema: GraphSchema,
-    path_limit: int = DEFAULT_PATH_LIMIT,
-    log: InferenceLog | None = None,
+    expr: PathExpr, schema: GraphSchema, path_limit: int = DEFAULT_PATH_LIMIT
 ) -> list[DerivationRow]:
     """Triples of every distinct sub-term, innermost first."""
-    own = InferenceLog()
-    infer(expr, schema, path_limit, own)
-    if log is not None:
-        log.warnings.extend(own.warnings)
-    return derivation_rows([own])
+    log = InferenceLog()
+    infer(expr, schema, path_limit, log)
+    return derivation_rows([log])
 
 
 def derivation_rows(logs: Iterable[InferenceLog]) -> list[DerivationRow]:
@@ -336,5 +332,6 @@ def derivation_rows(logs: Iterable[InferenceLog]) -> list[DerivationRow]:
         for node, triples in log.steps:
             text = to_text(node)
             if text not in rows:
-                rows[text] = DerivationRow(text, _RULE_NAMES[type(node)], _canonical(triples))
+                keys = tuple(sorted(triple.sort_key() for triple in triples))
+                rows[text] = DerivationRow(text, _RULE_NAMES[type(node)], keys)
     return list(rows.values())

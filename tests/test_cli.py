@@ -60,6 +60,22 @@ def test_infer_json_round_trips(capsys):
         parse_path_expr(triple["expr"])  # must parse back
 
 
+# the rendered triples of `infer` and `rewrite --explain`, byte for byte
+@pytest.mark.parametrize(
+    "command, golden",
+    [
+        (["infer", "livesIn/isLocatedIn+/dealsWith+"], "readme_chain_infer.txt"),
+        (["infer", "--json", "livesIn/isLocatedIn+/dealsWith+"], "readme_chain_infer.json"),
+        (["rewrite", "--explain", "--query", None], "readme_chain_explain.txt"),
+        (["rewrite", "--explain", "--json", "--query", None], "readme_chain_explain.json"),
+    ],
+)
+def test_explain_output_golden(command, golden, query_file, data_dir, capsys):
+    argv = [query_file(README_QUERY) if arg is None else arg for arg in command]
+    assert run(argv[:1] + ["--schema", YAGO] + argv[1:]) == 0
+    assert capsys.readouterr().out == (data_dir / "goldens" / golden).read_text()
+
+
 def test_check_consistent(capsys):
     assert run(["check", "--schema", YAGO, "--db", DB]) == 0
     assert capsys.readouterr().out == "consistent\n"

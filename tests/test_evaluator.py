@@ -3,10 +3,14 @@ import random
 from itertools import product
 
 from pathforge import (
+    BranchL,
+    BranchR,
     Conjunct,
     EvalStats,
     LabelAtom,
     Relation,
+    Repeat,
+    TransClos,
     UcqtQuery,
     desugar,
     eval_path,
@@ -14,7 +18,9 @@ from pathforge import (
     gen_db,
     parse_path_expr,
     parse_query,
+    to_text,
 )
+from pathforge.ast import children
 from pathforge.schema import GraphDB
 
 from randutil import random_db, random_expr
@@ -106,12 +112,35 @@ def test_annotation_with_every_label_equals_plain_concat():
         assert eval_path(annotated, db) == eval_path(plain, db)
 
 
-def test_repeat_matches_desugared(fig2_db):
+def repeat_shapes(expr, ancestors=()):
+    """The kinds of repetition an expression contains."""
+    found = set()
+    if isinstance(expr, Repeat):
+        if expr.lo > 1:
+            found.add("lo > 1")
+        if expr.lo == expr.hi:
+            found.add("lo == hi")
+        if any(isinstance(node, Repeat) for node in ancestors):
+            found.add("nested")
+        if any(isinstance(node, (TransClos, BranchR, BranchL)) for node in ancestors):
+            found.add("under closure or branch")
+    for child in children(expr):
+        found |= repeat_shapes(child, (*ancestors, expr))
+    return found
+
+
+def test_repeat_matches_desugared():
+    # desugar defines e{m,n} as e^m | ... | e^n; the evaluator computes the
+    # powers directly and must agree with that definition
     rng = random.Random(13)
-    for _ in range(30):
-        db = random_db(rng, ["a", "b"])
-        expr = random_expr(rng, ["a", "b"], depth=3)
-        assert eval_path(expr, db) == eval_path(desugar(expr), db)
+    seen = set()
+    for depth, alphabet in product((3, 4), (["a", "b"], ["a", "b", "c"])):
+        for _ in range(50):
+            db = random_db(rng, alphabet)
+            expr = random_expr(rng, alphabet, depth=depth)
+            seen |= repeat_shapes(expr)
+            assert eval_path(expr, db) == eval_path(desugar(expr), db), to_text(expr)
+    assert seen == {"lo > 1", "lo == hi", "nested", "under closure or branch"}
 
 
 def test_cqt_example(fig2_db):
@@ -240,8 +269,8 @@ def shapes(head, conjunct):
 
 
 def test_eval_path_leaves_no_reference_cycle(fig2_db):
-    # the memo holds every intermediate pair set; caught in a cycle, it
-    # would stay alive until the garbage collector runs
+    # eval_path recurses through a closure that refers to itself; left as a
+    # cycle, it would stay alive until the garbage collector runs
     expr = parse_path_expr("(owns/isLocatedIn+){1,3}")
     gc.collect()
     gc.disable()

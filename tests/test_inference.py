@@ -189,7 +189,7 @@ def test_derive_rows_for_full_chain(yago_schema):
     assert by_term["isLocatedIn+"].rule == "TPlus"
     assert by_term["livesIn/isLocatedIn+"].rule == "TConcat"
     # the closure on dealsWith is retained
-    assert to_text(by_term["dealsWith+"].triples[0].expr) == "dealsWith+"
+    assert by_term["dealsWith+"].triples[0][1] == "dealsWith+"
 
 
 def test_derive_rows_match_per_subterm_inference():
@@ -204,7 +204,8 @@ def test_derive_rows_match_per_subterm_inference():
         subterms = {to_text(node): node for node in walk(expr)}
         assert set(terms) == set(subterms)
         for row in rows:
-            assert row.triples == infer(subterms[row.term], schema), row.term
+            want = tuple(triple.sort_key() for triple in infer(subterms[row.term], schema))
+            assert row.triples == want, row.term
 
 
 def _labels_of(db):

@@ -82,7 +82,8 @@ def test_r3_r5_peel_only_plain_compositions(before, after):
 
 
 def test_simplify_keeps_the_subtrees_desugar_shares():
-    # the benchmark's infer-blowup case A; the evaluator memoises by identity
+    # the benchmark's infer-blowup case A; shared subtrees keep a reverted atom as
+    # small in memory as desugar made it
     expr = desugar(parse_path_expr("(e0/([-e0]e0){1,2}){1,3}"))
 
     def distinct(e):
