@@ -21,6 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+# a node or edge label, or a query variable, as the concrete syntax spells it
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+
 
 @dataclass(frozen=True, slots=True)
 class Label:
@@ -179,16 +182,8 @@ def walk(expr: PathExpr) -> Iterator[PathExpr]:
         stack.extend(reversed(children(node)))
 
 
-def has_repeat(expr: PathExpr) -> bool:
-    return any(isinstance(e, Repeat) for e in walk(expr))
-
-
 def has_annotations(expr: PathExpr) -> bool:
     return any(isinstance(e, Concat) and e.labels is not None for e in walk(expr))
-
-
-def edge_labels(expr: PathExpr) -> frozenset[str]:
-    return frozenset(e.name for e in walk(expr) if isinstance(e, (Label, Reverse)))
 
 
 # node types by how `map_children` rebuilds them

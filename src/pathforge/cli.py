@@ -103,7 +103,7 @@ def _cmd_infer(args) -> int:
     path_limit, _ = _limits(args)
     expr = simplify(desugar(parse_path_expr(args.expr)))
     log = InferenceLog()
-    triples = [triple.sort_key() for triple in infer(expr, schema, path_limit, log)]
+    triples = sorted(triple.sort_key() for triple in infer(expr, schema, path_limit, log))
     if args.json:
         print(json.dumps({"expr": to_text(expr), "triples": [_triple_json(t) for t in triples]}))
     else:

@@ -63,12 +63,14 @@ def _relationship_types(expr: PathExpr) -> tuple[str, list[str]]:
 
 def _step(expr: PathExpr) -> tuple[str, str]:
     """(direction, relationship text) for one chain factor."""
-    if isinstance(expr, TransClos):
+    if isinstance(expr, (TransClos, Repeat)):
+        closure = isinstance(expr, TransClos)
+        if not isinstance(expr.inner, (Label, Reverse, Union)):
+            kind = "closure" if closure else "repetition"
+            raise _Unsupported(f"{kind} of a composite path", to_text(expr))
         direction, types = _relationship_types(expr.inner)
-        return direction, "|".join(types) + "*1.."
-    if isinstance(expr, Repeat):
-        direction, types = _relationship_types(expr.inner)
-        return direction, "|".join(types) + f"*{expr.lo}..{expr.hi}"
+        hops = "*1.." if closure else f"*{expr.lo}..{expr.hi}"
+        return direction, "|".join(types) + hops
     if isinstance(expr, Conj):
         raise _Unsupported("conjunction", to_text(expr))
     if isinstance(expr, (BranchR, BranchL)):

@@ -72,16 +72,12 @@ class InferenceLog:
     post-order, every sub-term inference finished with the triples it got."""
 
     warnings: list[str] = field(default_factory=list)
-    steps: list[tuple[PathExpr, set[SchemaTriple]]] = field(default_factory=list)
+    steps: list[tuple[PathExpr, frozenset[SchemaTriple]]] = field(default_factory=list)
 
 
-def _canonical(triples: set[SchemaTriple]) -> tuple[SchemaTriple, ...]:
-    return tuple(sorted(triples, key=SchemaTriple.sort_key))
-
-
-def basic_triples(schema: GraphSchema) -> tuple[SchemaTriple, ...]:
+def basic_triples(schema: GraphSchema) -> frozenset[SchemaTriple]:
     """One triple per schema edge: (source label, edge label, target label)."""
-    return _canonical({SchemaTriple(e.src, Label(e.label), e.trg) for e in schema.edges})
+    return frozenset(SchemaTriple(e.src, Label(e.label), e.trg) for e in schema.edges)
 
 
 def infer(
@@ -89,18 +85,19 @@ def infer(
     schema: GraphSchema,
     path_limit: int = DEFAULT_PATH_LIMIT,
     log: InferenceLog | None = None,
-) -> tuple[SchemaTriple, ...]:
+) -> frozenset[SchemaTriple]:
     """All triples compatible with a simplified, repeat-free expression.
 
     An empty result means no schema-conforming database can satisfy the
-    expression. Output order is canonical, so runs are byte-reproducible.
+    expression. The result is a set: a caller that prints triples orders
+    them itself, by `SchemaTriple.sort_key`.
     """
     basics = basic_triples(schema)
     by_label: dict[str, list[SchemaTriple]] = {}
     for triple in basics:
         assert isinstance(triple.expr, Label)
         by_label.setdefault(triple.expr.name, []).append(triple)
-    return _canonical(_infer(expr, by_label, path_limit, log))
+    return _infer(expr, by_label, path_limit, log)
 
 
 _SRC = attrgetter("src")
@@ -108,7 +105,7 @@ _TRG = attrgetter("trg")
 _ENDS = attrgetter("src", "trg")
 
 
-def _join(left, right, left_key, right_key, make) -> set[SchemaTriple]:
+def _join(left, right, left_key, right_key, make) -> frozenset[SchemaTriple]:
     """`make(t1, t2)` for every t1 in ``left`` and t2 in ``right`` with equal
     keys. The work, one unit per matching pair, is checked against the join
     work limit before any triple is built."""
@@ -122,7 +119,7 @@ def _join(left, right, left_key, right_key, make) -> set[SchemaTriple]:
             f"inference join would need {work} combinations "
             f"(limit {DEFAULT_JOIN_WORK_LIMIT})"
         )
-    return {make(t1, t2) for t1, group in matches for t2 in group}
+    return frozenset(make(t1, t2) for t1, group in matches for t2 in group)
 
 
 # TConcat, TConj, TBranchR and TBranchL by node type: the key of the first
@@ -146,13 +143,13 @@ def _infer(
     basics: dict[str, list[SchemaTriple]],
     path_limit: int,
     log: InferenceLog | None,
-) -> set[SchemaTriple]:
+) -> frozenset[SchemaTriple]:
     if isinstance(expr, Label):
-        out = set(basics.get(expr.name, ()))
+        out = frozenset(basics.get(expr.name, ()))
     elif isinstance(expr, Reverse):
-        out = {
+        out = frozenset(
             SchemaTriple(t.trg, Reverse(expr.name), t.src) for t in basics.get(expr.name, ())
-        }
+        )
     elif isinstance(expr, Concat) and expr.labels is not None:
         raise ValueError("infer operates on plain (annotation-free) path expressions")
     elif type(expr) in _JOIN_RULES:
@@ -168,7 +165,7 @@ def _infer(
         )
     elif isinstance(expr, TransClos):
         inner = _infer(expr.inner, basics, path_limit, log)
-        out = set(plus_comp(expr.inner, inner, path_limit, log))
+        out = plus_comp(expr.inner, inner, path_limit, log)
     elif isinstance(expr, Repeat):
         raise ValueError("infer expects a desugared (repeat-free) expression")
     else:
@@ -232,8 +229,9 @@ def plus_comp(
     triples: Iterable[SchemaTriple],
     path_limit: int = DEFAULT_PATH_LIMIT,
     log: InferenceLog | None = None,
-) -> tuple[SchemaTriple, ...]:
-    """Closure triples for ``inner+`` given the triples of ``inner``.
+) -> frozenset[SchemaTriple]:
+    """Closure triples for ``inner+`` given the triples of ``inner``, in any
+    order; the result does not depend on it.
 
     Walks all label paths without repeated vertices (closed round trips
     allowed) in the triple graph. A path that stays clear of every cycle
@@ -286,7 +284,7 @@ def plus_comp(
             SchemaTriple(src, closure_expr, trg)
             for src, trg in _reachable_pairs(graph)
         }
-    return _canonical(out)
+    return frozenset(out)
 
 
 def _reachable_pairs(graph: TripleGraph) -> frozenset[tuple[str, str]]:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from .ast import (
+    IDENTIFIER,
     BranchL,
     BranchR,
     Concat,
@@ -65,7 +66,7 @@ class _Token:
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>""" + IDENTIFIER + r""")
   | (?P<int>[0-9]+)
   | (?P<arrow><-)
   | (?P<andand>&&)

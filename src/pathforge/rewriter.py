@@ -7,13 +7,16 @@ merged alternatives:
 
 - When none carries label information (no endpoint label set, no junction
   annotation), they fold into one union. The atom becomes that single union
-  atom when the union has fewer AST nodes than the simplified expression,
-  and otherwise reverts to it. Label-free alternatives never multiply
+  atom when the union has fewer AST nodes than the desugared, simplified
+  expression, and otherwise reverts. Label-free alternatives never multiply
   disjuncts.
 - Otherwise each alternative is translated so that surviving junction
   annotations become label atoms on fresh variables, and the conjunct is
   distributed over the atoms' alternatives. When that product exceeds the
   disjunct limit, the atom with the most alternatives reverts, until it fits.
+
+Only inference reads the desugared form: a reverted atom keeps its own
+expression, simplified, with its repetitions.
 """
 
 from __future__ import annotations
@@ -289,9 +292,9 @@ def rewrite(
 ) -> RewriteOutcome:
     """Schema-enrich every relation atom of a query.
 
-    Atoms whose enrichment adds nothing keep their simplified expression
-    ("revert"), and so do the atoms reverted to bring a conjunct's product
-    of alternatives within ``disjunct_limit``. Atoms unsatisfiable under the
+    Atoms whose enrichment adds nothing keep their simplified expression,
+    repetitions included ("revert"), and so do the atoms reverted to bring a
+    conjunct's product of alternatives within ``disjunct_limit``. Atoms unsatisfiable under the
     schema erase their conjunct with a warning; when every conjunct dies the
     result is the canonical empty query.
     """
@@ -301,9 +304,10 @@ def rewrite(
         used |= conjunct.variables()
     fresh = _fresh_names(frozenset(used))
 
-    def enrichment(rel: Relation, phi: PathExpr, log: InferenceLog) -> list[MergedTriple] | None:
+    def enrichment(rel: Relation, log: InferenceLog) -> list[MergedTriple] | None:
         """Merged triples to replace the atom with, [] when the atom is
         unsatisfiable, or None when it keeps its simplified expression."""
+        phi = simplify(desugar(rel.expr))
         if has_annotations(phi):
             # the atom already carries junction labels; leave it alone
             return None
@@ -333,12 +337,10 @@ def rewrite(
     logs: list[InferenceLog] = []
     out_disjuncts: list[Conjunct] = []
     for d_index, conjunct in enumerate(query.disjuncts):
-        phis: list[PathExpr] = []
         per_atom_merged: list[list[MergedTriple] | None] = []
         for a_index, rel in enumerate(conjunct.relations):
-            phis.append(simplify(desugar(rel.expr)))
             logs.append(InferenceLog())
-            per_atom_merged.append(enrichment(rel, phis[-1], logs[-1]))
+            per_atom_merged.append(enrichment(rel, logs[-1]))
             reverted[(d_index, a_index)] = per_atom_merged[-1] is None
         if any(merged == [] for merged in per_atom_merged):
             continue
@@ -357,9 +359,10 @@ def rewrite(
             reverted[(d_index, widest)] = True
 
         per_atom: list[list[Fragment]] = []
-        for rel, phi, merged in zip(conjunct.relations, phis, per_atom_merged):
+        for rel, merged in zip(conjunct.relations, per_atom_merged):
             if merged is None:
-                per_atom.append([Fragment([Relation(rel.src_var, phi, rel.trg_var)])])
+                kept = Relation(rel.src_var, simplify(rel.expr), rel.trg_var)
+                per_atom.append([Fragment([kept])])
                 continue
             alternatives = []
             for m in merged:

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
+from .ast import IDENTIFIER
+
 DATA_TYPES = ("String", "Int", "Float", "Bool", "Date")
 
 PropertyValue = str | int | float | bool
@@ -152,6 +154,24 @@ def _has_type(value: PropertyValue, type_name: str) -> bool:
     return value_type(value) == type_name or (type_name == "String" and isinstance(value, str))
 
 
+# labels are spliced into query text and SQL as they are
+_IDENTIFIER = re.compile(IDENTIFIER)
+
+
+def _entries(doc: dict, key: str) -> list[dict]:
+    entries = doc.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise FormatError(f"schema {key!r} must be a list of objects")
+    return entries
+
+
+def _identifier(entry: dict, key: str, what: str) -> str:
+    value = entry.get(key)
+    if not isinstance(value, str) or not _IDENTIFIER.fullmatch(value):
+        raise FormatError(f"schema {what} {key} must be an identifier, got {value!r}")
+    return value
+
+
 def load_schema(source: str | Path) -> GraphSchema:
     """Load a schema from a JSON document: a ``Path`` is read from disk, a
     ``str`` is the document itself.
@@ -160,6 +180,8 @@ def load_schema(source: str | Path) -> GraphSchema:
 
         {"nodes": [{"label": "PERSON", "properties": {"name": "String"}}],
          "edges": [{"label": "owns", "src": "PERSON", "trg": "PROPERTY"}]}
+
+    Every label, ``src`` and ``trg`` must be an identifier, as in queries.
     """
     text = source.read_text() if isinstance(source, Path) else source
     try:
@@ -171,14 +193,14 @@ def load_schema(source: str | Path) -> GraphSchema:
 
     nodes = []
     labels_seen = set()
-    for entry in doc.get("nodes", []):
-        label = entry.get("label")
-        if not label:
-            raise FormatError("schema node without a label")
+    for entry in _entries(doc, "nodes"):
+        label = _identifier(entry, "label", "node")
         if label in labels_seen:
             raise FormatError(f"duplicate schema node label {label!r}")
         labels_seen.add(label)
         props = entry.get("properties", {})
+        if not isinstance(props, dict):
+            raise FormatError(f"properties of schema node {label!r} must be an object")
         for key, type_name in props.items():
             if type_name not in DATA_TYPES:
                 raise FormatError(f"unknown data type {type_name!r} for property {key!r}")
@@ -186,10 +208,8 @@ def load_schema(source: str | Path) -> GraphSchema:
 
     edges = []
     signatures = set()
-    for entry in doc.get("edges", []):
-        label, src, trg = entry.get("label"), entry.get("src"), entry.get("trg")
-        if not (label and src and trg):
-            raise FormatError("schema edge needs label, src and trg")
+    for entry in _entries(doc, "edges"):
+        label, src, trg = (_identifier(entry, key, "edge") for key in ("label", "src", "trg"))
         if label in labels_seen:
             raise FormatError(f"label {label!r} used for both a node and an edge")
         for endpoint in (src, trg):

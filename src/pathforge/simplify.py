@@ -13,7 +13,8 @@ for the branch filters:
 R3 and R5 peel composition chains head-first, so the leading factor of the
 test becomes the outer branch step. They fire only when the test's top
 operator is a plain composition (no junction label set); a junction-annotated
-step is left alone, and inside a chain it is one factor.
+step is left alone, and inside a chain it is one factor, as is a bounded
+repetition.
 All five rules preserve the evaluated pair set on every database. A test's
 own closures are dropped only at the top of the test: a `+` on the main
 expression of a branch is never removed, because the main's pairs, not just
@@ -29,15 +30,16 @@ from .ast import (
     PathExpr,
     TransClos,
     build_chain,
-    has_repeat,
     map_children,
 )
 
 
 def simplify(expr: PathExpr) -> PathExpr:
-    """Normal form of a repeat-free expression under rules R1-R5."""
-    if has_repeat(expr):
-        raise ValueError("simplify expects a desugared (repeat-free) expression")
+    """Normal form of an expression under rules R1-R5.
+
+    No rule matches a bounded repetition, so it stays as written around
+    its simplified body.
+    """
     return _normalize(expr)
 
 

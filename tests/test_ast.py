@@ -22,7 +22,7 @@ from pathforge import (
     to_text,
 )
 import pathforge.ast
-from pathforge.ast import children, flatten_chain, has_repeat, map_children, precedence, walk
+from pathforge.ast import children, flatten_chain, map_children, precedence, walk
 
 from randutil import random_expr
 from test_parser import _exprs
@@ -67,13 +67,13 @@ def test_desugar_two_to_three():
 
 def test_desugar_nested():
     expr = parse_path_expr("(x{1,2}/y){1,2}")
-    assert not has_repeat(desugar(expr))
+    assert not any(isinstance(node, Repeat) for node in walk(desugar(expr)))
 
 
 @given(_exprs())
 @settings(max_examples=200, deadline=None)
 def test_desugar_removes_every_repeat(expr):
-    assert not has_repeat(desugar(expr))
+    assert not any(isinstance(node, Repeat) for node in walk(desugar(expr)))
 
 
 def test_strip_annotations():

@@ -68,6 +68,9 @@ def test_infer_json_round_trips(capsys):
         (["infer", "--json", "livesIn/isLocatedIn+/dealsWith+"], "readme_chain_infer.json"),
         (["rewrite", "--explain", "--query", None], "readme_chain_explain.txt"),
         (["rewrite", "--explain", "--json", "--query", None], "readme_chain_explain.json"),
+        # six triples, so a printer that forgot to sort them would show
+        (["infer", "isLocatedIn+"], "islocatedin_closure_infer.txt"),
+        (["infer", "--json", "isLocatedIn+"], "islocatedin_closure_infer.json"),
     ],
 )
 def test_explain_output_golden(command, golden, query_file, data_dir, capsys):
@@ -318,15 +321,24 @@ def test_nesting_past_the_cap_exits_2(query_file, capsys):
     assert run(["simplify", "[isMarriedTo]" * (MAX_NESTING + 1) + "isMarriedTo"]) == 2
 
 
-def _simplify_in_fresh_process(expr):
+def _child_env(**extra):
     src = str(Path(pathforge.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **extra}
+
+
+def _cli_in_fresh_process(*argv):
     return subprocess.run(
-        [sys.executable, "-m", "pathforge.cli", "simplify", expr],
+        [sys.executable, "-m", "pathforge.cli", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env=_child_env(),
         timeout=60,
     )
+
+
+def _simplify_in_fresh_process(expr):
+    return _cli_in_fresh_process("simplify", expr)
 
 
 def test_deep_nesting_exits_2_without_traceback():
@@ -362,3 +374,50 @@ def test_long_chain_within_recursion_depth_exits_0(query_file):
     chain = "/".join(["isMarriedTo"] * 400)
     assert run(["simplify", chain]) == 0
     assert run(["rewrite", "--schema", YAGO, "--query", query_file(f"x,y <- (x, {chain}, y)")]) == 0
+
+
+def test_malformed_schema_exits_2_without_traceback(tmp_path, query_file):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"nodes": [{"label": ["A"]}]}))
+    query = query_file("x,y <- (x, a, y)")
+    proc = _cli_in_fresh_process("rewrite", "--schema", str(schema), "--query", query)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+# one child process per hash seed; each runs these commands in turn
+_HASH_SEED_SCRIPT = """
+import sys
+from pathforge.cli import run
+schema, *queries = sys.argv[1:]
+for query in queries:
+    argv = ["--schema", schema, "--query", query, "--target", "sql:sqlite", "--target", "cypher"]
+    assert run(["pipeline", "--json", *argv]) == 0
+assert run(["infer", "--json", "--schema", schema, "isLocatedIn+"]) == 0
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # inference returns sets, whose order follows string hashes and so
+    # changes between processes; only what is printed must not
+    queries = []
+    for index, expr in enumerate(
+        ["livesIn/isLocatedIn+/dealsWith+", "livesIn/isLocatedIn+", "owns|owns/owns|livesIn"]
+    ):
+        path = tmp_path / f"q{index}.ucqt"
+        path.write_text(f"x,y <- (x, {expr}, y)")
+        queries.append(str(path))
+    outputs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT, YAGO, *queries],
+            capture_output=True,
+            text=True,
+            env=_child_env(PYTHONHASHSEED=seed),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count("\n") == 4
+    assert outputs[0] == outputs[1]

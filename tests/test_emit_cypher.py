@@ -38,8 +38,20 @@ def test_branch_unsupported(yago_schema):
 
 def test_composite_closure_unsupported(yago_schema):
     report = emit_cypher(parse_query("x,y <- (x, (livesIn/isLocatedIn)+, y)"), yago_schema)
-    assert isinstance(report, UnsupportedReport)
-    assert "union of composite" in report.construct or "composite" in str(report)
+    assert report == UnsupportedReport("closure of a composite path", "(livesIn/isLocatedIn)+")
+
+
+def test_composite_repetition_unsupported(yago_schema):
+    query = parse_query("x,y <- (x, owns/(isLocatedIn/isLocatedIn){1,2}, y)")
+    report = emit_cypher(query, yago_schema)
+    assert report == UnsupportedReport(
+        "repetition of a composite path", "(isLocatedIn/isLocatedIn){1,2}"
+    )
+
+
+def test_union_holding_a_composite_path_unsupported(yago_schema):
+    report = emit_cypher(parse_query("x,y <- (x, (owns|livesIn/isLocatedIn)+, y)"), yago_schema)
+    assert report == UnsupportedReport("union of composite expressions", "livesIn/isLocatedIn")
 
 
 def test_reverse_flips_arrow(yago_schema):

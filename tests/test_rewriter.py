@@ -394,6 +394,8 @@ def test_rewrite_label_free_blowup_reverts(schema, text):
     query = parse_query(text)
     outcome = rewrite(query, schema)
     assert set(outcome.reverted.values()) == {True}
+    # the reverted atom keeps its repetitions: it comes back as written
+    assert query_to_text(outcome.enriched) == query_to_text(query) == text
     assert len(outcome.enriched.disjuncts) == 1
     assert len(outcome.enriched.disjuncts[0].relations) == 1
     for seed in range(3):
@@ -431,7 +433,9 @@ def test_rewrite_keeps_label_free_alternatives_in_one_atom():
             if len(merged) == 1:
                 continue  # one alternative is translated like any other
             folds[reverted] += 1
-            expected = Relation(rel.src_var, phi if reverted else folded, rel.trg_var)
+            # a reverted atom keeps its own normal form, repetitions included
+            kept = simplify(rel.expr) if reverted else folded
+            expected = Relation(rel.src_var, kept, rel.trg_var)
             for conjunct in outcome.enriched.disjuncts:
                 same_ends = [
                     r for r in conjunct.relations if (r.src_var, r.trg_var) == (rel.src_var, rel.trg_var)

@@ -52,6 +52,45 @@ def test_shared_namespace_rejected():
         load_schema(json.dumps(doc))
 
 
+_EDGE = {"label": "e", "src": "A", "trg": "A"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"nodes": ["A"]},
+        {"nodes": "AB"},
+        {"nodes": 5},
+        {"nodes": None},
+        {"nodes": [{"label": "A"}], "edges": {"label": "e"}},
+        {"nodes": [{"label": "A"}], "edges": [["e", "A", "A"]]},
+        {"nodes": [{"label": "A", "properties": ["x"]}]},
+        {"nodes": [{"label": ["A"]}]},
+        {"nodes": [{"label": 5}]},
+        {"nodes": [{}]},
+        {"nodes": [{"label": "MY CITY"}]},
+        {"nodes": [{"label": "1A"}]},
+        {"nodes": [{"label": "A-B"}]},
+        {"nodes": [{"label": "A"}], "edges": [{**_EDGE, "src": ["A"]}]},
+        {"nodes": [{"label": "A"}], "edges": [{**_EDGE, "trg": 5}]},
+        {"nodes": [{"label": "A"}], "edges": [{**_EDGE, "label": "has part"}]},
+        {"nodes": [{"label": "A"}], "edges": [{"src": "A", "trg": "A"}]},
+    ],
+)
+def test_malformed_schema_shapes_raise_format_error(doc):
+    # labels are spliced into query text and SQL, so each is an identifier
+    with pytest.raises(FormatError):
+        load_schema(json.dumps(doc))
+
+
+def test_identifier_labels_accepted():
+    doc = {
+        "nodes": [{"label": "_a1"}, {"label": "B"}],
+        "edges": [{"label": "e_2", "src": "_a1", "trg": "B"}],
+    }
+    assert load_schema(json.dumps(doc)).edge_signatures == {("_a1", "e_2", "B")}
+
+
 def test_unknown_data_type_rejected():
     doc = {"nodes": [{"label": "A", "properties": {"x": "Decimal"}}], "edges": []}
     with pytest.raises(FormatError, match="unknown data type"):

@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from pathforge import desugar, eval_path, parse_path_expr, simplify, to_text
+from pathforge import (
+    BranchL,
+    BranchR,
+    Repeat,
+    desugar,
+    eval_path,
+    parse_path_expr,
+    simplify,
+    to_text,
+)
 from pathforge.ast import walk
 
 from randutil import random_db, random_expr
@@ -82,8 +91,8 @@ def test_r3_r5_peel_only_plain_compositions(before, after):
 
 
 def test_simplify_keeps_the_subtrees_desugar_shares():
-    # the benchmark's infer-blowup case A; shared subtrees keep a reverted atom as
-    # small in memory as desugar made it
+    # the benchmark's infer-blowup case A; shared subtrees keep the expression
+    # inference reads as small in memory as desugar made it
     expr = desugar(parse_path_expr("(e0/([-e0]e0){1,2}){1,3}"))
 
     def distinct(e):
@@ -92,25 +101,37 @@ def test_simplify_keeps_the_subtrees_desugar_shares():
     assert distinct(simplify(expr)) == distinct(expr) < sum(1 for _ in walk(expr))
 
 
-def test_simplify_requires_desugared_input():
-    with pytest.raises(ValueError):
-        simplify(parse_path_expr("a{1,2}"))
+def _repeat_in_a_branch_test(expr) -> bool:
+    return any(
+        isinstance(node, (BranchR, BranchL))
+        and any(isinstance(sub, Repeat) for sub in walk(node.test))
+        for node in walk(expr)
+    )
 
 
 def test_idempotent_on_random_expressions():
+    # each expression as generated, repetitions included, and desugared
     rng = random.Random(23)
+    repeat_tests = 0
     for _ in range(300):
-        expr = desugar(random_expr(rng, ["a", "b", "c"], depth=5))
-        once = simplify(expr)
-        assert simplify(once) == once
+        expr = random_expr(rng, ["a", "b", "c"], depth=5)
+        repeat_tests += _repeat_in_a_branch_test(expr)
+        for form in (expr, desugar(expr)):
+            once = simplify(form)
+            assert simplify(once) == once
+    assert repeat_tests
 
 
 def test_preserves_semantics_on_random_dbs():
     rng = random.Random(29)
+    repeat_tests = 0
     for _ in range(300):
-        expr = desugar(random_expr(rng, ["a", "b"], depth=4))
+        expr = random_expr(rng, ["a", "b"], depth=4)
+        repeat_tests += _repeat_in_a_branch_test(expr)
         db = random_db(rng, ["a", "b"], max_nodes=8)
-        assert eval_path(simplify(expr), db) == eval_path(expr, db)
+        for form in (expr, desugar(expr)):
+            assert eval_path(simplify(form), db) == eval_path(form, db)
+    assert repeat_tests
 
 
 def test_worked_reduction_preserves_semantics():
