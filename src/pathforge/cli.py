@@ -23,7 +23,7 @@ from .inference import DEFAULT_PATH_LIMIT, DerivationRow, InferenceLog, derivati
 from .inference import derive  # noqa: F401  the benchmark tracer (perfbench/tracer.py) wraps it
 from .parser import parse_path_expr, parse_query
 from .query import UcqtQuery, query_to_text
-from .rewriter import DEFAULT_DISJUNCT_LIMIT, rewrite
+from .rewriter import DEFAULT_DISJUNCT_LIMIT, RewriteOutcome, rewrite
 from .schema import FormatError, GraphSchema, check_consistency, load_db, load_schema, save_db
 from .simplify import simplify
 
@@ -50,36 +50,10 @@ def _load_db_arg(spec: str):
     return load_db(Path(parts[0]), Path(parts[1]))
 
 
-def _limits(args) -> tuple[int, int]:
-    path_limit = DEFAULT_PATH_LIMIT
-    disjunct_limit = DEFAULT_DISJUNCT_LIMIT
-    config = getattr(args, "config", None)
-    if config:
-        for line_no, raw in enumerate(Path(config).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{config}:{line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "path_limit":
-                path_limit = int(value)
-            elif key == "disjunct_limit":
-                disjunct_limit = int(value)
-            else:
-                raise FormatError(f"{config}:{line_no}: unknown key {key!r}")
-    if getattr(args, "path_limit", None) is not None:
-        path_limit = args.path_limit
-    if getattr(args, "disjunct_limit", None) is not None:
-        disjunct_limit = args.disjunct_limit
-    return path_limit, disjunct_limit
-
-
 def _finish(args, warnings: list[str]) -> int:
     for message in warnings:
         _warn(message)
-    if warnings and getattr(args, "strict", False):
+    if warnings and args.strict:
         return 4
     return 0
 
@@ -100,10 +74,9 @@ def _triple_json(triple: tuple[str, str, str]) -> dict:
 
 def _cmd_infer(args) -> int:
     schema = load_schema(Path(args.schema))
-    path_limit, _ = _limits(args)
     expr = simplify(desugar(parse_path_expr(args.expr)))
     log = InferenceLog()
-    triples = sorted(triple.sort_key() for triple in infer(expr, schema, path_limit, log))
+    triples = sorted(triple.sort_key() for triple in infer(expr, schema, args.path_limit, log))
     if args.json:
         print(json.dumps({"expr": to_text(expr), "triples": [_triple_json(t) for t in triples]}))
     else:
@@ -138,21 +111,29 @@ def _derivation_table(rows: list[DerivationRow]) -> str:
     return "\n".join(lines)
 
 
-def _cmd_rewrite(args) -> int:
+def _rewrite(args) -> tuple[GraphSchema, UcqtQuery, RewriteOutcome]:
     schema = load_schema(Path(args.schema))
-    path_limit, disjunct_limit = _limits(args)
     query = _read_query(args.query)
-    outcome = rewrite(query, schema, disjunct_limit=disjunct_limit, path_limit=path_limit)
+    outcome = rewrite(query, schema, disjunct_limit=args.disjunct_limit, path_limit=args.path_limit)
+    return schema, query, outcome
+
+
+def _outcome_json(outcome: RewriteOutcome, explain: list[DerivationRow] | None) -> dict:
+    doc = {
+        "enriched": query_to_text(outcome.enriched),
+        "reverted": _reverted_json(outcome.reverted),
+        "warnings": list(outcome.warnings),
+    }
+    if explain is not None:
+        doc["explain"] = _explain_json(explain)
+    return doc
+
+
+def _cmd_rewrite(args) -> int:
+    _, _, outcome = _rewrite(args)
     explain = derivation_rows(outcome.logs) if args.explain else None
     if args.json:
-        doc = {
-            "enriched": query_to_text(outcome.enriched),
-            "reverted": _reverted_json(outcome.reverted),
-            "warnings": list(outcome.warnings),
-        }
-        if explain is not None:
-            doc["explain"] = _explain_json(explain)
-        print(json.dumps(doc))
+        print(json.dumps(_outcome_json(outcome, explain)))
     else:
         if explain is not None:
             print(_derivation_table(explain))
@@ -249,10 +230,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    schema = load_schema(Path(args.schema))
-    path_limit, disjunct_limit = _limits(args)
-    query = _read_query(args.query)
-    outcome = rewrite(query, schema, disjunct_limit=disjunct_limit, path_limit=path_limit)
+    schema, query, outcome = _rewrite(args)
     explain = derivation_rows(outcome.logs)
     emitted: dict[str, object] = {}
     for target in args.target or ["sql:postgres"]:
@@ -261,18 +239,8 @@ def _cmd_pipeline(args) -> int:
             result = _unsupported_json(result)
         emitted[target] = result
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "baseline": query_to_text(query),
-                    "enriched": query_to_text(outcome.enriched),
-                    "reverted": _reverted_json(outcome.reverted),
-                    "warnings": list(outcome.warnings),
-                    "explain": _explain_json(explain),
-                    "emitted": emitted,
-                }
-            )
-        )
+        doc = {"baseline": query_to_text(query), **_outcome_json(outcome, explain)}
+        print(json.dumps({**doc, "emitted": emitted}))
     else:
         print("== derivation ==")
         print(_derivation_table(explain))
@@ -312,22 +280,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
+    def add_caps(p):
+        p.add_argument("--path-limit", type=int, default=DEFAULT_PATH_LIMIT)
+        p.add_argument(
+            "--disjunct-limit", type=int, default=DEFAULT_DISJUNCT_LIMIT, help=DISJUNCT_LIMIT_HELP
+        )
+
     p = add("simplify", _cmd_simplify, "print the normal form of a path expression")
     p.add_argument("expr")
 
     p = add("infer", _cmd_infer, "print the label triples compatible with an expression")
     p.add_argument("--schema", required=True)
-    p.add_argument("--path-limit", type=int, default=None)
-    p.add_argument("--config", default=None)
+    p.add_argument("--path-limit", type=int, default=DEFAULT_PATH_LIMIT)
     p.add_argument("expr")
 
     p = add("rewrite", _cmd_rewrite, "schema-enrich a query")
     p.add_argument("--schema", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--explain", action="store_true", help="print the triple derivation table")
-    p.add_argument("--path-limit", type=int, default=None)
-    p.add_argument("--disjunct-limit", type=int, default=None, help=DISJUNCT_LIMIT_HELP)
-    p.add_argument("--config", default=None)
+    add_caps(p)
 
     p = add("eval", _cmd_eval, "evaluate a query on a database")
     p.add_argument("--db", required=True, metavar="NODES,EDGES")
@@ -359,9 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--target", action="append", help="repeatable; sql:DIALECT or cypher")
     p.add_argument("--as-view", action="store_true")
-    p.add_argument("--path-limit", type=int, default=None)
-    p.add_argument("--disjunct-limit", type=int, default=None, help=DISJUNCT_LIMIT_HELP)
-    p.add_argument("--config", default=None)
+    add_caps(p)
 
     return parser
 

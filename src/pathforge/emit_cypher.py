@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .ast import (
     BranchL,
     BranchR,
-    Concat,
     Conj,
     Label,
     PathExpr,
@@ -24,9 +23,8 @@ from .ast import (
     Union,
     flatten_chain,
     to_text,
-    walk,
 )
-from .emit_sql import EmitError
+from .emit_sql import check_labels
 from .query import UcqtQuery
 from .schema import GraphSchema
 
@@ -93,7 +91,7 @@ def _node(name: str | None, labels: frozenset[str] | None) -> str:
 
 def emit_cypher(query: UcqtQuery, schema: GraphSchema) -> str | UnsupportedReport:
     """Cypher text for a chain-shaped query, or a report saying why not."""
-    _validate_labels(query, schema)
+    check_labels(query, schema)
     if not query.disjuncts:
         columns = ", ".join(f"NULL AS {var}" for var in query.head)
         return f"RETURN DISTINCT {columns} LIMIT 0;\n"
@@ -141,18 +139,3 @@ def _render_conjunct(query: UcqtQuery, conjunct) -> str:
     head = ", ".join(query.head)
     return "MATCH " + ", ".join(patterns) + f"\nRETURN DISTINCT {head};"
 
-
-def _validate_labels(query: UcqtQuery, schema: GraphSchema) -> None:
-    for conjunct in query.disjuncts:
-        for atom in conjunct.labels:
-            unknown = atom.labels - schema.node_labels
-            if unknown:
-                raise EmitError(f"no node label {sorted(unknown)[0]!r} in the schema")
-        for rel in conjunct.relations:
-            for sub in walk(rel.expr):
-                if isinstance(sub, (Label, Reverse)) and sub.name not in schema.edge_labels:
-                    raise EmitError(f"no edge label {sub.name!r} in the schema")
-                if isinstance(sub, Concat) and sub.labels is not None:
-                    unknown = sub.labels - schema.node_labels
-                    if unknown:
-                        raise EmitError(f"no node label {sorted(unknown)[0]!r} in the schema")

@@ -26,6 +26,7 @@ from .ast import (
     Union,
     desugar,
     flatten_chain,
+    walk,
 )
 from .query import Conjunct, UcqtQuery
 from .schema import GraphSchema
@@ -33,7 +34,28 @@ from .schema import GraphSchema
 DIALECTS = ("postgres", "sqlite", "mysql")
 
 class EmitError(ValueError):
-    """Unknown dialect, or a label with no table in the schema encoding."""
+    """Unknown dialect or target, or a query label the schema lacks."""
+
+
+def check_labels(query: UcqtQuery, schema: GraphSchema) -> None:
+    """Raise EmitError for the first label the schema lacks: per conjunct,
+    its relation atoms in order (edge labels and junction sets as met), then
+    its label atoms."""
+
+    def require_nodes(labels: frozenset[str]) -> None:
+        unknown = labels - schema.node_labels
+        if unknown:
+            raise EmitError(f"no node label {min(unknown)!r} in the schema")
+
+    for conjunct in query.disjuncts:
+        for rel in conjunct.relations:
+            for sub in walk(rel.expr):
+                if isinstance(sub, (Label, Reverse)) and sub.name not in schema.edge_labels:
+                    raise EmitError(f"no edge label {sub.name!r} in the schema")
+                if isinstance(sub, Concat) and sub.labels is not None:
+                    require_nodes(sub.labels)
+        for atom in conjunct.labels:
+            require_nodes(atom.labels)
 
 
 def _node_set_sql(labels: frozenset[str]) -> str:
@@ -42,27 +64,17 @@ def _node_set_sql(labels: frozenset[str]) -> str:
 
 class _Renderer:
     """Renders the atoms of one query, collecting the recursive CTEs of its
-    closures; every edge and node label is checked against the schema."""
+    closures."""
 
     def __init__(self, schema: GraphSchema):
         self.schema = schema
         # base SELECT of each closure -> its CTE, named tc_1, tc_2, ... in order
         self.ctes: dict[str, str] = {}
 
-    def check_edge(self, label: str) -> None:
-        if label not in self.schema.edge_labels:
-            raise EmitError(f"no edge table for label {label!r}")
-
-    def check_nodes(self, labels: frozenset[str]) -> None:
-        unknown = labels - self.schema.node_labels
-        if unknown:
-            raise EmitError(f"no node table for label {sorted(unknown)[0]!r}")
-
     def pair(self, expr: PathExpr) -> tuple[str, str]:
         """A self-contained SELECT yielding columns Sr, Tr, and the same
         relation as a FROM item: a bare table or CTE name, else a subquery."""
         if isinstance(expr, Label):
-            self.check_edge(expr.name)
             return f"SELECT Sr, Tr FROM {expr.name}", expr.name
         if isinstance(expr, TransClos):
             # one rendering serves both the base and the recursive join, so
@@ -80,7 +92,6 @@ class _Renderer:
             name = self.ctes[select].partition("(")[0]
             return f"SELECT Sr, Tr FROM {name}", name
         if isinstance(expr, Reverse):
-            self.check_edge(expr.name)
             select = f"SELECT Tr AS Sr, Sr AS Tr FROM {expr.name}"
         elif isinstance(expr, Concat):
             factors, junctions = flatten_chain(expr)
@@ -90,7 +101,6 @@ class _Renderer:
                 if junction is not None:
                     # the step after a junction label set is a semi-join
                     # with those node tables
-                    self.check_nodes(junction)
                     item = (
                         f"(SELECT e.Sr AS Sr, e.Tr AS Tr FROM ({_node_set_sql(junction)}) AS n "
                         f"JOIN {item} AS e ON e.Sr = n.Sr)"
@@ -133,8 +143,6 @@ class _Renderer:
                     var_column[var] = column
             items.append((alias, self.pair(desugar(rel.expr))[1], conditions))
 
-        for atom in conjunct.labels:
-            self.check_nodes(atom.labels)
         node_counter = 0
         for var, labels in sorted((atom.var, atom.labels) for atom in conjunct.labels):
             node_counter += 1
@@ -187,6 +195,7 @@ def emit_sql(
     """
     if dialect not in DIALECTS:
         raise EmitError(f"unknown dialect {dialect!r}; expected one of {', '.join(DIALECTS)}")
+    check_labels(query, schema)
     if not query.disjuncts:
         columns = ", ".join(f"NULL AS {var}" for var in query.head)
         source = " FROM DUAL" if dialect == "mysql" else ""

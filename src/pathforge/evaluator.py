@@ -319,7 +319,7 @@ def gen_db(schema: GraphSchema, seed: int, nodes_per_label: int, edge_prob: floa
 
     edges = []
     counter = 0
-    for edge in sorted(schema.edges, key=lambda e: e.id):
+    for edge in sorted(schema.edges, key=lambda e: (e.src, e.label, e.trg)):
         for src in instances[edge.src]:
             for trg in instances[edge.trg]:
                 if rng.random() < edge_prob:

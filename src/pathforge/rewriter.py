@@ -404,7 +404,9 @@ def rewrite(
         generated.sort(key=conjunct_to_text)
         out_disjuncts.extend(generated)
 
-    enriched = UcqtQuery(head=query.head, disjuncts=tuple(out_disjuncts))
+    # a disjunct can recur, written twice or as another's unrolled closure;
+    # the union keeps its first occurrence
+    enriched = UcqtQuery(head=query.head, disjuncts=tuple(dict.fromkeys(out_disjuncts)))
     if out_disjuncts:
         validate_query(enriched)
     else:

@@ -47,7 +47,6 @@ class SchemaNode:
 @dataclass(frozen=True)
 class SchemaEdge:
     # src and trg are node labels: a strict schema has one node per label
-    id: str
     label: str
     src: str
     trg: str
@@ -219,15 +218,17 @@ def load_schema(source: str | Path) -> GraphSchema:
         if signature in signatures:
             raise FormatError(f"duplicate schema edge {signature!r}")
         signatures.add(signature)
-        edges.append(SchemaEdge(id=f"{src}-{label}->{trg}", label=label, src=src, trg=trg))
+        edges.append(SchemaEdge(label=label, src=src, trg=trg))
 
     return GraphSchema(nodes=tuple(nodes), edges=tuple(edges))
 
 
 def _read_csv(source: str | Path, expected_header: list[str], what: str) -> list[dict[str, str]]:
     text = source.read_text() if isinstance(source, Path) else source
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise FormatError(f"{what} is not valid CSV: {exc}") from exc
     if not rows or rows[0] != expected_header:
         raise FormatError(f"{what} must start with header {','.join(expected_header)!r}")
     out = []

@@ -223,26 +223,25 @@ def test_pipeline_command(query_file, capsys):
         assert section in out
 
 
-def test_config_file_limits(query_file, tmp_path, capsys):
-    config = tmp_path / "pathforge.conf"
-    config.write_text("disjunct_limit=1\npath_limit=9999\n")
+def test_limit_flags(query_file, capsys):
     path = query_file("x,y <- (x, livesIn/isLocatedIn+, y)")
-    assert run(["rewrite", "--schema", YAGO, "--query", path, "--config", str(config)]) == 0
+    assert run(["rewrite", "--schema", YAGO, "--query", path, "--disjunct-limit", "1"]) == 0
     assert capsys.readouterr().out.strip() == "x,y <- (x, livesIn/isLocatedIn+, y)"
-    # flags override the file
-    assert (
-        run(
-            [
-                "rewrite", "--schema", YAGO, "--query", path,
-                "--config", str(config), "--disjunct-limit", "64",
-            ]
-        )
-        == 0
-    )
+    assert run(["rewrite", "--schema", YAGO, "--query", path]) == 0
     assert capsys.readouterr().out.strip() == (
         "x,y <- (x, livesIn/isLocatedIn, _g1) && (_g1, isLocatedIn, y) && _g1:{REGION}"
         " && y:{COUNTRY} || (x, livesIn/isLocatedIn, y) && y:{REGION}"
     )
+    assert run(["infer", "--strict", "--schema", YAGO, "isLocatedIn+"]) == 0
+    assert capsys.readouterr().err == ""
+    assert run(["infer", "--strict", "--schema", YAGO, "--path-limit", "2", "isLocatedIn+"]) == 4
+    assert capsys.readouterr().err == (
+        "warning: path enumeration exceeded 2 paths; keeping the closure\n"
+    )
+    # the limits have no file form
+    with pytest.raises(SystemExit) as info:
+        run(["rewrite", "--schema", YAGO, "--query", path, "--config", "pathforge.conf"])
+    assert info.value.code == 2
 
 
 def test_missing_file_is_exit_2(capsys):
@@ -384,6 +383,20 @@ def test_malformed_schema_exits_2_without_traceback(tmp_path, query_file):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_malformed_db_csv_exits_2_without_traceback(tmp_path, query_file):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("id,label,props\nn1,PERSON," + "x" * 200_000 + "\n")
+    edges = tmp_path / "edges.csv"
+    edges.write_text("src,label,trg\n")
+    db = f"{nodes},{edges}"
+    query = query_file("x,y <- (x, owns, y)")
+    for argv in (["check", "--schema", YAGO, "--db", db], ["eval", "--db", db, "--query", query]):
+        proc = _cli_in_fresh_process(*argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: nodes.csv is not valid CSV")
+        assert "Traceback" not in proc.stderr
 
 
 # one child process per hash seed; each runs these commands in turn

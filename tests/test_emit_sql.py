@@ -6,6 +6,7 @@ import pytest
 
 from pathforge import desugar, eval_ucqt, gen_db, parse_query, rewrite, to_text
 from pathforge.ast import flatten_chain
+from pathforge.emit_cypher import emit_cypher
 from pathforge.emit_sql import EmitError, emit_sql
 
 from randutil import random_expr, random_schema, schema_edge_alphabet
@@ -83,18 +84,32 @@ def test_unknown_dialect_rejected(yago_schema):
         emit_sql(parse_query("x,y <- (x, owns, y)"), yago_schema, dialect="oracle")
 
 
+UNKNOWN_LABEL_CASES = [
+    ("x,y <- (x, fliesTo, y)", "no edge label 'fliesTo' in the schema"),
+    ("x,y <- (x, owns, y) && x:{ALIEN}", "no node label 'ALIEN' in the schema"),
+    ("x,y <- (x, (fliesTo)+, y)", "no edge label 'fliesTo' in the schema"),
+    ("x,y <- (x, owns[fliesTo], y)", "no edge label 'fliesTo' in the schema"),
+    ("x,y <- (x, -fliesTo, y)", "no edge label 'fliesTo' in the schema"),
+    ("x,y <- (x, livesIn/{ALIEN}isLocatedIn, y)", "no node label 'ALIEN' in the schema"),
+]
+
+
 def test_unknown_labels_rejected(yago_schema):
-    cases = [
-        ("x,y <- (x, fliesTo, y)", "no edge table for label 'fliesTo'"),
-        ("x,y <- (x, owns, y) && x:{ALIEN}", "no node table for label 'ALIEN'"),
-        ("x,y <- (x, (fliesTo)+, y)", "no edge table for label 'fliesTo'"),
-        ("x,y <- (x, owns[fliesTo], y)", "no edge table for label 'fliesTo'"),
-        ("x,y <- (x, -fliesTo, y)", "no edge table for label 'fliesTo'"),
-        ("x,y <- (x, livesIn/{ALIEN}isLocatedIn, y)", "no node table for label 'ALIEN'"),
-    ]
-    for text, message in cases:
+    for text, message in UNKNOWN_LABEL_CASES:
         with pytest.raises(EmitError, match=re.escape(message)):
             emit_sql(parse_query(text), yago_schema)
+
+
+@pytest.mark.parametrize("target", ["sql:postgres", "sql:sqlite", "sql:mysql", "cypher"])
+@pytest.mark.parametrize("text,message", UNKNOWN_LABEL_CASES)
+def test_unknown_labels_rejected_alike_by_every_target(yago_schema, text, message, target):
+    query = parse_query(text)
+    with pytest.raises(EmitError) as info:
+        if target == "cypher":
+            emit_cypher(query, yago_schema)
+        else:
+            emit_sql(query, yago_schema, dialect=target.partition(":")[2])
+    assert str(info.value) == message
 
 
 def test_empty_query_emits_empty_select(yago_schema):

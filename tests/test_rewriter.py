@@ -405,6 +405,31 @@ def test_rewrite_label_free_blowup_reverts(schema, text):
     assert query_to_text(again.enriched) == query_to_text(outcome.enriched)
 
 
+@pytest.mark.parametrize(
+    "schema, text, enriched",
+    [
+        (None, "x,y <- (x, owns, y) || (x, owns, y)", "x,y <- (x, owns, y)"),  # None: yago
+        # the closure unrolls to an alternative equal to the first disjunct
+        (
+            _e0_schema(3, "01 12"),
+            "x,y <- (x, e0, y) || (x, e0++, y)",
+            "x,y <- (x, e0, y) || (x, e0, _g1) && (_g1, e0, y) && _g1:{N1} && x:{N0} && y:{N2}",
+        ),
+        (_e0_schema(2, "01"), "x,y <- (x, e0, y) || (x, e0++, y)", "x,y <- (x, e0, y)"),
+    ],
+    ids=["written-twice", "unrolled", "unrolled-to-one"],
+)
+def test_rewrite_union_repeats_no_disjunct(yago_schema, schema, text, enriched):
+    schema = schema or yago_schema
+    query = parse_query(text)
+    outcome = rewrite(query, schema)
+    assert query_to_text(outcome.enriched) == enriched
+    assert len(set(outcome.enriched.disjuncts)) == len(outcome.enriched.disjuncts)
+    for seed in range(3):
+        db = gen_db(schema, seed=seed, nodes_per_label=3, edge_prob=0.5)
+        assert eval_ucqt(outcome.enriched, db) == eval_ucqt(query, db)
+
+
 def test_rewrite_keeps_label_free_alternatives_in_one_atom():
     rng = random.Random(4242)
     folds = {True: 0, False: 0}  # label-free atoms by whether they reverted

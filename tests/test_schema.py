@@ -114,6 +114,15 @@ def test_db_duplicate_node_id_rejected():
         load_db("id,label,props\nn1,A,\nn1,A,\n", "src,label,trg\n")
 
 
+def test_db_csv_field_over_the_csv_module_limit_raises_format_error():
+    # the csv module rejects a field over 131,072 characters
+    long_field = "x" * 200_000
+    with pytest.raises(FormatError, match="^nodes.csv is not valid CSV: field larger"):
+        load_db(f"id,label,props\nn1,A,{long_field}\n", "src,label,trg\n")
+    with pytest.raises(FormatError, match="^edges.csv is not valid CSV: field larger"):
+        load_db("id,label,props\nn1,A,\n", f"src,label,trg\nn1,{long_field},n1\n")
+
+
 def test_value_types():
     assert value_type("hello") == "String"
     assert value_type("2024-05-01") == "Date"
