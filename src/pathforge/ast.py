@@ -14,30 +14,73 @@ structural rewrite (`desugar`, `strip_annotations`, the simplifier's
 normalisation, the rewriter's pruning of vacuous annotations) is its one
 special case plus `map_children`. A node whose children all come back as
 they are is returned itself, so subtrees that `desugar` shares stay shared.
+
+Each node keeps three caches, filled on first use: its hash, its text
+without outer parentheses (`_render` adds those by context), and its
+`strip_annotations` result. Inference builds every triple's expression
+from its operands' expressions, so thousands of triples share most of
+their nodes; without the caches each was hashed, rendered and stripped
+from scratch. The caches are sound because a node never changes after it
+is built. They live in the slots of the base class `_Node`, so they take
+no part in `==`, `repr`, `dataclasses.fields` or `__match_args__`, and the
+hash keeps the dataclass's own formula, the hash of the tuple of fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator
 
 # a node or edge label, or a query variable, as the concrete syntax spells it
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
+class _Node:
+    """Per-node caches; a slot is unset until its value is first computed.
+
+    `_plain` holds None when the node is its own plain form: a node that
+    referred to itself would be a cycle, which reference counting alone
+    never frees.
+    """
+
+    __slots__ = ("_hash", "_text", "_plain")
+
+
+def _cache_hash(cls):
+    """Give `cls` the dataclass's hash, that of the tuple of its fields,
+    computed once per node."""
+    names = tuple(f.name for f in fields(cls))
+
+    # builds the tuple itself rather than calling the dataclass's __hash__,
+    # so that hashing a tree stays at one frame per level
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(tuple([getattr(self, name) for name in names]))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_cache_hash
 @dataclass(frozen=True, slots=True)
-class Label:
+class Label(_Node):
     name: str
 
 
+@_cache_hash
 @dataclass(frozen=True, slots=True)
-class Reverse:
+class Reverse(_Node):
     # reversal is restricted to single edge labels
     name: str
 
 
+@_cache_hash
 @dataclass(frozen=True, slots=True)
-class Concat:
+class Concat(_Node):
     """Composition; with ``labels``, the junction node must carry one of them."""
 
     left: "PathExpr"
@@ -45,41 +88,47 @@ class Concat:
     labels: frozenset[str] | None = None
 
 
+@_cache_hash
 @dataclass(frozen=True, slots=True)
-class Union:
+class Union(_Node):
     left: "PathExpr"
     right: "PathExpr"
 
 
+@_cache_hash
 @dataclass(frozen=True, slots=True)
-class Conj:
+class Conj(_Node):
     left: "PathExpr"
     right: "PathExpr"
 
 
+@_cache_hash
 @dataclass(frozen=True, slots=True)
-class BranchR:
+class BranchR(_Node):
     """`main[test]`: keep main pairs whose target has an outgoing test path."""
 
     main: "PathExpr"
     test: "PathExpr"
 
 
+@_cache_hash
 @dataclass(frozen=True, slots=True)
-class BranchL:
+class BranchL(_Node):
     """`[test]main`: keep main pairs whose source has an outgoing test path."""
 
     test: "PathExpr"
     main: "PathExpr"
 
 
+@_cache_hash
 @dataclass(frozen=True, slots=True)
-class TransClos:
+class TransClos(_Node):
     inner: "PathExpr"
 
 
+@_cache_hash
 @dataclass(frozen=True, slots=True)
-class Repeat:
+class Repeat(_Node):
     """Bounded repetition `e{m,n}`, pure sugar for a union of compositions."""
 
     inner: "PathExpr"
@@ -126,7 +175,13 @@ def to_text(expr: PathExpr) -> str:
 
 
 def _render(expr: PathExpr, min_prec: int) -> str:
-    text = _render_raw(expr)
+    # the text without outer parentheses is rendered once per node; the
+    # recursion stays at two frames per tree level, this one and _render_raw
+    try:
+        text = expr._text
+    except AttributeError:
+        text = _render_raw(expr)
+        object.__setattr__(expr, "_text", text)
     if precedence(expr) < min_prec:
         return "(" + text + ")"
     return text
@@ -145,7 +200,7 @@ def _render_raw(expr: PathExpr) -> str:
         # a main that is itself a left branch would re-parse with the wrong
         # nesting, so it always gets parentheses
         if isinstance(expr.main, BranchL):
-            main = "(" + _render_raw(expr.main) + ")"
+            main = "(" + _render(expr.main, 0) + ")"
         else:
             main = _render(expr.main, _PREC_BRANCH)
         return main + "[" + _render(expr.test, 0) + "]"
@@ -261,10 +316,17 @@ def _power(expr: PathExpr, k: int) -> PathExpr:
 
 
 def strip_annotations(expr: PathExpr) -> PathExpr:
-    """The plain expression underlying an annotated one."""
-    if isinstance(expr, Concat) and expr.labels is not None:
-        return Concat(strip_annotations(expr.left), strip_annotations(expr.right))
-    return map_children(expr, strip_annotations)
+    """The plain expression underlying an annotated one, computed once per node."""
+    try:
+        plain = expr._plain
+    except AttributeError:
+        if isinstance(expr, Concat) and expr.labels is not None:
+            plain = Concat(strip_annotations(expr.left), strip_annotations(expr.right))
+        else:
+            plain = map_children(expr, strip_annotations)
+        object.__setattr__(expr, "_plain", None if plain is expr else plain)
+        return plain
+    return expr if plain is None else plain
 
 
 def flatten_chain(expr: PathExpr) -> tuple[list[PathExpr], list[frozenset[str] | None]]:

@@ -82,7 +82,8 @@ def _cmd_infer(args) -> int:
     else:
         for src, text, trg in triples:
             print(f"{src}  --[ {text} ]-->  {trg}")
-    return _finish(args, log.warnings)
+    # inference records a warning each time a sub-term hits a cap; print it once
+    return _finish(args, list(dict.fromkeys(log.warnings)))
 
 
 def _explain_json(rows: list[DerivationRow]) -> list[dict]:

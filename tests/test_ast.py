@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 import typing
 
@@ -16,14 +18,20 @@ from pathforge import (
     TransClos,
     Union,
     desugar,
+    load_schema,
     parse_path_expr,
+    parse_query,
+    rewrite,
     simplify,
     strip_annotations,
     to_text,
 )
 import pathforge.ast
+import pathforge.rewriter
 from pathforge.ast import children, flatten_chain, map_children, precedence, walk
+from pathforge.inference import derivation_rows
 
+from blowup_cases import BLOWUP_CASES
 from randutil import random_expr
 from test_parser import _exprs
 
@@ -154,3 +162,95 @@ def test_rewrites_through_map_children_keep_their_recursion_depth():
     # would pass the default recursion limit on this 400-factor chain
     factors, _ = flatten_chain(simplify(desugar(parse_path_expr("/".join(["a"] * 400)))))
     assert factors == [a] * 400
+
+
+def _fresh(node):
+    """A structurally equal copy built from new nodes, never hashed,
+    rendered or stripped."""
+    node_types = typing.get_args(PathExpr)
+    values = [getattr(node, f.name) for f in dataclasses.fields(node)]
+    return type(node)(*(_fresh(v) if isinstance(v, node_types) else v for v in values))
+
+
+def test_cached_hash_text_and_plain_form_match_a_fresh_computation():
+    rng = random.Random(11)
+    exprs = [_random_annotated(rng) for _ in range(300)]
+    nodes = [node for expr in exprs for node in walk(expr)]
+    assert {type(node) for node in nodes} >= {Repeat, BranchL, BranchR}
+    assert any(isinstance(node, Concat) and node.labels is not None for node in nodes)
+    # fill each tree's caches from the root, so that every subterm's text
+    # was first rendered inside its parent's context
+    for expr in exprs:
+        hash(expr), to_text(expr), strip_annotations(expr)
+    for node in nodes:
+        fields = dataclasses.fields(node)
+        assert hash(node) == hash(tuple(getattr(node, f.name) for f in fields))
+        assert to_text(node) == to_text(_fresh(node))
+        assert strip_annotations(node) == strip_annotations(_fresh(node))
+
+
+def test_a_child_rendered_at_top_level_first_still_gets_its_parentheses():
+    x = parse_path_expr("a|b")
+    assert to_text(x) == "a|b"
+    assert to_text(Concat(x, Label("c"))) == "(a|b)/c"
+    main = parse_path_expr("[x]y")
+    assert to_text(main) == "[x]y"
+    assert to_text(BranchR(main, Label("z"))) == "([x]y)[z]"
+
+
+def test_caches_stay_out_of_fields_match_args_and_repr():
+    b = Label("b")
+    expected = {
+        Label: ("name",),
+        Reverse: ("name",),
+        Concat: ("left", "right", "labels"),
+        Union: ("left", "right"),
+        Conj: ("left", "right"),
+        BranchR: ("main", "test"),
+        BranchL: ("test", "main"),
+        TransClos: ("inner",),
+        Repeat: ("inner", "lo", "hi"),
+    }
+    for cls, names in expected.items():
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+        assert cls.__match_args__ == names
+    node = Concat(TransClos(a), Repeat(b, 1, 2), frozenset({"X"}))
+    hash(node), to_text(node), strip_annotations(node)
+    assert repr(node) == (
+        "Concat(left=TransClos(inner=Label(name='a')), "
+        "right=Repeat(inner=Label(name='b'), lo=1, hi=2), labels=frozenset({'X'}))"
+    )
+    assert node == _fresh(node)
+
+
+def test_blowup_rewrite_renders_and_strips_each_node_at_most_once(monkeypatch):
+    # infer-blowup case A: 11.8k triples whose expressions share most of
+    # their nodes; without the caches each node is rendered many times
+    _, schema_doc, text = BLOWUP_CASES[0]
+    schema = load_schema(json.dumps(schema_doc))
+    rendered, stripped = {}, {}
+    render_raw, strip = pathforge.ast._render_raw, pathforge.ast.strip_annotations
+
+    def count(seen, node):
+        # the node is kept, so that its id is not reused
+        seen.setdefault(id(node), [node, 0])[1] += 1
+
+    def counted_render_raw(node):
+        count(rendered, node)
+        return render_raw(node)
+
+    def counted_strip(node):
+        # a call on a node whose plain form is cached does no work
+        if not hasattr(node, "_plain"):
+            count(stripped, node)
+        return strip(node)
+
+    monkeypatch.setattr(pathforge.ast, "_render_raw", counted_render_raw)
+    for module in (pathforge.ast, pathforge.rewriter):
+        monkeypatch.setattr(module, "strip_annotations", counted_strip)
+    outcome = rewrite(parse_query(text), schema)
+    rows = derivation_rows(outcome.logs)
+    assert sum(len(row.triples) for row in rows) == 11820
+    for seen in (rendered, stripped):
+        assert seen
+        assert max(count for _, count in seen.values()) == 1

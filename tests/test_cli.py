@@ -12,6 +12,8 @@ from pathforge import parse_path_expr, parse_query
 from pathforge.cli import run
 from pathforge.parser import MAX_NESTING
 
+from blowup_cases import BLOWUP_CASES
+
 YAGO = "tests/data/yago_schema.json"
 DB = "tests/data/yago_nodes.csv,tests/data/yago_edges.csv"
 README_QUERY = "x,y <- (x, livesIn/isLocatedIn+/dealsWith+, y)"
@@ -244,6 +246,17 @@ def test_limit_flags(query_file, capsys):
     assert info.value.code == 2
 
 
+def test_infer_prints_a_repeated_warning_once(capsys):
+    # each of the three closures runs past the path limit
+    expr = "(isLocatedIn+|isLocatedIn+)&isLocatedIn+"
+    argv = ["infer", "--schema", YAGO, "--path-limit", "2", expr]
+    warning = "warning: path enumeration exceeded 2 paths; keeping the closure\n"
+    assert run(argv) == 0
+    assert capsys.readouterr().err == warning
+    assert run(argv + ["--strict"]) == 4
+    assert capsys.readouterr().err == warning
+
+
 def test_missing_file_is_exit_2(capsys):
     assert run(["rewrite", "--schema", YAGO, "--query", "/nonexistent.ucqt"]) == 2
 
@@ -403,28 +416,33 @@ def test_malformed_db_csv_exits_2_without_traceback(tmp_path, query_file):
 _HASH_SEED_SCRIPT = """
 import sys
 from pathforge.cli import run
-schema, *queries = sys.argv[1:]
-for query in queries:
+args = sys.argv[1:]
+for schema, query in zip(args[::2], args[1::2]):
     argv = ["--schema", schema, "--query", query, "--target", "sql:sqlite", "--target", "cypher"]
     assert run(["pipeline", "--json", *argv]) == 0
-assert run(["infer", "--json", "--schema", schema, "isLocatedIn+"]) == 0
+assert run(["infer", "--json", "--schema", args[0], "isLocatedIn+"]) == 0
 """
 
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     # inference returns sets, whose order follows string hashes and so
-    # changes between processes; only what is printed must not
-    queries = []
-    for index, expr in enumerate(
-        ["livesIn/isLocatedIn+/dealsWith+", "livesIn/isLocatedIn+", "owns|owns/owns|livesIn"]
-    ):
+    # changes between processes; only what is printed must not. The
+    # infer-blowup cases fill the largest sets.
+    exprs = ["livesIn/isLocatedIn+/dealsWith+", "livesIn/isLocatedIn+", "owns|owns/owns|livesIn"]
+    cases = [(YAGO, f"x,y <- (x, {expr}, y)") for expr in exprs]
+    for name, schema_doc, text in BLOWUP_CASES:
+        schema = tmp_path / f"blowup_{name}.json"
+        schema.write_text(json.dumps(schema_doc))
+        cases.append((str(schema), text))
+    pairs = []
+    for index, (schema, text) in enumerate(cases):
         path = tmp_path / f"q{index}.ucqt"
-        path.write_text(f"x,y <- (x, {expr}, y)")
-        queries.append(str(path))
+        path.write_text(text)
+        pairs += [schema, str(path)]
     outputs = []
     for seed in ("0", "1"):
         proc = subprocess.run(
-            [sys.executable, "-c", _HASH_SEED_SCRIPT, YAGO, *queries],
+            [sys.executable, "-c", _HASH_SEED_SCRIPT, *pairs],
             capture_output=True,
             text=True,
             env=_child_env(PYTHONHASHSEED=seed),
@@ -432,5 +450,5 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert outputs[0].count("\n") == 4
+    assert outputs[0].count("\n") == 6
     assert outputs[0] == outputs[1]
