@@ -237,10 +237,6 @@ def walk(expr: PathExpr) -> Iterator[PathExpr]:
         stack.extend(reversed(children(node)))
 
 
-def has_annotations(expr: PathExpr) -> bool:
-    return any(isinstance(e, Concat) and e.labels is not None for e in walk(expr))
-
-
 # node types by how `map_children` rebuilds them
 _LEAF, _PAIR, _CONCAT, _BRANCH_R, _BRANCH_L, _CLOSURE, _REPEAT = range(7)
 _SHAPE = {
@@ -327,6 +323,12 @@ def strip_annotations(expr: PathExpr) -> PathExpr:
         object.__setattr__(expr, "_plain", None if plain is expr else plain)
         return plain
     return expr if plain is None else plain
+
+
+def has_annotations(expr: PathExpr) -> bool:
+    # an annotated node's plain form is a new node; the form is cached, so
+    # asking again about a node or its subtrees walks nothing
+    return strip_annotations(expr) is not expr
 
 
 def flatten_chain(expr: PathExpr) -> tuple[list[PathExpr], list[frozenset[str] | None]]:

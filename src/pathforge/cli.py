@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .ast import desugar, to_text
 from .emit_cypher import UnsupportedReport, emit_cypher
-from .emit_sql import DIALECTS, EmitError, emit_sql
+from .emit_sql import DIALECTS, emit_sql
 from .evaluator import eval_ucqt, gen_db
 from .inference import DEFAULT_PATH_LIMIT, DerivationRow, InferenceLog, derivation_rows, infer
 from .inference import derive  # noqa: F401  the benchmark tracer (perfbench/tracer.py) wraps it
@@ -161,10 +161,7 @@ def _emit_target(
     """Emit a query for a ``sql:DIALECT`` or ``cypher`` target."""
     if target == "cypher":
         return emit_cypher(query, schema)
-    kind, _, dialect = target.partition(":")
-    if kind != "sql":
-        raise EmitError(f"unknown target {target!r}")
-    return emit_sql(query, schema, dialect=dialect or "postgres", as_view=as_view)
+    return emit_sql(query, schema, dialect=target.removeprefix("sql:"), as_view=as_view)
 
 
 def _unsupported_json(report: UnsupportedReport) -> dict:
@@ -268,6 +265,7 @@ DISJUNCT_LIMIT_HELP = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    targets = [f"sql:{d}" for d in DIALECTS] + ["cypher"]
     parser = argparse.ArgumentParser(
         prog="pathforge",
         description="Schema-aware rewriting, evaluation and emission of graph path queries.",
@@ -306,11 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
 
     p = add("emit", _cmd_emit, "translate a query to SQL or Cypher")
-    p.add_argument(
-        "--target",
-        required=True,
-        choices=[f"sql:{d}" for d in DIALECTS] + ["cypher"],
-    )
+    p.add_argument("--target", required=True, choices=targets)
     p.add_argument("--schema", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--as-view", action="store_true", help="wrap SQL in the dialect's view statement")
@@ -329,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pipeline", _cmd_pipeline, "rewrite, explain and emit in one pass")
     p.add_argument("--schema", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--target", action="append", help="repeatable; sql:DIALECT or cypher")
+    p.add_argument("--target", action="append", choices=targets, help="repeatable")
     p.add_argument("--as-view", action="store_true")
     add_caps(p)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import string
 from collections.abc import Callable, Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 
@@ -49,11 +49,9 @@ class EvalStats:
     """
 
     pairs: int = 0
-    per_expr: list[int] = field(default_factory=list)
 
     def record(self, result: frozenset[Pair]) -> None:
         self.pairs += len(result)
-        self.per_expr.append(len(result))
 
 
 def _compose(

@@ -15,17 +15,17 @@ connecting paths pass through. The rules mirror the expression structure:
   TBranchL  [test]main: join on equal source; the result keeps main's target
   TPlus     closure triples come from cycle analysis of the triple graph
 
-For closures, the triples of the inner expression form a directed graph over
-node labels. A label is cyclic when it is reachable from itself in that graph.
-If a closure walk can be confined to finitely many label paths (no cyclic
-label touched), the closure unrolls into those annotated fixed-length paths;
-any path touching a cyclic label keeps the closure, with annotations dropped.
+For closures (`plus_comp`), the triples of the inner expression form the
+triple graph, a directed graph over node labels with one arc per triple. A
+label is cyclic when it is reachable from itself in that graph. If a closure
+walk can be confined to finitely many label paths (no cyclic label touched),
+the closure unrolls into those annotated fixed-length paths; any path
+touching a cyclic label keeps the closure, with annotations dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter
 from typing import Iterable
 
@@ -90,8 +90,11 @@ def infer(
 
     An empty result means no schema-conforming database can satisfy the
     expression. The result is a set: a caller that prints triples orders
-    them itself, by `SchemaTriple.sort_key`.
+    them itself, by `SchemaTriple.sort_key`. ``path_limit`` must be at
+    least 0.
     """
+    if path_limit < 0:
+        raise ValueError(f"path limit must be at least 0, got {path_limit}")
     basics = basic_triples(schema)
     by_label: dict[str, list[SchemaTriple]] = {}
     for triple in basics:
@@ -175,49 +178,19 @@ def _infer(
     return out
 
 
-@dataclass(frozen=True)
-class TripleGraph:
-    """Directed graph over node labels whose arcs are schema triples."""
-
-    vertices: frozenset[str]
-    arcs: tuple[SchemaTriple, ...]
-
-    @classmethod
-    def from_triples(cls, triples: tuple[SchemaTriple, ...]) -> "TripleGraph":
-        vertices: set[str] = set()
-        for triple in triples:
-            vertices.update((triple.src, triple.trg))
-        return cls(vertices=frozenset(vertices), arcs=tuple(triples))
-
-    @cached_property
-    def arcs_by_src(self) -> dict[str, list[SchemaTriple]]:
-        out: dict[str, list[SchemaTriple]] = {}
-        for arc in self.arcs:
-            out.setdefault(arc.src, []).append(arc)
-        return out
-
-    @cached_property
-    def reachable(self) -> frozenset[tuple[str, str]]:
-        """Label pairs (a, b) such that a walk of one or more arcs leads
-        from a to b."""
-        out = set()
-        for start in self.vertices:
-            seen: set[str] = set()
-            frontier = [start]
-            while frontier:
-                vertex = frontier.pop()
-                for arc in self.arcs_by_src.get(vertex, ()):
+def reachable(arcs_by_src: dict[str, list[SchemaTriple]]) -> frozenset[tuple[str, str]]:
+    """Label pairs (a, b) such that a walk of one or more arcs of the triple
+    graph, whose arcs ``arcs_by_src`` lists by source label, leads from a
+    to b."""
+    out = set()
+    for start in arcs_by_src:
+        frontier = [start]
+        while frontier:
+            for arc in arcs_by_src.get(frontier.pop(), ()):
+                if (start, arc.trg) not in out:
                     out.add((start, arc.trg))
-                    if arc.trg not in seen:
-                        seen.add(arc.trg)
-                        frontier.append(arc.trg)
-        return frozenset(out)
-
-    @cached_property
-    def cyclic_vertices(self) -> frozenset[str]:
-        """Vertices on some cycle, self-loops included: those reachable
-        from themselves."""
-        return frozenset(v for v in self.vertices if (v, v) in self.reachable)
+                    frontier.append(arc.trg)
+    return frozenset(out)
 
 
 class _PathLimitHit(Exception):
@@ -240,8 +213,11 @@ def plus_comp(
     than ``path_limit`` paths exist, enumeration aborts and every reachable
     label pair conservatively keeps the closure.
     """
-    graph = TripleGraph.from_triples(tuple(triples))
-    cyclic = graph.cyclic_vertices
+    arcs_by_src: dict[str, list[SchemaTriple]] = {}
+    for arc in triples:
+        arcs_by_src.setdefault(arc.src, []).append(arc)
+    pairs = reachable(arcs_by_src)
+    cyclic = {src for src, trg in pairs if src == trg}
     closure_expr = TransClos(inner)
     out: set[SchemaTriple] = set()
     budget = [path_limit]
@@ -262,15 +238,15 @@ def plus_comp(
     def extend(path: list[SchemaTriple], on_path: set[str]) -> None:
         emit(path)
         here = path[-1].trg
-        for arc in graph.arcs_by_src.get(here, ()):
+        for arc in arcs_by_src.get(here, ()):
             if arc.trg == path[0].src:
                 emit(path + [arc])
             elif arc.trg not in on_path:
                 extend(path + [arc], on_path | {arc.trg})
 
     try:
-        for start in graph.vertices:
-            for arc in graph.arcs_by_src.get(start, ()):
+        for start, arcs in arcs_by_src.items():
+            for arc in arcs:
                 if arc.trg == start:
                     emit([arc])
                 else:
@@ -280,17 +256,14 @@ def plus_comp(
             log.warnings.append(
                 f"path enumeration exceeded {path_limit} paths; keeping the closure"
             )
-        out = {
-            SchemaTriple(src, closure_expr, trg)
-            for src, trg in _reachable_pairs(graph)
-        }
+        out = {SchemaTriple(src, closure_expr, trg) for src, trg in _reachable_pairs(pairs)}
     return frozenset(out)
 
 
-def _reachable_pairs(graph: TripleGraph) -> frozenset[tuple[str, str]]:
-    # called only on the path-limit fallback; the benchmark tracer
+def _reachable_pairs(pairs: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+    # only the path-limit fallback calls this; the benchmark tracer
     # (perfbench/tracer.py) counts path-limit hits by wrapping this name
-    return graph.reachable
+    return pairs
 
 
 @dataclass(frozen=True)

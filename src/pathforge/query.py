@@ -48,9 +48,6 @@ class UcqtQuery:
     head: tuple[str, ...]
     disjuncts: tuple[Conjunct, ...]
 
-    def body_vars(self, conjunct: Conjunct) -> frozenset[str]:
-        return conjunct.variables() - frozenset(self.head)
-
 
 def validate_query(query: UcqtQuery) -> None:
     """Check structural invariants; raises ValueError on the first breach."""

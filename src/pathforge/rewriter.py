@@ -74,12 +74,15 @@ class MergedTriple:
     trg_set: frozenset[str]
 
 
-class MergeShapeError(ValueError):
-    """Two triples grouped as equal disagreed on expression structure."""
-
-
 def merge_triples(triples: tuple[SchemaTriple, ...] | list[SchemaTriple]) -> tuple[MergedTriple, ...]:
-    """Group by underlying plain expression and union the label sets."""
+    """Group by underlying plain expression and union the label sets.
+
+    The input is the triple set of one `infer` call. Its triples that strip
+    to one plain expression then share that expression's shape, junction
+    annotations included (inference annotates every composition outside a
+    closure, and `plus_comp` builds each closure from the plain body), and
+    differ only in their junction label sets; the merge relies on that.
+    """
     groups: dict[PathExpr, list[SchemaTriple]] = {}
     for triple in triples:
         groups.setdefault(strip_annotations(triple.expr), []).append(triple)
@@ -96,31 +99,21 @@ def merge_triples(triples: tuple[SchemaTriple, ...] | list[SchemaTriple]) -> tup
 
 
 def _merge_exprs(exprs: list[PathExpr]) -> PathExpr:
+    # members of one shape that carry no annotations are all equal: labels,
+    # reversals and closures end here. Inference builds no union (TUnion
+    # carries triples over), so the rest are compositions, conjunctions and
+    # branches
     first = exprs[0]
-    if any(type(e) is not type(first) for e in exprs):
-        raise MergeShapeError(f"triples with one plain expression differ in shape: {exprs!r}")
-    if isinstance(first, (Label, Reverse)):
-        if any(e != first for e in exprs):
-            raise MergeShapeError(f"diverging leaves: {exprs!r}")
+    if not has_annotations(first):
         return first
     if isinstance(first, Concat):
-        junctions = [e.labels for e in exprs]
-        if junctions.count(None) not in (0, len(junctions)):
-            raise MergeShapeError(f"triples with one plain expression differ in shape: {exprs!r}")
-        labels = None if first.labels is None else frozenset().union(*junctions)
-        left, right = _merge_exprs([e.left for e in exprs]), _merge_exprs([e.right for e in exprs])
-        return Concat(left, right, labels)
-    if isinstance(first, Union):
-        return Union(_merge_exprs([e.left for e in exprs]), _merge_exprs([e.right for e in exprs]))
+        labels = None if first.labels is None else frozenset().union(*(e.labels for e in exprs))
+        return Concat(_merge_exprs([e.left for e in exprs]), _merge_exprs([e.right for e in exprs]), labels)
     if isinstance(first, Conj):
         return Conj(_merge_exprs([e.left for e in exprs]), _merge_exprs([e.right for e in exprs]))
     if isinstance(first, BranchR):
         return BranchR(_merge_exprs([e.main for e in exprs]), _merge_exprs([e.test for e in exprs]))
-    if isinstance(first, BranchL):
-        return BranchL(_merge_exprs([e.test for e in exprs]), _merge_exprs([e.main for e in exprs]))
-    if isinstance(first, TransClos):
-        return TransClos(_merge_exprs([e.inner for e in exprs]))
-    raise MergeShapeError(f"cannot merge expression kind {type(first).__name__}")
+    return BranchL(_merge_exprs([e.test for e in exprs]), _merge_exprs([e.main for e in exprs]))
 
 
 def end_label_set(expr: PathExpr, schema: GraphSchema, source: bool) -> frozenset[str]:
@@ -175,11 +168,10 @@ class Fragment:
 
     relations: list[Relation] = field(default_factory=list)
     labels: dict[str, frozenset[str]] = field(default_factory=dict)
-    body_vars: list[str] = field(default_factory=list)
 
 
 def query_of(
-    alpha: str, beta: str, expr: PathExpr, used_names: frozenset[str] = frozenset()
+    alpha: str, beta: str, expr: PathExpr, fresh: Iterator[str] | None = None
 ) -> Fragment:
     """Translate an annotated expression into atoms between two variables.
 
@@ -187,17 +179,18 @@ def query_of(
     relation atoms joined by fresh variables carrying label atoms; branch
     and conjunction structure recurses with the endpoints the operators
     dictate. An annotation-free expression stays a single relation atom.
+    Fresh variables are drawn from ``fresh``; by default they are `_g1`,
+    `_g2`, ... without ``alpha`` and ``beta``.
     """
     fragment = Fragment()
-    fresh = _fresh_names(used_names | {alpha, beta})
+    if fresh is None:
+        fresh = _fresh_names(frozenset({alpha, beta}))
     _translate(alpha, beta, expr, fresh, fragment)
     return fragment
 
 
 def _fresh_names(used: frozenset[str]) -> Iterator[str]:
-    counter = 0
-    while True:
-        counter += 1
+    for counter in itertools.count(1):
         name = f"_g{counter}"
         if name not in used:
             yield name
@@ -206,13 +199,11 @@ def _fresh_names(used: frozenset[str]) -> Iterator[str]:
 def _translate(alpha: str, beta: str, expr: PathExpr, fresh: Iterator[str], out: Fragment) -> None:
     if isinstance(expr, BranchR):
         gamma = next(fresh)
-        out.body_vars.append(gamma)
         _translate(alpha, beta, expr.main, fresh, out)
         _translate(beta, gamma, expr.test, fresh, out)
         return
     if isinstance(expr, BranchL):
         gamma = next(fresh)
-        out.body_vars.append(gamma)
         _translate(alpha, gamma, expr.test, fresh, out)
         _translate(alpha, beta, expr.main, fresh, out)
         return
@@ -220,12 +211,12 @@ def _translate(alpha: str, beta: str, expr: PathExpr, fresh: Iterator[str], out:
         _translate(alpha, beta, expr.left, fresh, out)
         _translate(alpha, beta, expr.right, fresh, out)
         return
-    if isinstance(expr, Concat) and has_annotations(expr):
+    if not has_annotations(expr):
+        out.relations.append(Relation(alpha, expr, beta))
+    elif isinstance(expr, Concat):
         _translate_chain(alpha, beta, expr, fresh, out)
-        return
-    if has_annotations(expr):
+    else:
         raise ValueError(f"annotations in an untranslatable position: {to_text(expr)}")
-    out.relations.append(Relation(alpha, expr, beta))
 
 
 def _translate_chain(
@@ -242,7 +233,6 @@ def _translate_chain(
             run.append(right)
             continue
         nxt = next(fresh)
-        out.body_vars.append(nxt)
         _translate_run(var, nxt, run, fresh, out)
         if junction is not None:
             _meet(out.labels, nxt, junction)
@@ -296,13 +286,13 @@ def rewrite(
     repetitions included ("revert"), and so do the atoms reverted to bring a
     conjunct's product of alternatives within ``disjunct_limit``. Atoms unsatisfiable under the
     schema erase their conjunct with a warning; when every conjunct dies the
-    result is the canonical empty query.
+    result is the canonical empty query. Both limits must be at least 0.
     """
+    for name, limit in (("path", path_limit), ("disjunct", disjunct_limit)):
+        if limit < 0:
+            raise ValueError(f"{name} limit must be at least 0, got {limit}")
     warnings: list[str] = []
-    used: set[str] = set(query.head)
-    for conjunct in query.disjuncts:
-        used |= conjunct.variables()
-    fresh = _fresh_names(frozenset(used))
+    fresh = _fresh_names(frozenset(query.head).union(*(c.variables() for c in query.disjuncts)))
 
     def enrichment(rel: Relation, log: InferenceLog) -> list[MergedTriple] | None:
         """Merged triples to replace the atom with, [] when the atom is
@@ -338,12 +328,9 @@ def rewrite(
     out_disjuncts: list[Conjunct] = []
     for d_index, conjunct in enumerate(query.disjuncts):
         per_atom_merged: list[list[MergedTriple] | None] = []
-        for a_index, rel in enumerate(conjunct.relations):
+        for rel in conjunct.relations:
             logs.append(InferenceLog())
             per_atom_merged.append(enrichment(rel, logs[-1]))
-            reverted[(d_index, a_index)] = per_atom_merged[-1] is None
-        if any(merged == [] for merged in per_atom_merged):
-            continue
 
         counts = [1 if merged is None else len(merged) for merged in per_atom_merged]
         while (product := math.prod(counts)) > disjunct_limit and max(counts) > 1:
@@ -356,7 +343,10 @@ def rewrite(
             )
             counts[widest] = 1
             per_atom_merged[widest] = None
-            reverted[(d_index, widest)] = True
+        for a_index, merged in enumerate(per_atom_merged):
+            reverted[(d_index, a_index)] = merged is None
+        if [] in per_atom_merged:
+            continue
 
         per_atom: list[list[Fragment]] = []
         for rel, merged in zip(conjunct.relations, per_atom_merged):
@@ -366,8 +356,7 @@ def rewrite(
                 continue
             alternatives = []
             for m in merged:
-                fragment = Fragment()
-                _translate(rel.src_var, rel.trg_var, m.expr, fresh, fragment)
+                fragment = query_of(rel.src_var, rel.trg_var, m.expr, fresh)
                 for var, labs in ((rel.src_var, m.src_set), (rel.trg_var, m.trg_set)):
                     if labs:
                         _meet(fragment.labels, var, labs)
@@ -379,7 +368,7 @@ def rewrite(
 
         generated: list[Conjunct] = []
         for combo in itertools.product(*per_atom):
-            labels: dict[str, frozenset[str]] = {a.var: a.labels for a in conjunct.labels}
+            labels = conjunct.label_map()
             contradiction = None
             for fragment in combo:
                 for var, labs in sorted(fragment.labels.items()):

@@ -68,6 +68,11 @@ def random_expr(rng: random.Random, edge_alphabet: list[str], depth: int = 5) ->
 
 def random_schema(rng: random.Random, max_labels: int = 6, max_edges: int = 10) -> GraphSchema:
     """A random strict schema; edge labels may span several label pairs."""
+    return load_schema(json.dumps(random_schema_doc(rng, max_labels, max_edges)))
+
+
+def random_schema_doc(rng: random.Random, max_labels: int = 6, max_edges: int = 10) -> dict:
+    """The schema document `random_schema` loads."""
     label_count = rng.randint(1, max_labels)
     node_labels = [f"N{i}" for i in range(label_count)]
     edge_alphabet = [f"e{i}" for i in range(rng.randint(1, 4))]
@@ -76,11 +81,10 @@ def random_schema(rng: random.Random, max_labels: int = 6, max_edges: int = 10) 
     for _ in range(edge_count):
         signature = (rng.choice(node_labels), rng.choice(edge_alphabet), rng.choice(node_labels))
         signatures.add(signature)
-    doc = {
+    return {
         "nodes": [{"label": label} for label in node_labels],
         "edges": [{"src": s, "label": l, "trg": t} for s, l, t in sorted(signatures)],
     }
-    return load_schema(json.dumps(doc))
 
 
 def schema_edge_alphabet(schema: GraphSchema) -> list[str]:

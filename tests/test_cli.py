@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import pathforge.cli
 import pathforge.inference
 import pathforge.rewriter
 from pathforge import parse_path_expr, parse_query
@@ -244,6 +245,40 @@ def test_limit_flags(query_file, capsys):
     with pytest.raises(SystemExit) as info:
         run(["rewrite", "--schema", YAGO, "--query", path, "--config", "pathforge.conf"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("infer", "--path-limit"),
+        ("rewrite", "--path-limit"),
+        ("rewrite", "--disjunct-limit"),
+        ("pipeline", "--path-limit"),
+        ("pipeline", "--disjunct-limit"),
+    ],
+)
+def test_negative_caps_exit_2(command, flag, query_file, capsys):
+    inputs = ["isLocatedIn+"] if command == "infer" else ["--query", query_file(README_QUERY)]
+    assert run([command, "--schema", YAGO, flag, "-1", *inputs]) == 2
+    name = flag.removeprefix("--").replace("-", " ")
+    assert capsys.readouterr() == ("", f"error: {name} must be at least 0, got -1\n")
+    # 0 is a cap like any other
+    assert run([command, "--schema", YAGO, flag, "0", *inputs]) == 0
+
+
+@pytest.mark.parametrize("target", ["sql:", "sql:oracle", "sql", "postgres"])
+def test_pipeline_rejects_an_unknown_target_before_rewriting(target, query_file, monkeypatch, capsys):
+    def no_rewrite(*args, **kwargs):
+        raise AssertionError("rewrite ran")
+
+    monkeypatch.setattr(pathforge.cli, "rewrite", no_rewrite)
+    path = query_file(README_QUERY)
+    with pytest.raises(SystemExit) as info:
+        run(["pipeline", "--schema", YAGO, "--query", path, "--target", target])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --target: invalid choice" in captured.err
 
 
 def test_infer_prints_a_repeated_warning_once(capsys):

@@ -20,7 +20,7 @@ from pathforge import (
 )
 import pathforge.inference
 from pathforge.ast import walk
-from pathforge.inference import InferenceLog, InferenceOverflow, TripleGraph
+from pathforge.inference import InferenceLog, InferenceOverflow, reachable
 from pathforge.schema import load_schema
 
 from randutil import random_expr, random_schema, schema_edge_alphabet
@@ -137,16 +137,26 @@ def test_path_limit_fallback():
     }
 
 
-def test_triple_graph_structure(yago_schema):
-    from pathforge.inference import TripleGraph
+def _by_src(triples):
+    arcs_by_src = {}
+    for triple in triples:
+        arcs_by_src.setdefault(triple.src, []).append(triple)
+    return arcs_by_src
 
-    triples = infer(Label("isLocatedIn"), yago_schema)
-    graph = TripleGraph.from_triples(triples)
-    assert graph.vertices == {"PROPERTY", "CITY", "REGION", "COUNTRY"}
-    assert len(graph.arcs) == len(triples)
-    assert graph.cyclic_vertices == frozenset()
-    loops = TripleGraph.from_triples(infer(Label("dealsWith"), yago_schema))
-    assert loops.cyclic_vertices == {"COUNTRY"}
+
+def test_triple_graph_structure(yago_schema):
+    pairs = reachable(_by_src(infer(Label("isLocatedIn"), yago_schema)))
+    assert pairs == {
+        ("PROPERTY", "CITY"),
+        ("PROPERTY", "REGION"),
+        ("PROPERTY", "COUNTRY"),
+        ("CITY", "REGION"),
+        ("CITY", "COUNTRY"),
+        ("REGION", "COUNTRY"),
+    }
+    # no label reaches itself: isLocatedIn has no cyclic label
+    loops = reachable(_by_src(infer(Label("dealsWith"), yago_schema)))
+    assert loops == {("COUNTRY", "COUNTRY")}
 
 
 def test_infer_requires_desugared():
@@ -286,16 +296,25 @@ def test_reachable_and_cyclic_vertices_match_a_warshall_closure():
     saw = {"self-loop": 0, "2-cycle": 0, "acyclic vertex": 0}
     for _ in range(150):
         arcs = _random_label_graph(rng)
-        graph = TripleGraph.from_triples(
-            tuple(SchemaTriple(src, Label(name), trg) for src, name, trg in arcs)
-        )
-        expected = _warshall(graph.vertices, {(src, trg) for src, _, trg in arcs})
-        assert graph.reachable == expected
-        assert graph.cyclic_vertices == {v for v in graph.vertices if (v, v) in expected}
         pairs = {(src, trg) for src, _, trg in arcs}
+        vertices = {v for pair in pairs for v in pair}
+        expected = _warshall(vertices, pairs)
+        triples = [SchemaTriple(src, Label(name), trg) for src, name, trg in arcs]
+        assert reachable(_by_src(triples)) == expected
+        # plus_comp keeps the closure for the reachable pairs some path
+        # joins through a cyclic label, one reachable from itself
+        cyclic = {v for v in vertices if (v, v) in expected}
+        through_cycle = {
+            (s, t)
+            for s, t in expected
+            if any((c == s or (s, c) in expected) and (c == t or (c, t) in expected) for c in cyclic)
+        }
+        closure = TransClos(Label("g"))
+        out = plus_comp(Label("g"), triples)
+        assert {(t.src, t.trg) for t in out if t.expr == closure} == through_cycle
         saw["self-loop"] += any(src == trg for src, trg in pairs)
         saw["2-cycle"] += any(src != trg and (trg, src) in pairs for src, trg in pairs)
-        saw["acyclic vertex"] += bool(graph.vertices - graph.cyclic_vertices)
+        saw["acyclic vertex"] += bool(vertices - cyclic)
     assert all(count >= 10 for count in saw.values()), saw
 
 

@@ -103,7 +103,7 @@ def test_query_parsing():
     conjunct = query.disjuncts[0]
     assert conjunct.relations[0] == Relation("x", Concat(Label("owns"), Label("isLocatedIn")), "y")
     assert conjunct.label_map() == {"z": frozenset({"REGION"})}
-    assert query.body_vars(conjunct) == frozenset({"z"})
+    assert conjunct.variables() - set(query.head) == {"z"}
 
 
 def test_query_union_shares_head():

@@ -1,0 +1,111 @@
+"""Byte-identity guard for `pathforge rewrite --json`.
+
+`tests/data/goldens/corpus_rewrite.jsonl` holds, one line per input, the
+`rewrite --json` document (enriched query, reverted atoms, warnings) and
+the exit code the CLI gave for:
+
+- the two queries of the benchmark's yago-exec workload, on the YAGO schema;
+- the two infer-blowup cases (`blowup_cases.py`);
+- 200 random queries in four shapes, eight to a random schema, drawn from
+  `random.Random(CORPUS_SEED)` by `corpus_inputs` below.
+
+The file was written by running this module as a script
+(`PYTHONPATH=src python tests/test_rewrite_golden.py`) before the
+rewriter's merge step stopped re-checking the shape of each triple group,
+so it pins the output of the code before that change. The test runs the
+CLI in process on the same inputs and compares the printed text. A change
+that alters the output on purpose rewrites the file the same way and says
+in CHANGES.md which documents changed and why.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from pathforge.ast import to_text
+from pathforge.cli import run
+
+from blowup_cases import BLOWUP_CASES
+from randutil import random_expr, random_schema_doc
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "goldens" / "corpus_rewrite.jsonl"
+CORPUS_SEED = 20261018
+CORPUS_QUERIES = 200
+QUERIES_PER_SCHEMA = 8
+YAGO_QUERIES = (
+    ("yago-chain", "x,y <- (x, livesIn/isLocatedIn+/dealsWith+, y)"),
+    ("yago-unrolled", "x,y <- (x, livesIn/isLocatedIn+, y)"),
+)
+
+
+def _random_query(rng: random.Random, schema_doc: dict) -> str:
+    alphabet = sorted({edge["label"] for edge in schema_doc["edges"]})
+    e1 = to_text(random_expr(rng, alphabet, 3))
+    e2 = to_text(random_expr(rng, alphabet, 2))
+    label = rng.choice([node["label"] for node in schema_doc["nodes"]])
+    return rng.choice(
+        [
+            f"x,y <- (x, {e1}, y)",
+            f"x,y <- (x, {e1}, y) && (y, {e2}, z) && z:{{{label}}}",
+            f"x,y <- (x, {e1}, y) || (x, {e2}, y)",
+            f"x,y <- (x, {e1}, x) && (x, {e2}, y)",
+        ]
+    )
+
+
+def corpus_inputs() -> list[tuple[str, dict, str]]:
+    """(name, schema document, query text) for every line of the golden."""
+    yago = json.loads((DATA / "yago_schema.json").read_text())
+    inputs = [(name, yago, text) for name, text in YAGO_QUERIES]
+    inputs += [(f"blowup-{name}", doc, text) for name, doc, text in BLOWUP_CASES]
+    rng = random.Random(CORPUS_SEED)
+    for index in range(CORPUS_QUERIES):
+        if index % QUERIES_PER_SCHEMA == 0:
+            doc = random_schema_doc(rng)
+        inputs.append((f"corpus-{index}", doc, _random_query(rng, doc)))
+    return inputs
+
+
+def rewrite_json(workdir: Path, schema_doc: dict, query: str) -> tuple[int, str]:
+    """Exit code and stdout of `pathforge rewrite --json` on the input."""
+    schema_path, query_path = workdir / "schema.json", workdir / "query.ucqt"
+    schema_path.write_text(json.dumps(schema_doc))
+    query_path.write_text(query)
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = run(["rewrite", "--json", "--schema", str(schema_path), "--query", str(query_path)])
+    return code, out.getvalue()
+
+
+def _golden_line(name: str, query: str, code: int, stdout: str) -> str:
+    return json.dumps({"name": name, "query": query, "exit": code, "rewrite": json.loads(stdout)})
+
+
+def test_rewrite_json_matches_the_golden(tmp_path):
+    lines = GOLDEN.read_text().splitlines()
+    inputs = corpus_inputs()
+    assert len(lines) == len(inputs) == 204
+    for line, (name, schema_doc, query) in zip(lines, inputs):
+        expected = json.loads(line)
+        assert (expected["name"], expected["query"]) == (name, query)
+        code, stdout = rewrite_json(tmp_path, schema_doc, query)
+        assert code == expected["exit"], name
+        # the CLI prints json.dumps of the document, so re-dumping the
+        # stored document gives back its exact text
+        assert stdout == json.dumps(expected["rewrite"]) + "\n", name
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = [
+            _golden_line(name, query, *rewrite_json(Path(tmp), schema_doc, query))
+            for name, schema_doc, query in corpus_inputs()
+        ]
+    GOLDEN.write_text("\n".join(rows) + "\n")

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 
@@ -34,9 +35,8 @@ from pathforge import (
     simplify,
     to_text,
 )
-from pathforge.ast import flatten_chain, has_annotations, walk
+from pathforge.ast import children, flatten_chain, has_annotations, strip_annotations, walk
 from pathforge.inference import InferenceOverflow
-from pathforge.rewriter import MergeShapeError
 from pathforge.schema import load_schema
 
 from randutil import random_db, random_expr, random_schema, schema_edge_alphabet
@@ -70,18 +70,50 @@ def test_merge_singleton():
     )
 
 
+def _members_agree(members, seen):
+    """Position by position, the members have one node type and agree on
+    whether a composition carries a junction set; where none of them holds
+    an annotation, they are equal. ``seen`` counts node types met."""
+    first = members[0]
+    assert {type(m) for m in members} == {type(first)}, members
+    seen[type(first)] = seen.get(type(first), 0) + 1
+    if isinstance(first, Concat):
+        assert {m.labels is None for m in members} == {first.labels is None}, members
+    annotated = {has_annotations(m) for m in members}
+    assert len(annotated) == 1, members
+    if annotated == {False}:
+        assert all(m == first for m in members), members
+        return
+    for column in zip(*(children(m) for m in members)):
+        _members_agree(list(column), seen)
+
+
+def test_merge_groups_share_one_shape():
+    """`merge_triples` trusts that the triples of one `infer` call which
+    strip to one plain expression differ only in their junction label sets."""
+    rng = random.Random(3001)
+    seen = {}
+    merging = 0  # groups of several members holding junction sets
+    for _ in range(300):
+        schema = random_schema(rng)
+        expr = random_expr(rng, schema_edge_alphabet(schema), depth=4)
+        try:
+            triples = infer(simplify(desugar(expr)), schema, path_limit=500)
+        except InferenceOverflow:
+            continue
+        groups = {}
+        for triple in triples:
+            groups.setdefault(strip_annotations(triple.expr), []).append(triple.expr)
+        for members in groups.values():
+            merging += len(members) > 1 and has_annotations(members[0])
+            _members_agree(members, seen)
+    assert merging >= 100, merging
+    assert all(seen.get(kind, 0) >= 20 for kind in (TransClos, BranchR, BranchL, Conj, Concat)), seen
+
+
 def test_merge_partitions_by_plain_expression():
     merged = merge_triples((SchemaTriple("m", a, "p"), SchemaTriple("m", b, "p")))
     assert len(merged) == 2
-
-
-def test_merge_shape_mismatch_raises():
-    # same printed plain expression cannot happen with diverging shapes from
-    # inference; the defensive check still needs exercising
-    with pytest.raises(MergeShapeError):
-        from pathforge.rewriter import _merge_exprs
-
-        _merge_exprs([a, TransClos(a)])
 
 
 MERGE_SCHEMA = {
@@ -140,20 +172,18 @@ def test_query_of_splits_at_annotation(yago_schema):
         ("_g1", "isLocatedIn/dealsWith+", "y"),
     ]
     assert fragment.labels == {"_g1": frozenset({"REGION"})}
-    assert fragment.body_vars == ["_g1"]
 
 
 def test_query_of_plain_single_atom():
     fragment = query_of("x", "y", a)
     assert [(r.src_var, r.expr, r.trg_var) for r in fragment.relations] == [("x", a, "y")]
-    assert fragment.body_vars == []
+    assert fragment.labels == {}
 
 
 def test_query_of_conjunction_no_fresh_vars():
     from pathforge import Conj
 
     fragment = query_of("x", "y", Conj(a, b))
-    assert fragment.body_vars == []
     assert [(r.src_var, to_text(r.expr), r.trg_var) for r in fragment.relations] == [
         ("x", "a", "y"),
         ("x", "b", "y"),
@@ -164,7 +194,6 @@ def test_query_of_conjunction_recurses_into_annotated_halves():
     from pathforge import Conj
 
     fragment = query_of("x", "y", Conj(_ann(a, {"L"}, b), d))
-    assert fragment.body_vars == ["_g1"]
     texts = [(r.src_var, to_text(r.expr), r.trg_var) for r in fragment.relations]
     assert ("x", "d", "y") in texts
     assert ("x", "a", "_g1") in texts and ("_g1", "b", "y") in texts
@@ -533,19 +562,29 @@ def _annotated_chain_factor(expr):
     )
 
 
+def _recording_names(drawn):
+    """Fresh names v1, v2, ..., each appended to ``drawn`` as it is taken."""
+    for k in itertools.count(1):
+        drawn.append(f"v{k}")
+        yield drawn[-1]
+
+
 def test_query_of_returns_exactly_the_expression_pairs():
     rng = random.Random(5150)
     nested, nonempty = 0, 0
     for _ in range(300):
         expr = _random_annotated(rng, depth=4)
-        fragment = query_of("x", "y", expr)
+        drawn = []
+        fragment = query_of("x", "y", expr, _recording_names(drawn))
         conjunct = Conjunct(
             relations=tuple(fragment.relations),
             labels=tuple(LabelAtom(var, labs) for var, labs in fragment.labels.items()),
         )
         query = UcqtQuery(head=("x", "y"), disjuncts=(conjunct,))
-        assert len(set(fragment.body_vars)) == len(fragment.body_vars)
-        assert set(fragment.body_vars) == query.body_vars(conjunct)
+        # every fresh variable drawn is used, once, and is all the atoms
+        # have besides the endpoints
+        assert len(set(drawn)) == len(drawn)
+        assert set(drawn) == conjunct.variables() - {"x", "y"}
         for db in (random_db(rng, ["a", "b"]), random_db(rng, ["a", "b"])):
             expected = eval_path(expr, db)
             assert eval_ucqt(query, db) == expected, to_text(expr)
