@@ -1,4 +1,4 @@
-"""Byte-identity guard for `pathforge rewrite --json`.
+"""Byte-identity guards for `pathforge rewrite` and `pathforge pipeline`.
 
 `tests/data/goldens/corpus_rewrite.jsonl` holds, one line per input, the
 `rewrite --json` document (enriched query, reverted atoms, warnings) and
@@ -16,10 +16,18 @@ so it pins the output of the code before that change. The test runs the
 CLI in process on the same inputs and compares the printed text. A change
 that alters the output on purpose rewrites the file the same way and says
 in CHANGES.md which documents changed and why.
+
+`tests/data/goldens/output_digests.json` holds the SHA-256 of the stdout
+of `pipeline --json --target sql:sqlite --target cypher` and of
+`rewrite --explain` on the two yago-exec queries and the two infer-blowup
+cases. Those outputs carry the merged triples of every atom, which the
+documents above do not; case A's derivation table alone is 1.4 MB, so
+only digests are kept. The same script run writes them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import random
@@ -34,6 +42,7 @@ from randutil import random_expr, random_schema_doc
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "goldens" / "corpus_rewrite.jsonl"
+DIGESTS = DATA / "goldens" / "output_digests.json"
 CORPUS_SEED = 20261018
 CORPUS_QUERIES = 200
 QUERIES_PER_SCHEMA = 8
@@ -71,15 +80,39 @@ def corpus_inputs() -> list[tuple[str, dict, str]]:
     return inputs
 
 
-def rewrite_json(workdir: Path, schema_doc: dict, query: str) -> tuple[int, str]:
-    """Exit code and stdout of `pathforge rewrite --json` on the input."""
+def _run_cli(workdir: Path, schema_doc: dict, query: str, command: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of `pathforge <command>` on the input."""
     schema_path, query_path = workdir / "schema.json", workdir / "query.ucqt"
     schema_path.write_text(json.dumps(schema_doc))
     query_path.write_text(query)
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = run(["rewrite", "--json", "--schema", str(schema_path), "--query", str(query_path)])
+        code = run([*command, "--schema", str(schema_path), "--query", str(query_path)])
     return code, out.getvalue()
+
+
+def rewrite_json(workdir: Path, schema_doc: dict, query: str) -> tuple[int, str]:
+    """Exit code and stdout of `pathforge rewrite --json` on the input."""
+    return _run_cli(workdir, schema_doc, query, ["rewrite", "--json"])
+
+
+DIGEST_COMMANDS = {
+    "pipeline": ["pipeline", "--json", "--target", "sql:sqlite", "--target", "cypher"],
+    "explain": ["rewrite", "--explain"],
+}
+
+
+def output_digests(workdir: Path) -> dict[str, dict[str, str]]:
+    """input name -> command name -> SHA-256 of its stdout, for the first
+    four inputs of the golden (yago-exec and infer-blowup)."""
+    digests = {}
+    for name, schema_doc, query in corpus_inputs()[:4]:
+        digests[name] = {}
+        for command, argv in DIGEST_COMMANDS.items():
+            code, stdout = _run_cli(workdir, schema_doc, query, argv)
+            assert code == 0, (name, command)
+            digests[name][command] = hashlib.sha256(stdout.encode()).hexdigest()
+    return digests
 
 
 def _golden_line(name: str, query: str, code: int, stdout: str) -> str:
@@ -100,6 +133,10 @@ def test_rewrite_json_matches_the_golden(tmp_path):
         assert stdout == json.dumps(expected["rewrite"]) + "\n", name
 
 
+def test_pipeline_and_explain_output_match_the_digests(tmp_path):
+    assert output_digests(tmp_path) == json.loads(DIGESTS.read_text())
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -108,4 +145,6 @@ if __name__ == "__main__":
             _golden_line(name, query, *rewrite_json(Path(tmp), schema_doc, query))
             for name, schema_doc, query in corpus_inputs()
         ]
+        digests = output_digests(Path(tmp))
     GOLDEN.write_text("\n".join(rows) + "\n")
+    DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
