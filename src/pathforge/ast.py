@@ -1,7 +1,7 @@
 """AST node types for path expressions, plus the canonical printer and desugaring.
 
-Expressions are immutable; every operation below returns new nodes. The
-concrete syntax uses `/` for composition, `|` for union, `&` for conjunction,
+Expressions are immutable; every operation below builds its results through
+the constructors and changes no node. The concrete syntax uses `/` for composition, `|` for union, `&` for conjunction,
 postfix `+` for transitive closure, `{m,n}` for bounded repetition, `-label`
 for reversal of a single edge label, `main[test]` / `[test]main` for the two
 branch filters, and `/{A,B}` for a composition step constrained to junction
@@ -15,129 +15,186 @@ normalisation, the rewriter's pruning of vacuous annotations) is its one
 special case plus `map_children`. A node whose children all come back as
 they are is returned itself, so subtrees that `desugar` shares stay shared.
 
-Each node keeps three caches, filled on first use: its hash, its text
-without outer parentheses (`_render` adds those by context), and its
-`strip_annotations` result. Inference builds every triple's expression
-from its operands' expressions, so thousands of triples share most of
-their nodes; without the caches each was hashed, rendered and stripped
-from scratch. The caches are sound because a node never changes after it
-is built. They live in the slots of the base class `_Node`, so they take
-no part in `==`, `repr`, `dataclasses.fields` or `__match_args__`, and the
-hash keeps the dataclass's own formula, the hash of the tuple of fields.
+Nodes are hash-consed (Filliâtre and Conchon, *Type-Safe Modular
+Hash-Consing*, ML Workshop 2006): building a node whose class and fields
+equal those of a live node returns that node, so equal expressions are one
+object and `==` is `is`. Inference builds each triple's expression from its
+operands' expressions, and grouping and deduplicating thousands of such
+triples then compares pointers instead of walking trees.
+
+- The hash stays structural, that of the tuple of fields, and is computed
+  once, at construction, from the children's cached hashes. A hash of the
+  address would order sets and dicts of nodes by where the nodes happen to
+  live, and what is printed must not depend on that.
+- The intern table refers to its nodes weakly, so an entry dies with its
+  node: a process that parses thousands of queries keeps only the nodes it
+  still uses, and reference counting alone empties the table.
+- Copying or unpickling a node gives back the canonical node; a copy outside
+  the table would be equal by value yet unequal under `==`.
+
+Each node also caches, on first use, its text without outer parentheses
+(`_render` adds those by context) and its `strip_annotations` result, which
+the triples' shared subtrees would otherwise compute again and again. The
+caches are sound because a node never changes after it is built; they take
+no part in `__match_args__` or `repr`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import Callable, Iterator
+from weakref import ref
 
 # a node or edge label, or a query variable, as the concrete syntax spells it
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
+class _Ref(ref):
+    """A weak reference to a node that knows the node's key; unlike
+    `weakref.KeyedRef`, it is built without a call into Python code."""
+
+    __slots__ = ("key",)
+
+
+# every live node by its key -> a weak reference to it. A key is the class
+# and the fields, a child node given by its id(): the entry lives no longer
+# than its node, which holds the child, so no other object can have that id
+# meanwhile, and the key hashes and compares without calling back into nodes
+_TABLE: dict[tuple, _Ref] = {}
+_set = object.__setattr__
+
+
+def _forget(dead: _Ref) -> None:
+    # the node `dead` referred to died. The cyclic collector clears a
+    # reference before it calls back, and a node built under the same key
+    # in between has a new reference, which stays
+    if _TABLE.get(dead.key) is dead:
+        del _TABLE[dead.key]
+
+
+def _intern(key: tuple, fields: tuple):
+    """The live node stored under `key`, else a new node of class `key[0]`
+    with these fields, which is stored there."""
+    entry = _TABLE.get(key)
+    if entry is not None:
+        node = entry()
+        if node is not None:
+            return node
+    cls = key[0]
+    node = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, fields):
+        _set(node, name, value)
+    _set(node, "_hash", hash(fields))
+    entry = _TABLE[key] = _Ref(node, _forget)
+    entry.key = key
+    return node
+
+
 class _Node:
-    """Per-node caches; a slot is unset until its value is first computed.
+    """The shared behaviour of the node classes; each class lists its
+    fields, in constructor order, as both `__slots__` and `__match_args__`.
+    Equality is `object`'s, identity.
 
     `_plain` holds None when the node is its own plain form: a node that
     referred to itself would be a cycle, which reference counting alone
     never frees.
     """
 
-    __slots__ = ("_hash", "_text", "_plain")
+    __slots__ = ("_hash", "_text", "_plain", "__weakref__")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    # copy.copy rebuilds through __reduce__, which finds the node itself;
+    # copy.deepcopy would first copy the whole tree
+    def __deepcopy__(self, memo):
+        return self
 
 
-def _cache_hash(cls):
-    """Give `cls` the dataclass's hash, that of the tuple of its fields,
-    computed once per node."""
-    names = tuple(f.name for f in fields(cls))
-
-    # builds the tuple itself rather than calling the dataclass's __hash__,
-    # so that hashing a tree stays at one frame per level
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash(tuple([getattr(self, name) for name in names]))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_cache_hash
-@dataclass(frozen=True, slots=True)
 class Label(_Node):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        return _intern((cls, name), (name,))
 
 
-@_cache_hash
-@dataclass(frozen=True, slots=True)
 class Reverse(_Node):
     # reversal is restricted to single edge labels
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        return _intern((cls, name), (name,))
 
 
-@_cache_hash
-@dataclass(frozen=True, slots=True)
 class Concat(_Node):
     """Composition; with ``labels``, the junction node must carry one of them."""
 
-    left: "PathExpr"
-    right: "PathExpr"
-    labels: frozenset[str] | None = None
+    __slots__ = __match_args__ = ("left", "right", "labels")
+
+    def __new__(cls, left: PathExpr, right: PathExpr, labels: frozenset[str] | None = None):
+        return _intern((cls, id(left), id(right), labels), (left, right, labels))
 
 
-@_cache_hash
-@dataclass(frozen=True, slots=True)
 class Union(_Node):
-    left: "PathExpr"
-    right: "PathExpr"
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __new__(cls, left: PathExpr, right: PathExpr):
+        return _intern((cls, id(left), id(right)), (left, right))
 
 
-@_cache_hash
-@dataclass(frozen=True, slots=True)
 class Conj(_Node):
-    left: "PathExpr"
-    right: "PathExpr"
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __new__(cls, left: PathExpr, right: PathExpr):
+        return _intern((cls, id(left), id(right)), (left, right))
 
 
-@_cache_hash
-@dataclass(frozen=True, slots=True)
 class BranchR(_Node):
     """`main[test]`: keep main pairs whose target has an outgoing test path."""
 
-    main: "PathExpr"
-    test: "PathExpr"
+    __slots__ = __match_args__ = ("main", "test")
+
+    def __new__(cls, main: PathExpr, test: PathExpr):
+        return _intern((cls, id(main), id(test)), (main, test))
 
 
-@_cache_hash
-@dataclass(frozen=True, slots=True)
 class BranchL(_Node):
     """`[test]main`: keep main pairs whose source has an outgoing test path."""
 
-    test: "PathExpr"
-    main: "PathExpr"
+    __slots__ = __match_args__ = ("test", "main")
+
+    def __new__(cls, test: PathExpr, main: PathExpr):
+        return _intern((cls, id(test), id(main)), (test, main))
 
 
-@_cache_hash
-@dataclass(frozen=True, slots=True)
 class TransClos(_Node):
-    inner: "PathExpr"
+    __slots__ = __match_args__ = ("inner",)
+
+    def __new__(cls, inner: PathExpr):
+        return _intern((cls, id(inner)), (inner,))
 
 
-@_cache_hash
-@dataclass(frozen=True, slots=True)
 class Repeat(_Node):
     """Bounded repetition `e{m,n}`, pure sugar for a union of compositions."""
 
-    inner: "PathExpr"
-    lo: int
-    hi: int
+    __slots__ = __match_args__ = ("inner", "lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.lo <= self.hi):
-            raise ValueError(f"repeat bounds must satisfy 1 <= m <= n, got {{{self.lo},{self.hi}}}")
+    def __new__(cls, inner: PathExpr, lo: int, hi: int):
+        if not (1 <= lo <= hi):
+            raise ValueError(f"repeat bounds must satisfy 1 <= m <= n, got {{{lo},{hi}}}")
+        return _intern((cls, id(inner), lo, hi), (inner, lo, hi))
 
 
 PathExpr = Label | Reverse | Concat | Union | Conj | BranchR | BranchL | TransClos | Repeat
@@ -170,7 +227,7 @@ def _label_set(labels: frozenset[str]) -> str:
 
 
 def to_text(expr: PathExpr) -> str:
-    """Canonical concrete syntax; `parse_path_expr(to_text(e)) == e` holds."""
+    """Canonical concrete syntax; `parse_path_expr(to_text(e)) is e` holds."""
     return _render(expr, 0)
 
 
@@ -182,7 +239,7 @@ def _render(expr: PathExpr, min_prec: int) -> str:
     except AttributeError:
         text = _render_raw(expr)
         object.__setattr__(expr, "_text", text)
-    if precedence(expr) < min_prec:
+    if min_prec and precedence(expr) < min_prec:
         return "(" + text + ")"
     return text
 

@@ -24,9 +24,9 @@ from .ast import (
     Reverse,
     TransClos,
     Union,
+    children,
     desugar,
     flatten_chain,
-    walk,
 )
 from .query import Conjunct, UcqtQuery
 from .schema import GraphSchema
@@ -47,13 +47,24 @@ def check_labels(query: UcqtQuery, schema: GraphSchema) -> None:
         if unknown:
             raise EmitError(f"no node label {min(unknown)!r} in the schema")
 
+    # equal subtrees are one node, within an atom and across disjuncts, and
+    # a node that passed once passes again: each is visited once, its
+    # subtree included, which leaves the first failure where it was. The
+    # query holds every node, so their ids stay theirs for the call
+    seen: set[int] = set()
     for conjunct in query.disjuncts:
         for rel in conjunct.relations:
-            for sub in walk(rel.expr):
+            stack = [rel.expr]
+            while stack:
+                sub = stack.pop()
+                if id(sub) in seen:
+                    continue
+                seen.add(id(sub))
                 if isinstance(sub, (Label, Reverse)) and sub.name not in schema.edge_labels:
                     raise EmitError(f"no edge label {sub.name!r} in the schema")
                 if isinstance(sub, Concat) and sub.labels is not None:
                     require_nodes(sub.labels)
+                stack.extend(reversed(children(sub)))
         for atom in conjunct.labels:
             require_nodes(atom.labels)
 

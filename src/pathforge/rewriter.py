@@ -77,7 +77,9 @@ class MergedTriple:
 def merge_triples(triples: tuple[SchemaTriple, ...] | list[SchemaTriple]) -> tuple[MergedTriple, ...]:
     """Group by underlying plain expression and union the label sets.
 
-    The input is the triple set of one `infer` call. Its triples that strip
+    Nodes are interned, so triples with equal plain expressions share one
+    plain node, and grouping compares pointers, not trees. The input is
+    the triple set of one `infer` call. Its triples that strip
     to one plain expression then share that expression's shape, junction
     annotations included (inference annotates every composition outside a
     closure, and `plus_comp` builds each closure from the plain body), and

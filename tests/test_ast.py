@@ -1,6 +1,9 @@
-import dataclasses
+import copy
+import gc
 import json
+import pickle
 import random
+import re
 import typing
 
 import pytest
@@ -164,29 +167,45 @@ def test_rewrites_through_map_children_keep_their_recursion_depth():
     assert factors == [a] * 400
 
 
-def _fresh(node):
-    """A structurally equal copy built from new nodes, never hashed,
-    rendered or stripped."""
+def _fields(node):
+    return tuple(getattr(node, name) for name in node.__match_args__)
+
+
+def _rebuilt(node):
+    """The node built again through the constructors, bottom up."""
     node_types = typing.get_args(PathExpr)
-    values = [getattr(node, f.name) for f in dataclasses.fields(node)]
-    return type(node)(*(_fresh(v) if isinstance(v, node_types) else v for v in values))
+    return type(node)(*(_rebuilt(v) if isinstance(v, node_types) else v for v in _fields(node)))
+
+
+def _stripped_text(text):
+    # the plain form's text: the text with every junction label set removed
+    return re.sub(r"/\{[^}]*\}", "/", text)
+
+
+def _interning_pool():
+    """300 seeded random expressions with closures, branches, repetitions
+    and junction sets, and every subexpression of each."""
+    rng = random.Random(23)
+    exprs = [_random_annotated(rng) for _ in range(300)]
+    nodes = [node for expr in exprs for node in walk(expr)]
+    assert {type(node) for node in nodes} >= {Repeat, BranchL, BranchR, TransClos}
+    assert any(isinstance(node, Concat) and node.labels is not None for node in nodes)
+    return exprs, nodes
 
 
 def test_cached_hash_text_and_plain_form_match_a_fresh_computation():
-    rng = random.Random(11)
-    exprs = [_random_annotated(rng) for _ in range(300)]
-    nodes = [node for expr in exprs for node in walk(expr)]
-    assert {type(node) for node in nodes} >= {Repeat, BranchL, BranchR}
-    assert any(isinstance(node, Concat) and node.labels is not None for node in nodes)
+    exprs, nodes = _interning_pool()
     # fill each tree's caches from the root, so that every subterm's text
     # was first rendered inside its parent's context
     for expr in exprs:
         hash(expr), to_text(expr), strip_annotations(expr)
     for node in nodes:
-        fields = dataclasses.fields(node)
-        assert hash(node) == hash(tuple(getattr(node, f.name) for f in fields))
-        assert to_text(node) == to_text(_fresh(node))
-        assert strip_annotations(node) == strip_annotations(_fresh(node))
+        # a node built again is the node itself, caches included, so the
+        # cached values are checked against ones computed another way
+        assert _rebuilt(node) is node
+        assert hash(node) == hash(_fields(node))
+        assert parse_path_expr(to_text(node)) is node
+        assert strip_annotations(node) is parse_path_expr(_stripped_text(to_text(node)))
 
 
 def test_a_child_rendered_at_top_level_first_still_gets_its_parentheses():
@@ -212,15 +231,14 @@ def test_caches_stay_out_of_fields_match_args_and_repr():
         Repeat: ("inner", "lo", "hi"),
     }
     for cls, names in expected.items():
-        assert tuple(f.name for f in dataclasses.fields(cls)) == names
-        assert cls.__match_args__ == names
+        assert cls.__slots__ == cls.__match_args__ == names
     node = Concat(TransClos(a), Repeat(b, 1, 2), frozenset({"X"}))
     hash(node), to_text(node), strip_annotations(node)
     assert repr(node) == (
         "Concat(left=TransClos(inner=Label(name='a')), "
         "right=Repeat(inner=Label(name='b'), lo=1, hi=2), labels=frozenset({'X'}))"
     )
-    assert node == _fresh(node)
+    assert node is _rebuilt(node)
 
 
 def test_blowup_rewrite_renders_and_strips_each_node_at_most_once(monkeypatch):
@@ -254,3 +272,55 @@ def test_blowup_rewrite_renders_and_strips_each_node_at_most_once(monkeypatch):
     for seen in (rendered, stripped):
         assert seen
         assert max(count for _, count in seen.values()) == 1
+
+
+def test_simplifying_twice_gives_the_same_object():
+    exprs, _ = _interning_pool()
+    for expr in exprs:
+        assert simplify(desugar(expr)) is simplify(desugar(expr))
+
+
+def test_nodes_are_equal_exactly_when_identical_and_exactly_when_their_texts_are():
+    _, nodes = _interning_pool()
+    distinct = list({id(node): node for node in nodes}.values())
+    # the pool repeats subtrees, which interning made one object
+    assert len(distinct) < len(nodes)
+    texts = [to_text(node) for node in distinct]
+    for i, x in enumerate(distinct):
+        for j, y in enumerate(distinct):
+            assert (x == y) is (x is y) is (texts[i] == texts[j])
+
+
+def test_the_intern_table_forgets_nodes_as_they_die():
+    # reference counting alone must empty the entries: the collector is off
+    table = pathforge.ast._TABLE
+    gc.disable()
+    try:
+        before = len(table)
+        nodes = [Concat(Label(f"fresh{i}"), TransClos(Label("x"))) for i in range(10_000)]
+        assert len(table) >= before + 20_000
+        del nodes
+        assert len(table) == before
+    finally:
+        gc.enable()
+
+
+def test_nodes_cannot_change():
+    node = Concat(a, TransClos(a), frozenset({"X"}))
+    for name in node.__match_args__ + ("_hash",):
+        with pytest.raises(AttributeError):
+            setattr(node, name, a)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert node is Concat(a, TransClos(a), frozenset({"X"}))
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda node: pickle.loads(pickle.dumps(node))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_of_a_node_are_the_node(duplicate):
+    _, nodes = _interning_pool()
+    for node in nodes:
+        assert duplicate(node) is node

@@ -5,9 +5,10 @@ import sqlite3
 import pytest
 
 from pathforge import desugar, eval_ucqt, gen_db, parse_query, rewrite, to_text
-from pathforge.ast import flatten_chain
+from pathforge.ast import Concat, Label, Reverse, flatten_chain, walk
 from pathforge.emit_cypher import emit_cypher
-from pathforge.emit_sql import EmitError, emit_sql
+from pathforge.emit_sql import EmitError, check_labels, emit_sql
+from pathforge.query import Conjunct, LabelAtom, Relation, UcqtQuery
 
 from randutil import random_expr, random_schema, schema_edge_alphabet
 
@@ -110,6 +111,63 @@ def test_unknown_labels_rejected_alike_by_every_target(yago_schema, text, messag
         else:
             emit_sql(query, yago_schema, dialect=target.partition(":")[2])
     assert str(info.value) == message
+
+
+def _first_unknown_label(query, schema):
+    """The message for the first unknown label that a walk of every atom,
+    shared subtrees walked again, meets; None when there is none."""
+
+    def unknown_nodes(labels):
+        unknown = labels - schema.node_labels
+        return unknown and f"no node label {min(unknown)!r} in the schema"
+
+    for conjunct in query.disjuncts:
+        for rel in conjunct.relations:
+            for sub in walk(rel.expr):
+                if isinstance(sub, (Label, Reverse)) and sub.name not in schema.edge_labels:
+                    return f"no edge label {sub.name!r} in the schema"
+                if isinstance(sub, Concat) and sub.labels is not None and unknown_nodes(sub.labels):
+                    return unknown_nodes(sub.labels)
+        for atom in conjunct.labels:
+            if unknown_nodes(atom.labels):
+                return unknown_nodes(atom.labels)
+    return None
+
+
+def test_check_labels_reports_the_first_unknown_label_a_full_walk_meets(yago_schema):
+    # check_labels visits a subtree it has seen once; atoms here share one
+    # subtree, within a conjunct and across conjuncts
+    rng = random.Random(5)
+    edges = sorted(yago_schema.edge_labels) + ["fliesTo", "swimsTo"]
+    nodes = ["PERSON", "CITY", "ALIEN", "MARTIAN"]
+    outcomes = set()
+    for _ in range(300):
+        shared = random_expr(rng, edges, 2)
+
+        def expr():
+            out = random_expr(rng, edges, 2)
+            if rng.random() < 0.6:
+                labels = frozenset(rng.sample(nodes, rng.randint(1, 2)))
+                out = Concat(shared, out, labels if rng.random() < 0.5 else None)
+            return out
+
+        disjuncts = tuple(
+            Conjunct(
+                tuple(Relation("x", expr(), "y") for _ in range(rng.randint(1, 2))),
+                tuple(LabelAtom("x", frozenset({rng.choice(nodes)})) for _ in range(rng.randint(0, 1))),
+            )
+            for _ in range(rng.randint(1, 3))
+        )
+        query = UcqtQuery(("x", "y"), disjuncts)
+        expected = _first_unknown_label(query, yago_schema)
+        outcomes.add(expected and expected.split("'")[1])
+        if expected is None:
+            check_labels(query, yago_schema)
+        else:
+            with pytest.raises(EmitError) as info:
+                check_labels(query, yago_schema)
+            assert str(info.value) == expected
+    assert outcomes == {None, "fliesTo", "swimsTo", "ALIEN", "MARTIAN"}
 
 
 def test_empty_query_emits_empty_select(yago_schema):
