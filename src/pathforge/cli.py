@@ -10,6 +10,7 @@ command accepts --json for machine-readable output. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -330,10 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# `run` builds its parser once per process. Reuse is safe: parsing changes
+# no parser state, an `append` option starts each parse from a copy of its
+# default, and errors go to the `sys.stderr` of the moment
+_parser = functools.cache(build_parser)
+
+
 def run(argv: list[str] | None = None) -> int:
-    """Parse arguments and execute; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse arguments and execute; returns the process exit code. The
+    parser is built on the first call, and later calls reuse it."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

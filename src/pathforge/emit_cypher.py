@@ -9,7 +9,7 @@ the first offending construct instead of text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import (
     BranchL,
@@ -29,8 +29,7 @@ from .query import UcqtQuery
 from .schema import GraphSchema
 
 
-@dataclass(frozen=True)
-class UnsupportedReport:
+class UnsupportedReport(NamedTuple):
     construct: str
     detail: str
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 import string
 from collections.abc import Callable, Set
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 
@@ -33,6 +32,7 @@ from .ast import (
     Union,
 )
 from .query import UcqtQuery
+from .record import Record
 from .schema import DbEdge, DbNode, GraphDB, GraphSchema
 
 Pair = tuple[str, str]
@@ -40,15 +40,17 @@ Pair = tuple[str, str]
 Table = tuple[tuple[str, ...], Set[tuple]]
 
 
-@dataclass
-class EvalStats:
+class EvalStats(Record):
     """Counts pairs materialized across all subexpression evaluations.
 
     A repetition counts once, for the union of its powers; the intermediate
     powers are not expression nodes and are not counted.
     """
 
-    pairs: int = 0
+    __slots__ = __match_args__ = ("pairs",)
+
+    def __init__(self, pairs: int = 0):
+        self.pairs = pairs
 
     def record(self, result: frozenset[Pair]) -> None:
         self.pairs += len(result)

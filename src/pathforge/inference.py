@@ -25,9 +25,8 @@ touching a cyclic label keeps the closure, with annotations dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .ast import (
     BranchL,
@@ -43,6 +42,7 @@ from .ast import (
     children,
     to_text,
 )
+from .record import Record
 from .schema import GraphSchema
 
 DEFAULT_PATH_LIMIT = 10_000
@@ -56,8 +56,7 @@ class InferenceOverflow(ValueError):
     """Triple inference would exceed the join work limit."""
 
 
-@dataclass(frozen=True, slots=True)
-class SchemaTriple:
+class SchemaTriple(NamedTuple):
     src: str
     expr: PathExpr
     trg: str
@@ -66,13 +65,19 @@ class SchemaTriple:
         return (self.src, to_text(self.expr), self.trg)
 
 
-@dataclass
-class InferenceLog:
+class InferenceLog(Record):
     """Collects warnings (currently only the path-enumeration cap) and, in
     post-order, every sub-term inference finished with the triples it got."""
 
-    warnings: list[str] = field(default_factory=list)
-    steps: list[tuple[PathExpr, frozenset[SchemaTriple]]] = field(default_factory=list)
+    __slots__ = __match_args__ = ("warnings", "steps")
+
+    def __init__(
+        self,
+        warnings: list[str] | None = None,
+        steps: list[tuple[PathExpr, frozenset[SchemaTriple]]] | None = None,
+    ):
+        self.warnings = [] if warnings is None else warnings
+        self.steps = [] if steps is None else steps
 
 
 def basic_triples(schema: GraphSchema) -> frozenset[SchemaTriple]:
@@ -218,45 +223,50 @@ def plus_comp(
         arcs_by_src.setdefault(arc.src, []).append(arc)
     pairs = reachable(arcs_by_src)
     cyclic = {src for src, trg in pairs if src == trg}
-    closure_expr = TransClos(inner)
     out: set[SchemaTriple] = set()
+    # the endpoints of the paths that touch a cycle; many paths share a pair,
+    # so each pair's closure triple is built once, after the walk
+    closure_pairs: set[tuple[str, str]] = set()
     budget = [path_limit]
 
-    def emit(path: list[SchemaTriple]) -> None:
+    def emit(path: list[SchemaTriple], touches_cycle: bool) -> None:
         budget[0] -= 1
         if budget[0] < 0:
             raise _PathLimitHit
-        start, end = path[0].src, path[-1].trg
-        if start in cyclic or any(arc.trg in cyclic for arc in path):
-            out.add(SchemaTriple(start, closure_expr, end))
+        if touches_cycle:
+            closure_pairs.add((path[0].src, path[-1].trg))
         else:
             expr = path[-1].expr
             for arc in reversed(path[:-1]):
                 expr = Concat(arc.expr, expr, frozenset({arc.trg}))
-            out.add(SchemaTriple(start, expr, end))
+            out.add(SchemaTriple(path[0].src, expr, path[-1].trg))
 
-    def extend(path: list[SchemaTriple], on_path: set[str]) -> None:
-        emit(path)
-        here = path[-1].trg
-        for arc in arcs_by_src.get(here, ()):
+    def extend(path: list[SchemaTriple], on_path: set[str], touches_cycle: bool) -> None:
+        emit(path, touches_cycle)
+        for arc in arcs_by_src.get(path[-1].trg, ()):
+            # a round trip back to the start touches a cycle: the start is
+            # reachable from itself
             if arc.trg == path[0].src:
-                emit(path + [arc])
+                emit(path + [arc], True)
             elif arc.trg not in on_path:
-                extend(path + [arc], on_path | {arc.trg})
+                extend(path + [arc], on_path | {arc.trg}, touches_cycle or arc.trg in cyclic)
 
     try:
         for start, arcs in arcs_by_src.items():
             for arc in arcs:
                 if arc.trg == start:
-                    emit([arc])
+                    emit([arc], True)
                 else:
-                    extend([arc], {start, arc.trg})
+                    extend([arc], {start, arc.trg}, start in cyclic or arc.trg in cyclic)
     except _PathLimitHit:
         if log is not None:
             log.warnings.append(
                 f"path enumeration exceeded {path_limit} paths; keeping the closure"
             )
-        out = {SchemaTriple(src, closure_expr, trg) for src, trg in _reachable_pairs(pairs)}
+        out.clear()
+        closure_pairs = _reachable_pairs(pairs)
+    closure_expr = TransClos(inner)
+    out.update(SchemaTriple(src, closure_expr, trg) for src, trg in closure_pairs)
     return frozenset(out)
 
 
@@ -266,8 +276,7 @@ def _reachable_pairs(pairs: frozenset[tuple[str, str]]) -> frozenset[tuple[str, 
     return pairs
 
 
-@dataclass(frozen=True)
-class DerivationRow:
+class DerivationRow(NamedTuple):
     term: str
     rule: str
     # each triple as its sort key (source, expression text, target), in order

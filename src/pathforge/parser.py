@@ -24,8 +24,7 @@ conjuncts at all (it returns nothing on every database).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .ast import (
     IDENTIFIER,
@@ -56,8 +55,7 @@ class QuerySyntaxError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     offset: int

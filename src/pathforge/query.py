@@ -2,26 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import PathExpr, to_text
 
 
-@dataclass(frozen=True, slots=True)
-class Relation:
+class Relation(NamedTuple):
     src_var: str
     expr: PathExpr
     trg_var: str
 
 
-@dataclass(frozen=True, slots=True)
-class LabelAtom:
+class LabelAtom(NamedTuple):
     var: str
     labels: frozenset[str]
 
 
-@dataclass(frozen=True, slots=True)
-class Conjunct:
+class Conjunct(NamedTuple):
     relations: tuple[Relation, ...]
     labels: tuple[LabelAtom, ...] = ()
 
@@ -36,8 +33,7 @@ class Conjunct:
         return {atom.var: atom.labels for atom in self.labels}
 
 
-@dataclass(frozen=True, slots=True)
-class UcqtQuery:
+class UcqtQuery(NamedTuple):
     """Head variables plus a union of conjuncts.
 
     An empty disjunct tuple is the canonical empty query (written `EMPTY` in

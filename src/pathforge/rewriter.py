@@ -24,8 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .ast import (
     BranchL,
@@ -55,14 +54,14 @@ from .inference import (
     infer,
 )
 from .query import Conjunct, LabelAtom, Relation, UcqtQuery, conjunct_to_text, validate_query
+from .record import Record
 from .schema import GraphSchema
 from .simplify import simplify
 
 DEFAULT_DISJUNCT_LIMIT = 64
 
 
-@dataclass(frozen=True, slots=True)
-class MergedTriple:
+class MergedTriple(NamedTuple):
     """Label-set form of a group of triples with one underlying expression.
 
     Empty source/target sets mean "unconstrained"; they are produced by
@@ -164,12 +163,18 @@ def remove_redundant(merged: MergedTriple, schema: GraphSchema) -> MergedTriple:
     return MergedTriple(src_set=src_set, expr=expr, trg_set=trg_set)
 
 
-@dataclass
-class Fragment:
+class Fragment(Record):
     """Atoms produced by translating one annotated expression."""
 
-    relations: list[Relation] = field(default_factory=list)
-    labels: dict[str, frozenset[str]] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("relations", "labels")
+
+    def __init__(
+        self,
+        relations: list[Relation] | None = None,
+        labels: dict[str, frozenset[str]] | None = None,
+    ):
+        self.relations = [] if relations is None else relations
+        self.labels = {} if labels is None else labels
 
 
 def query_of(
@@ -259,8 +264,7 @@ def _meet(labels: dict[str, frozenset[str]], var: str, labs: frozenset[str]) -> 
     return met
 
 
-@dataclass(frozen=True)
-class RewriteOutcome:
+class RewriteOutcome(NamedTuple):
     """Enriched query plus, per (input disjunct index, relation index),
     whether the relation kept its original expression, and one inference
     log per relation in that order. An atom left alone has no steps; one

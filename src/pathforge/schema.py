@@ -19,11 +19,12 @@ import datetime
 import io
 import json
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .ast import IDENTIFIER
+from .record import Record
 
 DATA_TYPES = ("String", "Int", "Float", "Bool", "Date")
 
@@ -34,8 +35,7 @@ class FormatError(ValueError):
     """Malformed schema or database input."""
 
 
-@dataclass(frozen=True)
-class SchemaNode:
+class SchemaNode(NamedTuple):
     label: str
     properties: tuple[tuple[str, str], ...] = ()
 
@@ -44,16 +44,42 @@ class SchemaNode:
         return dict(self.properties)
 
 
-@dataclass(frozen=True)
-class SchemaEdge:
+class SchemaEdge(NamedTuple):
     # src and trg are node labels: a strict schema has one node per label
     label: str
     src: str
     trg: str
 
 
-@dataclass(frozen=True)
-class GraphSchema:
+class _Graph(Record):
+    """Nodes and edges, immutable and hashed as the tuple of the two; each
+    subclass indexes them in cached properties, stored in the instance
+    `__dict__` on first use."""
+
+    __match_args__ = ("nodes", "edges")
+    __slots__ = ("nodes", "edges", "__dict__")
+
+    def __init__(self, nodes: tuple, edges: tuple):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.edges))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # copies and pickles rebuild through the constructor, as the default
+    # protocol would assign the fields; the caches are built again on use
+    def __reduce__(self):
+        return type(self), (self.nodes, self.edges)
+
+
+class GraphSchema(_Graph):
+    __slots__ = ()
     nodes: tuple[SchemaNode, ...]
     edges: tuple[SchemaEdge, ...]
 
@@ -91,23 +117,21 @@ class GraphSchema:
         return self._end_labels.get(edge_label, (frozenset(), frozenset()))[1]
 
 
-@dataclass(frozen=True)
-class DbNode:
+class DbNode(NamedTuple):
     id: str
     label: str
     properties: tuple[tuple[str, PropertyValue], ...] = ()
 
 
-@dataclass(frozen=True)
-class DbEdge:
+class DbEdge(NamedTuple):
     id: str
     label: str
     src: str
     trg: str
 
 
-@dataclass(frozen=True)
-class GraphDB:
+class GraphDB(_Graph):
+    __slots__ = ()
     nodes: tuple[DbNode, ...]
     edges: tuple[DbEdge, ...]
 
@@ -303,16 +327,14 @@ def save_db(db: GraphDB, out_dir: str | Path) -> tuple[Path, Path]:
     return nodes_path, edges_path
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     element: str
     detail: str
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    violations: tuple[Violation, ...] = field(default=())
+class ConsistencyReport(NamedTuple):
+    violations: tuple[Violation, ...] = ()
 
     @property
     def consistent(self) -> bool:

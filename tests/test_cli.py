@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -80,6 +81,23 @@ def test_explain_output_golden(command, golden, query_file, data_dir, capsys):
     argv = [query_file(README_QUERY) if arg is None else arg for arg in command]
     assert run(argv[:1] + ["--schema", YAGO] + argv[1:]) == 0
     assert capsys.readouterr().out == (data_dir / "goldens" / golden).read_text()
+
+
+HELP_COMMANDS = ["", "simplify", "infer", "rewrite", "eval", "emit", "gen", "check", "pipeline"]
+
+
+def test_help_output_golden(data_dir, monkeypatch, capsys):
+    # the golden holds `pathforge [COMMAND] --help` for each command, run in
+    # fresh processes at COLUMNS=80, in order; argparse wraps to COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    pages = []
+    for command in HELP_COMMANDS:
+        argv = [*command.split(), "--help"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        pages.append(f"$ pathforge {' '.join(argv)}\n{capsys.readouterr().out}")
+    assert "".join(pages) == (data_dir / "goldens" / "cli_help.txt").read_text()
 
 
 def test_check_consistent(capsys):
@@ -487,3 +505,60 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         outputs.append(proc.stdout)
     assert outputs[0].count("\n") == 6
     assert outputs[0] == outputs[1]
+
+
+def test_a_reused_parser_answers_as_a_fresh_process(query_file, monkeypatch, capsys):
+    # `run` keeps one parser per process; what one call parsed must not
+    # leak into the next: repeated options, caps, usage errors
+    monkeypatch.setenv("COLUMNS", "80")
+    query = query_file(README_QUERY)
+    pipeline = ["pipeline", "--schema", YAGO, "--query", query]
+    infer = ["infer", "--strict", "--schema", YAGO, "isLocatedIn+"]
+    calls = [
+        pipeline + ["--target", "cypher", "--target", "sql:sqlite"],
+        pipeline,
+        infer + ["--path-limit", "2"],
+        infer,
+        ["simplify", "--bogus", "a"],
+        ["simplify", "livesIn/isLocatedIn"],
+    ]
+    codes = []
+    for argv in calls:
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = _cli_in_fresh_process(*argv)  # inherits COLUMNS
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 4, 0, 2, 0]
+
+
+def test_run_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    pathforge.cli._parser.cache_clear()
+    for expr in ("a", "a/b", "a|b"):
+        assert run(["simplify", expr]) == 0
+    # one parser and its subcommands' parsers, for all three calls
+    assert built == ["pathforge"] + [f"pathforge {command}" for command in HELP_COMMANDS[1:]]
+
+
+def test_a_cold_import_loads_no_dataclass_machinery():
+    # `-S` keeps `site` from importing either module itself
+    code = "import sys, pathforge.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

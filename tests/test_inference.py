@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +16,7 @@ from pathforge import (
     gen_db,
     infer,
     parse_path_expr,
+    parse_query,
     plus_comp,
     simplify,
     to_text,
@@ -23,6 +26,7 @@ from pathforge.ast import walk
 from pathforge.inference import InferenceLog, InferenceOverflow, reachable
 from pathforge.schema import load_schema
 
+from blowup_cases import BLOWUP_CASES
 from randutil import random_expr, random_schema, schema_edge_alphabet
 
 
@@ -396,3 +400,44 @@ def test_plus_comp_ignores_the_order_of_its_triples():
                 assert plus_comp(inner, shuffled, path_limit, log) == expected
                 assert log.warnings == expected_log.warnings
     assert fallbacks >= 30, fallbacks
+
+
+def _enumerated_paths(triples) -> int:
+    """The number of label paths plus_comp enumerates, counted per label
+    sequence instead of one by one: every path without a repeated label,
+    and every round trip back to its start, each arc of a multi-arc apart."""
+    arcs = Counter((t.src, t.trg) for t in triples)
+    labels = {label for pair in arcs for label in pair}
+
+    def from_here(start, here, seen):
+        # this path, its round trips, and its extensions
+        total = 1 + arcs[here, start]
+        for nxt in labels - seen:
+            total += arcs[here, nxt] * from_here(start, nxt, seen | {nxt})
+        return total
+
+    return sum(
+        arcs[start, start]
+        + sum(arcs[start, nxt] * from_here(start, nxt, {start, nxt}) for nxt in labels - {start})
+        for start in labels
+    )
+
+
+def test_path_limit_counts_each_path_of_the_blowup_closure_once():
+    # infer-blowup case B: its closure's inner expression has 1,007 triples
+    # over four labels, which plus_comp walks as 5,163,515 paths
+    _, schema_doc, text = BLOWUP_CASES[1]
+    schema = load_schema(json.dumps(schema_doc))
+    expr = simplify(desugar(parse_query(text).disjuncts[0].relations[0].expr))
+    (closure,) = (node for node in walk(expr) if isinstance(node, TransClos))
+    triples = infer(closure.inner, schema)
+    paths = _enumerated_paths(triples)
+    assert (len(triples), paths) == (1007, 5_163_515)
+    # every path touches a cycle, so the full walk gives the fallback too
+    fallback = {SchemaTriple(src, closure, trg) for src, trg in reachable(_by_src(triples))}
+    log = InferenceLog()
+    assert plus_comp(closure.inner, triples, paths, log) == fallback
+    assert log.warnings == []
+    log = InferenceLog()
+    assert plus_comp(closure.inner, triples, paths - 1, log) == fallback
+    assert log.warnings == [f"path enumeration exceeded {paths - 1} paths; keeping the closure"]
