@@ -72,12 +72,10 @@ def _compose(
     return frozenset(out)
 
 
-def eval_path(
-    expr: PathExpr, db: GraphDB, stats: EvalStats | None = None, naive_closure: bool = False
-) -> frozenset[Pair]:
+def eval_path(expr: PathExpr, db: GraphDB, stats: EvalStats | None = None) -> frozenset[Pair]:
     """All node pairs connected by the expression."""
     def ev(node: PathExpr) -> frozenset[Pair]:
-        result = _eval_node(node, db, ev, naive_closure)
+        result = _eval_node(node, db, ev)
         if stats is not None:
             stats.record(result)
         return result
@@ -88,7 +86,7 @@ def eval_path(
 
 
 def _eval_node(
-    expr: PathExpr, db: GraphDB, ev: Callable[[PathExpr], frozenset[Pair]], naive: bool
+    expr: PathExpr, db: GraphDB, ev: Callable[[PathExpr], frozenset[Pair]]
 ) -> frozenset[Pair]:
     """One node's pairs, its children evaluated through ``ev``."""
     if isinstance(expr, Label):
@@ -107,8 +105,7 @@ def _eval_node(
         end = 1 if isinstance(expr, BranchR) else 0
         return frozenset(pair for pair in main if pair[end] in test_sources)
     if isinstance(expr, TransClos):
-        base = ev(expr.inner)
-        return _closure_naive(base, db) if naive else _closure_delta(base)
+        return _closure_delta(ev(expr.inner))
     if isinstance(expr, Repeat):
         base = power = ev(expr.inner)
         out = set(base) if expr.lo == 1 else set()

@@ -16,15 +16,16 @@ connecting paths pass through. The rules mirror the expression structure:
   TPlus     closure triples come from cycle analysis of the triple graph
 
 For closures (`plus_comp`), the triples of the inner expression form the
-triple graph, a directed graph over node labels with one arc per triple. A
-label is cyclic when it is reachable from itself in that graph. If a closure
-walk can be confined to finitely many label paths (no cyclic label touched),
-the closure unrolls into those annotated fixed-length paths; any path
-touching a cyclic label keeps the closure, with annotations dropped.
+triple graph over node labels, whose arc from a to b holds every triple from
+a to b. A label is cyclic when it reaches itself. A label sequence clear of
+cyclic labels unrolls into its annotated fixed-length triple paths, one triple
+per step; one touching a cyclic label keeps the closure, with annotations
+dropped. The path limit caps triple paths, counted per label sequence.
 """
 
 from __future__ import annotations
 
+from itertools import pairwise, product
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -183,23 +184,18 @@ def _infer(
     return out
 
 
-def reachable(arcs_by_src: dict[str, list[SchemaTriple]]) -> frozenset[tuple[str, str]]:
-    """Label pairs (a, b) such that a walk of one or more arcs of the triple
-    graph, whose arcs ``arcs_by_src`` lists by source label, leads from a
-    to b."""
+def reachable(successors: dict[str, Iterable[str]]) -> frozenset[tuple[str, str]]:
+    """Label pairs (a, b) such that one or more arcs of the label graph, which
+    ``successors`` lists by source label, lead from a to b."""
     out = set()
-    for start in arcs_by_src:
+    for start in successors:
         frontier = [start]
         while frontier:
-            for arc in arcs_by_src.get(frontier.pop(), ()):
-                if (start, arc.trg) not in out:
-                    out.add((start, arc.trg))
-                    frontier.append(arc.trg)
+            for trg in successors.get(frontier.pop(), ()):
+                if (start, trg) not in out:
+                    out.add((start, trg))
+                    frontier.append(trg)
     return frozenset(out)
-
-
-class _PathLimitHit(Exception):
-    pass
 
 
 def plus_comp(
@@ -211,62 +207,60 @@ def plus_comp(
     """Closure triples for ``inner+`` given the triples of ``inner``, in any
     order; the result does not depend on it.
 
-    Walks all label paths without repeated vertices (closed round trips
-    allowed) in the triple graph. A path that stays clear of every cycle
-    emits the concatenation of its arcs' annotated expressions; a path
-    touching a cycle emits the bare closure between its endpoints. If more
-    than ``path_limit`` paths exist, enumeration aborts and every reachable
-    label pair conservatively keeps the closure.
+    Walks the label sequences of the triple graph that repeat no label
+    (closed round trips allowed); each stands for its triple paths, one
+    triple chosen per step. A cycle-free sequence emits the concatenation
+    of each path's annotated expressions; one touching a cycle emits the
+    bare closure between its endpoints. If more than ``path_limit`` triple
+    paths exist in total, the walk stops and every reachable label pair
+    conservatively keeps the closure. ``path_limit`` must be at least 0.
     """
-    arcs_by_src: dict[str, list[SchemaTriple]] = {}
+    if path_limit < 0:
+        raise ValueError(f"path limit must be at least 0, got {path_limit}")
+    arcs: dict[tuple[str, str], list[SchemaTriple]] = {}
     for arc in triples:
-        arcs_by_src.setdefault(arc.src, []).append(arc)
-    pairs = reachable(arcs_by_src)
-    cyclic = {src for src, trg in pairs if src == trg}
-    out: set[SchemaTriple] = set()
-    # the endpoints of the paths that touch a cycle; many paths share a pair,
-    # so each pair's closure triple is built once, after the walk
-    closure_pairs: set[tuple[str, str]] = set()
-    budget = [path_limit]
-
-    def emit(path: list[SchemaTriple], touches_cycle: bool) -> None:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise _PathLimitHit
-        if touches_cycle:
-            closure_pairs.add((path[0].src, path[-1].trg))
-        else:
-            expr = path[-1].expr
-            for arc in reversed(path[:-1]):
-                expr = Concat(arc.expr, expr, frozenset({arc.trg}))
-            out.add(SchemaTriple(path[0].src, expr, path[-1].trg))
-
-    def extend(path: list[SchemaTriple], on_path: set[str], touches_cycle: bool) -> None:
-        emit(path, touches_cycle)
-        for arc in arcs_by_src.get(path[-1].trg, ()):
-            # a round trip back to the start touches a cycle: the start is
-            # reachable from itself
-            if arc.trg == path[0].src:
-                emit(path + [arc], True)
-            elif arc.trg not in on_path:
-                extend(path + [arc], on_path | {arc.trg}, touches_cycle or arc.trg in cyclic)
-
-    try:
-        for start, arcs in arcs_by_src.items():
-            for arc in arcs:
-                if arc.trg == start:
-                    emit([arc], True)
-                else:
-                    extend([arc], {start, arc.trg}, start in cyclic or arc.trg in cyclic)
-    except _PathLimitHit:
+        arcs.setdefault((arc.src, arc.trg), []).append(arc)
+    successors: dict[str, list[str]] = {}
+    for src, trg in arcs:
+        successors.setdefault(src, []).append(trg)
+    pairs = reachable(successors)
+    closure = TransClos(inner)
+    sequences: list[tuple[str, ...]] = []
+    total = 0
+    for start in successors:
+        # per label on the path: its triple-path count and successors left
+        path, frames = [start], [(1, iter(successors[start]))]
+        while frames and total <= path_limit:
+            count, todo = frames[-1]
+            trg = next(todo, None)
+            if trg is None:
+                frames.pop()
+                path.pop()
+            elif trg == start or trg not in path:
+                count *= len(arcs[path[-1], trg])
+                total += count
+                sequences.append((*path, trg))
+                if trg != start:
+                    path.append(trg)
+                    frames.append((count, iter(successors.get(trg, ()))))
+    if total > path_limit:
         if log is not None:
             log.warnings.append(
                 f"path enumeration exceeded {path_limit} paths; keeping the closure"
             )
-        out.clear()
-        closure_pairs = _reachable_pairs(pairs)
-    closure_expr = TransClos(inner)
-    out.update(SchemaTriple(src, closure_expr, trg) for src, trg in closure_pairs)
+        return frozenset(SchemaTriple(src, closure, trg) for src, trg in _reachable_pairs(pairs))
+    cyclic = {src for src, trg in pairs if src == trg}
+    out: set[SchemaTriple] = set()
+    for path in sequences:
+        # a round trip touches a cycle: its start reaches itself
+        if not cyclic.isdisjoint(path):
+            out.add(SchemaTriple(path[0], closure, path[-1]))
+            continue
+        for chain in product(*(arcs[step] for step in pairwise(path))):
+            expr = chain[-1].expr
+            for arc in reversed(chain[:-1]):
+                expr = Concat(arc.expr, expr, frozenset({arc.trg}))
+            out.add(SchemaTriple(path[0], expr, path[-1]))
     return frozenset(out)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -439,6 +440,40 @@ def test_long_chain_within_recursion_depth_exits_0(query_file):
     chain = "/".join(["isMarriedTo"] * 400)
     assert run(["simplify", chain]) == 0
     assert run(["rewrite", "--schema", YAGO, "--query", query_file(f"x,y <- (x, {chain}, y)")]) == 0
+
+
+def test_closure_over_a_long_chain_schema_needs_no_stack_per_label(tmp_path, query_file, capsys):
+    # e: N0 -> N1 -> ... -> N400. Closure inference walks label sequences
+    # without recursing once per label, so a stack far shorter than the chain
+    # is enough: the walk passes the path limit and keeps the closure
+    n = 400
+    schema = tmp_path / "chain.json"
+    schema.write_text(
+        json.dumps(
+            {
+                "nodes": [{"label": f"N{i}"} for i in range(n + 1)],
+                "edges": [{"label": "e", "src": f"N{i}", "trg": f"N{i + 1}"} for i in range(n)],
+            }
+        )
+    )
+    query = query_file("x,y <- (x, e+, y)")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        codes = [run(["infer", "--schema", str(schema), "e+"])]
+        infer_out = capsys.readouterr()
+        codes.append(run(["rewrite", "--schema", str(schema), "--query", query]))
+        rewrite_out = capsys.readouterr()
+    finally:
+        sys.setrecursionlimit(limit)
+    warning = "warning: path enumeration exceeded 10000 paths; keeping the closure\n"
+    assert codes == [0, 0]
+    assert infer_out.err == rewrite_out.err == warning
+    # every pair (Ni, Nj) with i < j keeps the closure
+    lines = infer_out.out.splitlines()
+    assert len(lines) == n * (n + 1) // 2
+    assert "N0  --[ e+ ]-->  N400" in lines
+    assert rewrite_out.out == "x,y <- (x, e+, y)\n"
 
 
 def test_malformed_schema_exits_2_without_traceback(tmp_path, query_file):

@@ -20,6 +20,7 @@ from pathforge import (
     parse_query,
     to_text,
 )
+import pathforge.evaluator
 from pathforge.ast import children
 from pathforge.schema import GraphDB
 
@@ -68,12 +69,23 @@ def test_reverse(fig2_db):
     assert eval_path(parse_path_expr("-owns"), fig2_db) == {("n1", "n2")}
 
 
-def test_closure_naive_agrees_with_delta(fig2_db):
+def test_closure_naive_agrees_with_delta(monkeypatch):
     rng = random.Random(7)
+    naive_calls = 0
+
+    def naive(base):
+        nonlocal naive_calls
+        naive_calls += 1
+        return pathforge.evaluator._closure_naive(base, db)
+
     for _ in range(50):
         db = random_db(rng, ["a", "b", "c"])
         expr = random_expr(rng, ["a", "b", "c"], depth=3)
-        assert eval_path(expr, db) == eval_path(expr, db, naive_closure=True)
+        delta = eval_path(expr, db)
+        with monkeypatch.context() as patch:
+            patch.setattr(pathforge.evaluator, "_closure_delta", naive)
+            assert eval_path(expr, db) == delta
+    assert naive_calls >= 10, naive_calls
 
 
 def test_closure_equals_truncated_powers(fig2_db):

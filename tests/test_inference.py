@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from pathforge import (
+    Concat,
     Label,
     Reverse,
     SchemaTriple,
@@ -141,15 +142,15 @@ def test_path_limit_fallback():
     }
 
 
-def _by_src(triples):
-    arcs_by_src = {}
+def _successors(triples):
+    successors = {}
     for triple in triples:
-        arcs_by_src.setdefault(triple.src, []).append(triple)
-    return arcs_by_src
+        successors.setdefault(triple.src, []).append(triple.trg)
+    return successors
 
 
 def test_triple_graph_structure(yago_schema):
-    pairs = reachable(_by_src(infer(Label("isLocatedIn"), yago_schema)))
+    pairs = reachable(_successors(infer(Label("isLocatedIn"), yago_schema)))
     assert pairs == {
         ("PROPERTY", "CITY"),
         ("PROPERTY", "REGION"),
@@ -159,7 +160,7 @@ def test_triple_graph_structure(yago_schema):
         ("REGION", "COUNTRY"),
     }
     # no label reaches itself: isLocatedIn has no cyclic label
-    loops = reachable(_by_src(infer(Label("dealsWith"), yago_schema)))
+    loops = reachable(_successors(infer(Label("dealsWith"), yago_schema)))
     assert loops == {("COUNTRY", "COUNTRY")}
 
 
@@ -304,7 +305,7 @@ def test_reachable_and_cyclic_vertices_match_a_warshall_closure():
         vertices = {v for pair in pairs for v in pair}
         expected = _warshall(vertices, pairs)
         triples = [SchemaTriple(src, Label(name), trg) for src, name, trg in arcs]
-        assert reachable(_by_src(triples)) == expected
+        assert reachable(_successors(triples)) == expected
         # plus_comp keeps the closure for the reachable pairs some path
         # joins through a cyclic label, one reachable from itself
         cyclic = {v for v in vertices if (v, v) in expected}
@@ -360,52 +361,10 @@ def test_join_work_limit_counts_matching_pairs(monkeypatch, text, work, steps):
         infer(expr, _JOIN_SCHEMA)
 
 
-def _warns(inner, triples, path_limit):
-    log = InferenceLog()
-    plus_comp(inner, triples, path_limit, log)
-    return bool(log.warnings)
-
-
-def _path_count(inner, triples):
-    """The number of label paths plus_comp enumerates: the least path_limit
-    at which it gives no warning."""
-    low, high = 0, 1
-    while _warns(inner, triples, high):
-        low, high = high + 1, high * 2
-    while low < high:
-        mid = (low + high) // 2
-        low, high = (mid + 1, high) if _warns(inner, triples, mid) else (low, mid)
-    return low
-
-
-def test_plus_comp_ignores_the_order_of_its_triples():
-    rng = random.Random(23)
-    inner = Label("e")
-    fallbacks = 0
-    for _ in range(60):
-        arcs = _random_label_graph(rng)
-        triples = sorted(
-            (SchemaTriple(src, Label(name), trg) for src, name, trg in arcs),
-            key=SchemaTriple.sort_key,
-        )
-        count = _path_count(inner, triples)
-        # one limit below the path count (the fallback fires) and one at it
-        for path_limit in {max(count - 1, 0), count}:
-            expected_log = InferenceLog()
-            expected = plus_comp(inner, triples, path_limit, expected_log)
-            fallbacks += bool(expected_log.warnings)
-            for _ in range(4):
-                log = InferenceLog()
-                shuffled = rng.sample(triples, len(triples))
-                assert plus_comp(inner, shuffled, path_limit, log) == expected
-                assert log.warnings == expected_log.warnings
-    assert fallbacks >= 30, fallbacks
-
-
 def _enumerated_paths(triples) -> int:
-    """The number of label paths plus_comp enumerates, counted per label
-    sequence instead of one by one: every path without a repeated label,
-    and every round trip back to its start, each arc of a multi-arc apart."""
+    """The number of triple paths plus_comp's path limit caps, counted per
+    label sequence: every path without a repeated label, and every round
+    trip back to its start, each triple of a multi-arc apart."""
     arcs = Counter((t.src, t.trg) for t in triples)
     labels = {label for pair in arcs for label in pair}
 
@@ -423,9 +382,34 @@ def _enumerated_paths(triples) -> int:
     )
 
 
+def test_plus_comp_ignores_the_order_of_its_triples():
+    rng = random.Random(23)
+    inner = Label("e")
+    fallbacks = 0
+    for _ in range(60):
+        arcs = _random_label_graph(rng)
+        triples = sorted(
+            (SchemaTriple(src, Label(name), trg) for src, name, trg in arcs),
+            key=SchemaTriple.sort_key,
+        )
+        count = _enumerated_paths(triples)
+        # one limit below the path count (the fallback fires) and one at it
+        for path_limit in {max(count - 1, 0), count}:
+            expected_log = InferenceLog()
+            expected = plus_comp(inner, triples, path_limit, expected_log)
+            fallbacks += bool(expected_log.warnings)
+            for _ in range(4):
+                log = InferenceLog()
+                shuffled = rng.sample(triples, len(triples))
+                assert plus_comp(inner, shuffled, path_limit, log) == expected
+                assert log.warnings == expected_log.warnings
+    assert fallbacks >= 30, fallbacks
+
+
 def test_path_limit_counts_each_path_of_the_blowup_closure_once():
     # infer-blowup case B: its closure's inner expression has 1,007 triples
-    # over four labels, which plus_comp walks as 5,163,515 paths
+    # over four labels, which make 5,163,515 triple paths; plus_comp counts
+    # them per label sequence
     _, schema_doc, text = BLOWUP_CASES[1]
     schema = load_schema(json.dumps(schema_doc))
     expr = simplify(desugar(parse_query(text).disjuncts[0].relations[0].expr))
@@ -433,11 +417,103 @@ def test_path_limit_counts_each_path_of_the_blowup_closure_once():
     triples = infer(closure.inner, schema)
     paths = _enumerated_paths(triples)
     assert (len(triples), paths) == (1007, 5_163_515)
-    # every path touches a cycle, so the full walk gives the fallback too
-    fallback = {SchemaTriple(src, closure, trg) for src, trg in reachable(_by_src(triples))}
+    # every path touches a cycle, so within the limit the result is the
+    # fallback's too
+    fallback = {SchemaTriple(src, closure, trg) for src, trg in reachable(_successors(triples))}
     log = InferenceLog()
     assert plus_comp(closure.inner, triples, paths, log) == fallback
     assert log.warnings == []
     log = InferenceLog()
     assert plus_comp(closure.inner, triples, paths - 1, log) == fallback
     assert log.warnings == [f"path enumeration exceeded {paths - 1} paths; keeping the closure"]
+
+
+def _random_multi_arc_graph(rng):
+    """Triples over cyclic-prone labels N* and forward-only labels A*, with
+    one to three triples per label pair, each with its own expression."""
+    exprs = [Label("e"), Label("f"), Reverse("e")]
+    cyclic = [f"N{i}" for i in range(rng.randint(1, 3))]
+    acyclic = [f"A{i}" for i in range(rng.randint(0, 4))]
+    pairs = {(rng.choice(cyclic), rng.choice(cyclic)) for _ in range(rng.randint(0, 4))}
+    pairs |= {
+        (acyclic[i], acyclic[j])
+        for i in range(len(acyclic))
+        for j in range(i + 1, len(acyclic))
+        if rng.random() < 0.6
+    }
+    if acyclic:
+        pairs |= {(rng.choice(cyclic), rng.choice(acyclic)) for _ in range(rng.randint(0, 2))}
+    return [
+        SchemaTriple(src, expr, trg)
+        for src, trg in pairs
+        for expr in rng.sample(exprs, rng.randint(1, 3))
+    ]
+
+
+def _reference_plus_comp(inner, triples, path_limit):
+    """plus_comp's result and warnings, by walking every triple path one at
+    a time and counting the walk against the path limit."""
+    arcs_by_src = {}
+    for arc in triples:
+        arcs_by_src.setdefault(arc.src, []).append(arc)
+    pairs = _warshall(
+        {v for t in triples for v in (t.src, t.trg)}, {(t.src, t.trg) for t in triples}
+    )
+    cyclic = {src for src, trg in pairs if src == trg}
+    paths = []
+
+    def extend(path, on_path, touches_cycle):
+        paths.append((path, touches_cycle))
+        for arc in arcs_by_src.get(path[-1].trg, ()):
+            if arc.trg == path[0].src:
+                paths.append((path + [arc], True))
+            elif arc.trg not in on_path:
+                extend(path + [arc], on_path | {arc.trg}, touches_cycle or arc.trg in cyclic)
+
+    for arc in triples:
+        if arc.src == arc.trg:
+            paths.append(([arc], True))
+        else:
+            extend([arc], {arc.src, arc.trg}, arc.src in cyclic or arc.trg in cyclic)
+    closure = TransClos(inner)
+    if len(paths) > path_limit:
+        warning = f"path enumeration exceeded {path_limit} paths; keeping the closure"
+        return {SchemaTriple(src, closure, trg) for src, trg in pairs}, [warning]
+    out = set()
+    for path, touches_cycle in paths:
+        expr = closure if touches_cycle else path[-1].expr
+        if not touches_cycle:
+            for arc in reversed(path[:-1]):
+                expr = Concat(arc.expr, expr, frozenset({arc.trg}))
+        out.add(SchemaTriple(path[0].src, expr, path[-1].trg))
+    return out, []
+
+
+def test_plus_comp_on_multi_arc_graphs_matches_a_per_triple_walk():
+    rng = random.Random(31)
+    inner = Label("g")
+    saw = Counter()
+    for _ in range(200):
+        triples = _random_multi_arc_graph(rng)
+        count = _enumerated_paths(triples)
+        # one limit below the path count (the fallback fires) and one at it
+        for path_limit in (count - 1, count) if count else (0,):
+            expected, warnings = _reference_plus_comp(inner, triples, path_limit)
+            log = InferenceLog()
+            assert plus_comp(inner, triples, path_limit, log) == expected
+            assert log.warnings == warnings
+            saw["fallback"] += bool(warnings)
+        # at the path count, a cycle-free label sequence of two or more steps,
+        # one of them a multi-arc, unrolls into a triple per choice of triples
+        unrolled = Counter((t.src, t.trg) for t in expected if isinstance(t.expr, Concat))
+        saw["multi-arc chain"] += any(n > 1 for n in unrolled.values())
+    assert saw["fallback"] >= 100 and saw["multi-arc chain"] >= 20, saw
+
+
+def test_plus_comp_rejects_a_negative_path_limit():
+    with pytest.raises(ValueError, match="path limit must be at least 0, got -1"):
+        plus_comp(Label("e"), (), path_limit=-1)
+    # 0 is a limit like any other: no triple, no path, no warning
+    log = InferenceLog()
+    assert plus_comp(Label("e"), (), 0, log) == frozenset()
+    assert log.warnings == []
