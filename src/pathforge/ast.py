@@ -41,6 +41,7 @@ no part in `__match_args__` or `repr`.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Iterator
 from weakref import ref
 
@@ -349,23 +350,22 @@ def desugar(expr: PathExpr) -> PathExpr:
     """Expand every bounded repetition into a union of compositions.
 
     e{m,n} becomes e^m | e^(m+1) | ... | e^n with left-leaning unions and
-    compositions, e.g. a{2,3} -> (a/a) | (a/a/a).
+    compositions, e.g. a{2,3} -> (a/a) | (a/a/a); each power is built from
+    the one before, e^k = e^(k-1)/e. A bound n above the recursion limit
+    raises RecursionError before anything is built: e^n nests n deep, and
+    every pass over the expansion recurses through it.
     """
     if isinstance(expr, Repeat):
+        if expr.hi > sys.getrecursionlimit():
+            raise RecursionError(f"repetition bound {expr.hi} nests too deeply")
         inner = desugar(expr.inner)
-        alternatives = [_power(inner, k) for k in range(expr.lo, expr.hi + 1)]
-        out = alternatives[0]
-        for alt in alternatives[1:]:
-            out = Union(out, alt)
+        power = out = None
+        for k in range(1, expr.hi + 1):
+            power = inner if power is None else Concat(power, inner)
+            if k >= expr.lo:
+                out = power if out is None else Union(out, power)
         return out
     return map_children(expr, desugar)
-
-
-def _power(expr: PathExpr, k: int) -> PathExpr:
-    out = expr
-    for _ in range(k - 1):
-        out = Concat(out, expr)
-    return out
 
 
 def strip_annotations(expr: PathExpr) -> PathExpr:
@@ -411,9 +411,9 @@ def flatten_chain(expr: PathExpr) -> tuple[list[PathExpr], list[frozenset[str] |
     return factors, junctions
 
 
-def build_chain(factors: list[PathExpr], junctions: list[frozenset[str] | None]) -> PathExpr:
-    """Inverse of flatten_chain, rebuilt left-leaning."""
+def build_chain(factors: list[PathExpr]) -> PathExpr:
+    """The plain composition of the factors, left-leaning."""
     out = factors[0]
-    for junction, factor in zip(junctions, factors[1:]):
-        out = Concat(out, factor, junction)
+    for factor in factors[1:]:
+        out = Concat(out, factor)
     return out

@@ -165,17 +165,13 @@ def _emit_target(
     return emit_sql(query, schema, dialect=target.removeprefix("sql:"), as_view=as_view)
 
 
-def _unsupported_json(report: UnsupportedReport) -> dict:
-    return {"construct": report.construct, "detail": report.detail}
-
-
 def _cmd_emit(args) -> int:
     schema = load_schema(Path(args.schema))
     query = _read_query(args.query)
     result = _emit_target(args.target, query, schema, args.as_view)
     if isinstance(result, UnsupportedReport):
         if args.json:
-            print(json.dumps({"target": args.target, "unsupported": _unsupported_json(result)}))
+            print(json.dumps({"target": args.target, "unsupported": result._asdict()}))
         return _finish(args, [str(result)])
     if args.json:
         print(json.dumps({"target": args.target, "text": result}))
@@ -209,17 +205,8 @@ def _cmd_check(args) -> int:
     db = _load_db_arg(args.db)
     report = check_consistency(db, schema)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "consistent": report.consistent,
-                    "violations": [
-                        {"kind": v.kind, "element": v.element, "detail": v.detail}
-                        for v in report.violations
-                    ],
-                }
-            )
-        )
+        violations = [v._asdict() for v in report.violations]
+        print(json.dumps({"consistent": report.consistent, "violations": violations}))
     elif report.consistent:
         print("consistent")
     else:
@@ -235,7 +222,7 @@ def _cmd_pipeline(args) -> int:
     for target in args.target or ["sql:postgres"]:
         result = _emit_target(target, outcome.enriched, schema, args.as_view)
         if isinstance(result, UnsupportedReport):
-            result = _unsupported_json(result)
+            result = result._asdict()
         emitted[target] = result
     if args.json:
         doc = {"baseline": query_to_text(query), **_outcome_json(outcome, explain)}

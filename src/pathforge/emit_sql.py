@@ -9,7 +9,9 @@ with a junction label set as a semi-join with its node tables. The atoms are
 then joined on their shared variables, and label atoms become node-table
 joins. Transitive closures become recursive CTEs named tc_1, tc_2, ... in
 post order, left to right; a closure that recurs anywhere in the query
-reuses the CTE of its first occurrence.
+reuses the CTE of its first occurrence. The numbering skips each name that
+a schema label takes, in any case, since unquoted SQL names ignore case:
+with an edge label `TC_1`, the first CTE is tc_2.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .ast import (
     desugar,
     flatten_chain,
 )
-from .query import Conjunct, UcqtQuery
+from .query import Conjunct, UcqtQuery, fresh_names
 from .schema import GraphSchema
 
 DIALECTS = ("postgres", "sqlite", "mysql")
@@ -79,8 +81,13 @@ class _Renderer:
 
     def __init__(self, schema: GraphSchema):
         self.schema = schema
-        # base SELECT of each closure -> its CTE, named tc_1, tc_2, ... in order
-        self.ctes: dict[str, str] = {}
+        # unquoted SQL names ignore case, so no CTE may take a schema label's
+        # name in any case
+        taken = {label.lower() for label in schema.node_labels | schema.edge_labels}
+        self.fresh = fresh_names("tc_", taken)
+        # base SELECT of each closure -> its CTE's name, and the CTE texts in order
+        self.cte_names: dict[str, str] = {}
+        self.ctes: list[str] = []
 
     def pair(self, expr: PathExpr) -> tuple[str, str]:
         """A self-contained SELECT yielding columns Sr, Tr, and the same
@@ -91,16 +98,16 @@ class _Renderer:
             # one rendering serves both the base and the recursive join, so
             # the closures nested inside register once
             select, item = self.pair(expr.inner)
-            if select not in self.ctes:
-                name = f"tc_{len(self.ctes) + 1}"
-                self.ctes[select] = (
+            name = self.cte_names.get(select)
+            if name is None:
+                name = self.cte_names[select] = next(self.fresh)
+                self.ctes.append(
                     f"{name}(Sr, Tr) AS (\n"
                     f"  {select}\n"
                     "  UNION\n"
                     f"  SELECT {name}.Sr, s.Tr FROM {name} JOIN {item} AS s ON {name}.Tr = s.Sr\n"
                     ")"
                 )
-            name = self.ctes[select].partition("(")[0]
             return f"SELECT Sr, Tr FROM {name}", name
         if isinstance(expr, Reverse):
             select = f"SELECT Tr AS Sr, Sr AS Tr FROM {expr.name}"
@@ -216,7 +223,7 @@ def emit_sql(
     selects = [renderer.conjunct(conjunct, query.head) for conjunct in query.disjuncts]
     body = "\nUNION\n".join(selects) + ";"
     if renderer.ctes:
-        body = f"WITH RECURSIVE {', '.join(renderer.ctes.values())}\n" + body
+        body = f"WITH RECURSIVE {', '.join(renderer.ctes)}\n" + body
     return _wrap_view(body, dialect, as_view)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 import string
-from collections.abc import Callable, Set
+from collections.abc import Set
 from itertools import product
 from operator import itemgetter
 
@@ -52,9 +52,6 @@ class EvalStats(Record):
     def __init__(self, pairs: int = 0):
         self.pairs = pairs
 
-    def record(self, result: frozenset[Pair]) -> None:
-        self.pairs += len(result)
-
 
 def _compose(
     left: frozenset[Pair], right: frozenset[Pair], junction: frozenset[str] | None, db: GraphDB
@@ -74,47 +71,43 @@ def _compose(
 
 def eval_path(expr: PathExpr, db: GraphDB, stats: EvalStats | None = None) -> frozenset[Pair]:
     """All node pairs connected by the expression."""
-    def ev(node: PathExpr) -> frozenset[Pair]:
-        result = _eval_node(node, db, ev)
-        if stats is not None:
-            stats.record(result)
-        return result
-
-    result = ev(expr)
-    del ev  # ev refers to itself: break the cycle so it is freed now, not by the collector
-    return result
+    return _eval(expr, db, stats)
 
 
-def _eval_node(
-    expr: PathExpr, db: GraphDB, ev: Callable[[PathExpr], frozenset[Pair]]
-) -> frozenset[Pair]:
-    """One node's pairs, its children evaluated through ``ev``."""
+def _eval(expr: PathExpr, db: GraphDB, stats: EvalStats | None) -> frozenset[Pair]:
+    """One node's pairs, its children evaluated by recursion here and not
+    through ``eval_path``, so a wrapper of that name sees each top-level call
+    once."""
     if isinstance(expr, Label):
-        return db.edge_pairs.get(expr.name, frozenset())
-    if isinstance(expr, Reverse):
-        return frozenset((t, s) for s, t in db.edge_pairs.get(expr.name, frozenset()))
-    if isinstance(expr, Concat):
-        return _compose(ev(expr.left), ev(expr.right), expr.labels, db)
-    if isinstance(expr, Union):
-        return ev(expr.left) | ev(expr.right)
-    if isinstance(expr, Conj):
-        return ev(expr.left) & ev(expr.right)
-    if isinstance(expr, (BranchR, BranchL)):
-        main = ev(expr.main)
-        test_sources = {s for s, _ in ev(expr.test)}
+        result = db.edge_pairs.get(expr.name, frozenset())
+    elif isinstance(expr, Reverse):
+        result = frozenset((t, s) for s, t in db.edge_pairs.get(expr.name, frozenset()))
+    elif isinstance(expr, Concat):
+        result = _compose(_eval(expr.left, db, stats), _eval(expr.right, db, stats), expr.labels, db)
+    elif isinstance(expr, Union):
+        result = _eval(expr.left, db, stats) | _eval(expr.right, db, stats)
+    elif isinstance(expr, Conj):
+        result = _eval(expr.left, db, stats) & _eval(expr.right, db, stats)
+    elif isinstance(expr, (BranchR, BranchL)):
+        main = _eval(expr.main, db, stats)
+        test_sources = {s for s, _ in _eval(expr.test, db, stats)}
         end = 1 if isinstance(expr, BranchR) else 0
-        return frozenset(pair for pair in main if pair[end] in test_sources)
-    if isinstance(expr, TransClos):
-        return _closure_delta(ev(expr.inner))
-    if isinstance(expr, Repeat):
-        base = power = ev(expr.inner)
+        result = frozenset(pair for pair in main if pair[end] in test_sources)
+    elif isinstance(expr, TransClos):
+        result = _closure_delta(_eval(expr.inner, db, stats))
+    elif isinstance(expr, Repeat):
+        base = power = _eval(expr.inner, db, stats)
         out = set(base) if expr.lo == 1 else set()
         for k in range(2, expr.hi + 1):
             power = _compose(power, base, None, db)
             if k >= expr.lo:
                 out |= power
-        return frozenset(out)
-    raise TypeError(f"not a path expression: {expr!r}")
+        result = frozenset(out)
+    else:
+        raise TypeError(f"not a path expression: {expr!r}")
+    if stats is not None:
+        stats.pairs += len(result)
+    return result
 
 
 def _closure_delta(base: frozenset[Pair]) -> frozenset[Pair]:

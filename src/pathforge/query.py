@@ -1,8 +1,11 @@
-"""Query structures: a union of conjuncts over relation and label atoms."""
+"""Query structures: a union of conjuncts over relation and label atoms,
+plus the fresh-name generator of the rewriter and the SQL emitter."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import itertools
+from collections.abc import Set
+from typing import Iterator, NamedTuple
 
 from .ast import PathExpr, to_text
 
@@ -43,6 +46,14 @@ class UcqtQuery(NamedTuple):
 
     head: tuple[str, ...]
     disjuncts: tuple[Conjunct, ...]
+
+
+def fresh_names(prefix: str, taken: Set[str]) -> Iterator[str]:
+    """`prefix1`, `prefix2`, ... in order, skipping each name in ``taken``."""
+    for counter in itertools.count(1):
+        name = f"{prefix}{counter}"
+        if name not in taken:
+            yield name
 
 
 def validate_query(query: UcqtQuery) -> None:

@@ -53,7 +53,15 @@ from .inference import (
     SchemaTriple,
     infer,
 )
-from .query import Conjunct, LabelAtom, Relation, UcqtQuery, conjunct_to_text, validate_query
+from .query import (
+    Conjunct,
+    LabelAtom,
+    Relation,
+    UcqtQuery,
+    conjunct_to_text,
+    fresh_names,
+    validate_query,
+)
 from .record import Record
 from .schema import GraphSchema
 from .simplify import simplify
@@ -191,16 +199,9 @@ def query_of(
     """
     fragment = Fragment()
     if fresh is None:
-        fresh = _fresh_names(frozenset({alpha, beta}))
+        fresh = fresh_names("_g", {alpha, beta})
     _translate(alpha, beta, expr, fresh, fragment)
     return fragment
-
-
-def _fresh_names(used: frozenset[str]) -> Iterator[str]:
-    for counter in itertools.count(1):
-        name = f"_g{counter}"
-        if name not in used:
-            yield name
 
 
 def _translate(alpha: str, beta: str, expr: PathExpr, fresh: Iterator[str], out: Fragment) -> None:
@@ -250,7 +251,7 @@ def _translate_chain(
 def _translate_run(
     alpha: str, beta: str, run: list[PathExpr], fresh: Iterator[str], out: Fragment
 ) -> None:
-    piece = build_chain(run, [None] * (len(run) - 1))
+    piece = build_chain(run)
     if has_annotations(piece):
         _translate(alpha, beta, piece, fresh, out)
     else:
@@ -298,7 +299,8 @@ def rewrite(
         if limit < 0:
             raise ValueError(f"{name} limit must be at least 0, got {limit}")
     warnings: list[str] = []
-    fresh = _fresh_names(frozenset(query.head).union(*(c.variables() for c in query.disjuncts)))
+    taken = frozenset(query.head).union(*(c.variables() for c in query.disjuncts))
+    fresh = fresh_names("_g", taken)
 
     def enrichment(rel: Relation, log: InferenceLog) -> list[MergedTriple] | None:
         """Merged triples to replace the atom with, [] when the atom is

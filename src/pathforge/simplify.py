@@ -40,14 +40,10 @@ def simplify(expr: PathExpr) -> PathExpr:
     No rule matches a bounded repetition, so it stays as written around
     its simplified body.
     """
-    return _normalize(expr)
-
-
-def _normalize(expr: PathExpr) -> PathExpr:
-    expr = map_children(expr, _normalize)
+    expr = map_children(expr, simplify)
     step = _apply_root(expr)
     while step is not None:
-        expr = _normalize(step)
+        expr = simplify(step)
         step = _apply_root(expr)
     return expr
 
@@ -65,7 +61,7 @@ def _concat_factors(expr: PathExpr) -> list[PathExpr]:
 def _peel(test: Concat) -> BranchR:
     """`a/b/...` as `a[b/...]`: the leading factor, filtered by the rest."""
     first, *rest = _concat_factors(test)
-    return BranchR(first, build_chain(rest, [None] * (len(rest) - 1)))
+    return BranchR(first, build_chain(rest))
 
 
 def _apply_root(expr: PathExpr) -> PathExpr | None:

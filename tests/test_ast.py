@@ -1,9 +1,11 @@
 import copy
+import functools
 import gc
 import json
 import pickle
 import random
 import re
+import sys
 import typing
 
 import pytest
@@ -79,6 +81,27 @@ def test_desugar_two_to_three():
 def test_desugar_nested():
     expr = parse_path_expr("(x{1,2}/y){1,2}")
     assert not any(isinstance(node, Repeat) for node in walk(desugar(expr)))
+
+
+def _union_of_powers(expr, lo, hi):
+    # each power from scratch, not from the one before
+    powers = [functools.reduce(Concat, [expr] * k) for k in range(lo, hi + 1)]
+    return functools.reduce(Union, powers)
+
+
+@pytest.mark.parametrize("lo,hi", [(lo, hi) for hi in range(1, 7) for lo in range(1, hi + 1)])
+def test_desugar_is_the_union_of_powers(lo, hi):
+    assert desugar(Repeat(a, lo, hi)) is _union_of_powers(a, lo, hi)
+    b = Label("b")
+    body = Concat(a, Repeat(b, 1, 2))
+    assert desugar(Repeat(body, lo, hi)) is _union_of_powers(
+        Concat(a, _union_of_powers(b, 1, 2)), lo, hi
+    )
+
+
+def test_desugar_refuses_a_bound_past_the_recursion_limit():
+    with pytest.raises(RecursionError):
+        desugar(Repeat(a, 1, sys.getrecursionlimit() + 1))
 
 
 @given(_exprs())

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -434,6 +435,26 @@ def test_too_deep_for_recursion_exits_2(expr, query_file, capsys):
     assert capsys.readouterr().err == "error: expression nested too deeply\n"
     assert run(["rewrite", "--schema", YAGO, "--query", query_file(f"x,y <- (x, {expr}, y)")]) == 2
     assert capsys.readouterr().err == "error: expression nested too deeply\n"
+
+
+def test_a_repetition_bound_past_the_recursion_limit_exits_2_at_once():
+    # desugar refuses the bound before it builds ten thousand powers
+    start = time.perf_counter()
+    proc = _cli_in_fresh_process("simplify", "a{1,10000}")
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2,
+        "",
+        "error: expression nested too deeply\n",
+    )
+
+
+def test_stages_that_keep_a_repetition_run_a_deep_one(query_file, capsys):
+    # the evaluator and the Cypher emitter never desugar, so no depth applies
+    path = query_file("x,y <- (x, owns{1,5000}, y)")
+    assert run(["eval", "--db", DB, "--query", path]) == 0
+    assert run(["emit", "--target", "cypher", "--schema", YAGO, "--query", path]) == 0
+    assert "[:owns*1..5000]" in capsys.readouterr().out
 
 
 def test_long_chain_within_recursion_depth_exits_0(query_file):

@@ -1,14 +1,16 @@
+import json
 import random
 import re
 import sqlite3
 
 import pytest
 
-from pathforge import desugar, eval_ucqt, gen_db, parse_query, rewrite, to_text
+from pathforge import desugar, eval_ucqt, gen_db, load_schema, parse_query, rewrite, to_text
 from pathforge.ast import Concat, Label, Reverse, flatten_chain, walk
 from pathforge.emit_cypher import emit_cypher
 from pathforge.emit_sql import EmitError, check_labels, emit_sql
 from pathforge.query import Conjunct, LabelAtom, Relation, UcqtQuery
+from pathforge.schema import DbEdge, DbNode, GraphDB
 
 from randutil import random_expr, random_schema, schema_edge_alphabet
 
@@ -327,3 +329,59 @@ def test_sqlite_matches_evaluator_on_junction_annotations():
         query = parse_query(text)
         db = gen_db(schema, seed=index, nodes_per_label=3, edge_prob=0.4)
         assert run_sql(query, schema, db) == eval_ucqt(query, db), text
+
+
+def _schema(nodes, edges):
+    return load_schema(
+        json.dumps(
+            {
+                "nodes": [{"label": label} for label in nodes],
+                "edges": [{"src": s, "label": l, "trg": t} for s, l, t in edges],
+            }
+        )
+    )
+
+
+@pytest.mark.parametrize("label", ["tc_1", "TC_1"])
+def test_a_label_named_like_a_cte_keeps_its_table(label):
+    # unquoted SQL names ignore case, so the first closure's CTE cannot be
+    # tc_1 here: it would shadow the label's table
+    schema = _schema(["A"], [("A", label, "A"), ("A", "e", "A")])
+    db = GraphDB(
+        nodes=tuple(DbNode(id=f"n{i}", label="A", properties=()) for i in (1, 2, 3)),
+        edges=(
+            DbEdge(id="d1", label=label, src="n1", trg="n2"),
+            DbEdge(id="d2", label="e", src="n2", trg="n3"),
+            DbEdge(id="d3", label="e", src="n3", trg="n1"),
+        ),
+    )
+    query = parse_query(f"x,y <- (x, {label}/e+, y)")
+    sql = emit_sql(query, schema, dialect="sqlite")
+    assert "WITH RECURSIVE tc_2(Sr, Tr) AS (" in sql
+    assert eval_ucqt(query, db) == {("n1", "n1"), ("n1", "n3")}
+    assert sqlite_rows(sql, db, schema) == eval_ucqt(query, db)
+
+
+CTE_LIKE_LABELS = ["tc_2", "TC_1", "tc_3", "e"]
+
+
+def test_sqlite_matches_evaluator_when_labels_are_named_like_ctes():
+    rng = random.Random(919)
+    for index in range(300):
+        if index % 10 == 0:
+            nodes = [f"N{i}" for i in range(rng.randint(1, 3))]
+            # every label at least once, then a few more signatures
+            edges = {(rng.choice(nodes), label, rng.choice(nodes)) for label in CTE_LIKE_LABELS}
+            for _ in range(rng.randint(0, 4)):
+                edges.add((rng.choice(nodes), rng.choice(CTE_LIKE_LABELS), rng.choice(nodes)))
+            schema = _schema(nodes, sorted(edges))
+        expr = to_text(random_expr(rng, CTE_LIKE_LABELS, depth=4))
+        query = parse_query(f"x,y <- (x, {expr}, y)")
+        db = gen_db(schema, seed=index, nodes_per_label=3, edge_prob=0.4)
+        want = eval_ucqt(query, db)
+        assert run_sql(query, schema, db) == want, expr
+        enriched = rewrite(query, schema).enriched
+        if enriched.disjuncts:
+            assert run_sql(enriched, schema, db) == want, expr
+        else:
+            assert want == frozenset()
