@@ -52,7 +52,8 @@ def _load_db_arg(spec: str):
 
 
 def _finish(args, warnings: list[str]) -> int:
-    for message in warnings:
+    # once each, in first-occurrence order: inference repeats a cap's warning
+    for message in dict.fromkeys(warnings):
         _warn(message)
     if warnings and args.strict:
         return 4
@@ -83,8 +84,7 @@ def _cmd_infer(args) -> int:
     else:
         for src, text, trg in triples:
             print(f"{src}  --[ {text} ]-->  {trg}")
-    # inference records a warning each time a sub-term hits a cap; print it once
-    return _finish(args, list(dict.fromkeys(log.warnings)))
+    return _finish(args, log.warnings)
 
 
 def _explain_json(rows: list[DerivationRow]) -> list[dict]:

@@ -127,13 +127,11 @@ def _render_conjunct(query: UcqtQuery, conjunct) -> str:
                 text += node(rel.trg_var)
         patterns.append(text)
         mentioned.update((rel.src_var, rel.trg_var))
-    for var in sorted(label_map):
+    # a variable no relation atom mentions is a node pattern of its own,
+    # labeled when a label atom names it
+    for var in (*sorted(label_map), *query.head):
         if var not in mentioned:
             patterns.append(node(var))
-            mentioned.add(var)
-    for var in query.head:
-        if var not in mentioned:
-            patterns.append(_node(var, None))
             mentioned.add(var)
     head = ", ".join(query.head)
     return "MATCH " + ", ".join(patterns) + f"\nRETURN DISTINCT {head};"

@@ -161,24 +161,19 @@ class _Renderer:
                     var_column[var] = column
             items.append((alias, self.pair(desugar(rel.expr))[1], conditions))
 
-        node_counter = 0
-        for var, labels in sorted((atom.var, atom.labels) for atom in conjunct.labels):
-            node_counter += 1
-            alias = f"n{node_counter}"
+        # each label atom is a node set, and so is each head variable that no
+        # atom mentions, over every node label: it ranges over every node
+        node_sets = sorted((atom.var, atom.labels) for atom in conjunct.labels)
+        mentioned = var_column.keys() | {var for var, _ in node_sets}
+        node_sets += [(var, self.schema.node_labels) for var in head if var not in mentioned]
+        for index, (var, labels) in enumerate(node_sets, start=1):
+            alias = f"n{index}"
             conditions = []
             if var in var_column:
                 conditions.append(f"{alias}.Sr = {var_column[var]}")
             else:
                 var_column[var] = f"{alias}.Sr"
             items.append((alias, f"({_node_set_sql(labels)})", conditions))
-
-        for var in head:
-            if var not in var_column:
-                # a head variable no atom mentions ranges over every node
-                node_counter += 1
-                alias = f"n{node_counter}"
-                items.append((alias, f"({_node_set_sql(self.schema.node_labels)})", []))
-                var_column[var] = f"{alias}.Sr"
 
         select = ", ".join(f"{var_column[var]} AS {var}" for var in head)
         lines = [f"SELECT DISTINCT {select}"]

@@ -4,7 +4,9 @@ It is the ground truth the rewriter and emitters are checked against. Path
 expressions evaluate to sets of (source id, target id) pairs under set
 semantics, so transitive closure always terminates; closure is semi-naive.
 A repetition e{m,n} is the union of the powers e^m .. e^n, each composed
-from the one before; these powers are not expression nodes.
+from the one before; these powers are not expression nodes. The loop stops
+at the first power the union already holds, such as an empty or a repeated
+one: each later power composes it with e, so the union holds those too.
 A conjunct's atoms are hash-joined as binding tables, smallest first, with
 variables projected out as soon as nothing later needs them. Their
 independent oracles: ``_closure_naive`` for the closure, and a brute-force
@@ -16,7 +18,6 @@ from __future__ import annotations
 import random
 import string
 from collections.abc import Set
-from itertools import product
 from operator import itemgetter
 
 from .ast import (
@@ -100,6 +101,8 @@ def _eval(expr: PathExpr, db: GraphDB, stats: EvalStats | None) -> frozenset[Pai
         out = set(base) if expr.lo == 1 else set()
         for k in range(2, expr.hi + 1):
             power = _compose(power, base, None, db)
+            if power <= out:
+                break
             if k >= expr.lo:
                 out |= power
         result = frozenset(out)
@@ -168,8 +171,10 @@ def _join_atoms(
     far (the smallest of all, a cross product, if none does). After every
     step it projects out each variable that neither the head nor a
     remaining table needs, so rows that differ only there collapse under
-    set semantics. Variables no relation atom binds range over the nodes
-    their label atom allows, or over all nodes.
+    set semantics. A variable no relation atom binds is one more table, of
+    one column: the nodes its label atom allows, or all nodes. These tables
+    come after the sorted relation tables and share no variable, so the
+    join crosses them in last.
     """
     labels = db.node_label
     tables: list[Table] = []
@@ -187,22 +192,16 @@ def _join_atoms(
                 and (want_v is None or labels[t] in want_v)
             }
         tables.append(((u, v), pairs))
+    tables.sort(key=lambda table: len(table[1]))
+    bound = {var for cols, _ in tables for var in cols}
+    for var in dict.fromkeys((*head, *label_map)):
+        if var not in bound:
+            want = label_map.get(var)
+            rows = {(node.id,) for node in db.nodes if want is None or node.label in want}
+            tables.append(((var,), rows))
     if not all(rows for _, rows in tables):
         return set()
 
-    bound = {var for cols, _ in tables for var in cols}
-    ranges = []
-    for var in dict.fromkeys((*head, *label_map)):
-        if var in bound:
-            continue
-        want = label_map.get(var)
-        nodes = [node.id for node in db.nodes if want is None or node.label in want]
-        if not nodes:
-            return set()
-        if var in head:
-            ranges.append((var, nodes))
-
-    tables.sort(key=lambda table: len(table[1]))
     cols: tuple[str, ...] = ()
     rows: Set[tuple] = {()}
     while tables:
@@ -215,10 +214,6 @@ def _join_atoms(
         if not rows:
             return set()
 
-    if ranges:
-        cols += tuple(var for var, _ in ranges)
-        combos = list(product(*(nodes for _, nodes in ranges)))
-        rows = {row + combo for row in rows for combo in combos}
     if cols == head:
         return rows
     pick = _columns([cols.index(var) for var in head])

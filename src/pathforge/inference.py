@@ -209,11 +209,13 @@ def plus_comp(
 
     Walks the label sequences of the triple graph that repeat no label
     (closed round trips allowed); each stands for its triple paths, one
-    triple chosen per step. A cycle-free sequence emits the concatenation
-    of each path's annotated expressions; one touching a cycle emits the
-    bare closure between its endpoints. If more than ``path_limit`` triple
-    paths exist in total, the walk stops and every reachable label pair
-    conservatively keeps the closure. ``path_limit`` must be at least 0.
+    triple chosen per step. The cyclic labels are the starts of the round
+    trips the walk lists. A cycle-free sequence emits the concatenation of
+    each path's annotated expressions; one touching a cycle emits the bare
+    closure between its endpoints. If more than ``path_limit`` triple paths
+    exist in total, the walk stops, and only then are the reachable label
+    pairs computed: each conservatively keeps the closure. ``path_limit``
+    must be at least 0.
     """
     if path_limit < 0:
         raise ValueError(f"path limit must be at least 0, got {path_limit}")
@@ -223,7 +225,6 @@ def plus_comp(
     successors: dict[str, list[str]] = {}
     for src, trg in arcs:
         successors.setdefault(src, []).append(trg)
-    pairs = reachable(successors)
     closure = TransClos(inner)
     sequences: list[tuple[str, ...]] = []
     total = 0
@@ -248,8 +249,11 @@ def plus_comp(
             log.warnings.append(
                 f"path enumeration exceeded {path_limit} paths; keeping the closure"
             )
-        return frozenset(SchemaTriple(src, closure, trg) for src, trg in _reachable_pairs(pairs))
-    cyclic = {src for src, trg in pairs if src == trg}
+        pairs = _reachable_pairs(successors)
+        return frozenset(SchemaTriple(src, closure, trg) for src, trg in pairs)
+    # the walk listed every round trip, and a label is cyclic when one
+    # starts from it
+    cyclic = {path[0] for path in sequences if path[0] == path[-1]}
     out: set[SchemaTriple] = set()
     for path in sequences:
         # a round trip touches a cycle: its start reaches itself
@@ -264,10 +268,9 @@ def plus_comp(
     return frozenset(out)
 
 
-def _reachable_pairs(pairs: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    # only the path-limit fallback calls this; the benchmark tracer
-    # (perfbench/tracer.py) counts path-limit hits by wrapping this name
-    return pairs
+# only the path-limit fallback calls this name; the benchmark tracer
+# (perfbench/tracer.py) counts path-limit hits by wrapping it
+_reachable_pairs = reachable
 
 
 class DerivationRow(NamedTuple):

@@ -42,10 +42,8 @@ def simplify(expr: PathExpr) -> PathExpr:
     """
     expr = map_children(expr, simplify)
     step = _apply_root(expr)
-    while step is not None:
-        expr = simplify(step)
-        step = _apply_root(expr)
-    return expr
+    # simplify(step) is itself a root where no rule matches
+    return expr if step is None else simplify(step)
 
 
 def _plain_concat(expr: PathExpr) -> bool:

@@ -457,6 +457,19 @@ def test_stages_that_keep_a_repetition_run_a_deep_one(query_file, capsys):
     assert "[:owns*1..5000]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("label", ["isLocatedIn", "isMarriedTo"])
+def test_eval_of_a_huge_repetition_bound_stops_early(label, tmp_path, query_file, capsys):
+    # isLocatedIn's powers empty out and isMarriedTo's repeat within ten
+    huge = tmp_path / "huge.ucqt"
+    huge.write_text(f"x,y <- (x, {label}{{1,100000000}}, y)")
+    start = time.perf_counter()
+    proc = _cli_in_fresh_process("eval", "--db", DB, "--query", str(huge))
+    assert time.perf_counter() - start < 5
+    assert run(["eval", "--db", DB, "--query", query_file(f"x,y <- (x, {label}{{1,10}}, y)")]) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+    assert proc.stdout
+
+
 def test_long_chain_within_recursion_depth_exits_0(query_file):
     chain = "/".join(["isMarriedTo"] * 400)
     assert run(["simplify", chain]) == 0

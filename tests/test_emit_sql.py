@@ -300,6 +300,10 @@ def test_sqlite_matches_evaluator_conjuncts_and_enrichment():
                 f"x,y <- (x, {e1}, y) || (x, {e2}, y)",
                 f"x,y <- (x, {e1}, y) && x:{{{label}}}",
                 f"x,y <- (x, {e1}, x) && (x, {e2}, y)",
+                # a head variable no atom mentions, and one only a label
+                # atom mentions
+                f"x,w <- (x, {e1}, y)",
+                f"x,y <- (x, {e1}, y) && w:{{{label}}}",
             ]
         )
         query = parse_query(text)

@@ -155,6 +155,23 @@ def test_repeat_matches_desugared():
     assert seen == {"lo > 1", "lo == hi", "nested", "under closure or branch"}
 
 
+def test_repetition_with_a_far_bound_equals_every_power_composed():
+    # on six nodes the powers soon empty out or repeat, and the loop stops
+    # there; composing each power up to the bound gives the same union
+    rng = random.Random(31)
+    for _ in range(100):
+        db = random_db(rng, ["a", "b"], max_nodes=6)
+        expr = random_expr(rng, ["a", "b"], depth=2)
+        lo = rng.randint(1, 4)
+        base = power = eval_path(expr, db)
+        want = set(base) if lo == 1 else set()
+        for k in range(2, 41):
+            power = pathforge.evaluator._compose(power, base, None, db)
+            if k >= lo:
+                want |= power
+        assert eval_path(Repeat(expr, lo, 40), db) == want, to_text(expr)
+
+
 def test_cqt_example(fig2_db):
     # people who own property and live somewhere region-reachable
     query = parse_query("Y <- (Y, livesIn/isLocatedIn+, M) && (Y, owns, Z)")

@@ -428,6 +428,30 @@ def test_path_limit_counts_each_path_of_the_blowup_closure_once():
     assert log.warnings == [f"path enumeration exceeded {paths - 1} paths; keeping the closure"]
 
 
+def test_plus_comp_computes_reachable_pairs_only_past_the_path_limit(yago_schema, monkeypatch):
+    # under the limit the walk's round trips give the cyclic labels; only
+    # the fallback needs the reachable label pairs, once
+    calls = Counter()
+    for name in ("reachable", "_reachable_pairs"):
+
+        def counted(successors, name=name, original=getattr(pathforge.inference, name)):
+            calls[name] += 1
+            return original(successors)
+
+        monkeypatch.setattr(pathforge.inference, name, counted)
+    inner = parse_path_expr("isLocatedIn|dealsWith")
+    triples = infer(inner, yago_schema)
+    paths = _enumerated_paths(triples)
+    closed = plus_comp(inner, triples, paths)
+    assert calls == Counter()
+    # dealsWith loops on COUNTRY, so the closure stays between those ends
+    assert SchemaTriple("COUNTRY", TransClos(inner), "COUNTRY") in closed
+    log = InferenceLog()
+    plus_comp(inner, triples, paths - 1, log)
+    assert calls == Counter({"_reachable_pairs": 1})
+    assert len(log.warnings) == 1
+
+
 def _random_multi_arc_graph(rng):
     """Triples over cyclic-prone labels N* and forward-only labels A*, with
     one to three triples per label pair, each with its own expression."""

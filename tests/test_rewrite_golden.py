@@ -23,6 +23,13 @@ of `pipeline --json --target sql:sqlite --target cypher` and of
 cases. Those outputs carry the merged triples of every atom, which the
 documents above do not; case A's derivation table alone is 1.4 MB, so
 only digests are kept. The same script run writes them.
+
+It also holds the SHA-256 of that `pipeline` stdout, with the emitted SQL
+and Cypher text, for every other input of the golden and for
+`UNBOUND_QUERIES`: YAGO queries with a head variable that no atom
+mentions, or a variable that only a label atom mentions. These were
+written, by the same script run, before the evaluator and both emitters
+bound such variables in the loops that bind all others.
 """
 
 from __future__ import annotations
@@ -49,6 +56,13 @@ QUERIES_PER_SCHEMA = 8
 YAGO_QUERIES = (
     ("yago-chain", "x,y <- (x, livesIn/isLocatedIn+/dealsWith+, y)"),
     ("yago-unrolled", "x,y <- (x, livesIn/isLocatedIn+, y)"),
+)
+UNBOUND_QUERIES = (
+    ("yago-head-only", "x,w <- (x, owns, y) && z:{CITY}"),
+    ("yago-labels-only", "w,v <- w:{CITY}"),
+    ("yago-enriched-head-only", "x,w <- (x, livesIn/isLocatedIn+, y) && z:{REGION}"),
+    ("yago-closure-labeled-head", "x,w <- (x, isLocatedIn+, y) && w:{CITY}"),
+    ("yago-union-head-only", "x,w <- (x, livesIn, y) || (w, owns, z) && w:{PERSON}"),
 )
 
 
@@ -103,12 +117,16 @@ DIGEST_COMMANDS = {
 
 
 def output_digests(workdir: Path) -> dict[str, dict[str, str]]:
-    """input name -> command name -> SHA-256 of its stdout, for the first
-    four inputs of the golden (yago-exec and infer-blowup)."""
+    """input name -> command name -> SHA-256 of its stdout: both commands
+    for the first four inputs of the golden (yago-exec and infer-blowup),
+    `pipeline` for its other inputs and for `UNBOUND_QUERIES`."""
+    yago = json.loads((DATA / "yago_schema.json").read_text())
+    inputs = corpus_inputs() + [(name, yago, text) for name, text in UNBOUND_QUERIES]
     digests = {}
-    for name, schema_doc, query in corpus_inputs()[:4]:
+    for index, (name, schema_doc, query) in enumerate(inputs):
         digests[name] = {}
-        for command, argv in DIGEST_COMMANDS.items():
+        commands = DIGEST_COMMANDS if index < 4 else {"pipeline": DIGEST_COMMANDS["pipeline"]}
+        for command, argv in commands.items():
             code, stdout = _run_cli(workdir, schema_doc, query, argv)
             assert code == 0, (name, command)
             digests[name][command] = hashlib.sha256(stdout.encode()).hexdigest()
