@@ -58,26 +58,22 @@ def _relationship_types(expr: PathExpr) -> tuple[str, list[str]]:
     raise _Unsupported("union of composite expressions", to_text(expr))
 
 
-def _step(expr: PathExpr) -> tuple[str, str]:
-    """(direction, relationship text) for one chain factor."""
+def _relationship(expr: PathExpr) -> str:
+    """The relationship pattern of one chain factor."""
+    hops = ""
     if isinstance(expr, (TransClos, Repeat)):
         closure = isinstance(expr, TransClos)
         if not isinstance(expr.inner, (Label, Reverse, Union)):
             kind = "closure" if closure else "repetition"
             raise _Unsupported(f"{kind} of a composite path", to_text(expr))
-        direction, types = _relationship_types(expr.inner)
         hops = "*1.." if closure else f"*{expr.lo}..{expr.hi}"
-        return direction, "|".join(types) + hops
-    if isinstance(expr, Conj):
+        expr = expr.inner
+    elif isinstance(expr, Conj):
         raise _Unsupported("conjunction", to_text(expr))
-    if isinstance(expr, (BranchR, BranchL)):
+    elif isinstance(expr, (BranchR, BranchL)):
         raise _Unsupported("branch", to_text(expr))
     direction, types = _relationship_types(expr)
-    return direction, "|".join(types)
-
-
-def _relationship(expr: PathExpr) -> str:
-    direction, text = _step(expr)
+    text = "|".join(types) + hops
     if direction == "fwd":
         return f"-[:{text}]->"
     return f"<-[:{text}]-"
@@ -135,4 +131,3 @@ def _render_conjunct(query: UcqtQuery, conjunct) -> str:
             mentioned.add(var)
     head = ", ".join(query.head)
     return "MATCH " + ", ".join(patterns) + f"\nRETURN DISTINCT {head};"
-

@@ -11,7 +11,9 @@ joins. Transitive closures become recursive CTEs named tc_1, tc_2, ... in
 post order, left to right; a closure that recurs anywhere in the query
 reuses the CTE of its first occurrence. The numbering skips each name that
 a schema label takes, in any case, since unquoted SQL names ignore case:
-with an edge label `TC_1`, the first CTE is tc_2.
+with an edge label `TC_1`, the first CTE is tc_2. For the same reason, two
+schema labels that differ only in case, such as node `N` and edge `n`,
+would name one table, and emission refuses such a schema.
 """
 
 from __future__ import annotations
@@ -26,17 +28,19 @@ from .ast import (
     Reverse,
     TransClos,
     Union,
-    children,
     desugar,
     flatten_chain,
+    walk,
 )
 from .query import Conjunct, UcqtQuery, fresh_names
 from .schema import GraphSchema
 
 DIALECTS = ("postgres", "sqlite", "mysql")
 
+
 class EmitError(ValueError):
-    """Unknown dialect or target, or a query label the schema lacks."""
+    """Unknown dialect or target, a query label the schema lacks, or, for
+    SQL, two schema labels that differ only in case."""
 
 
 def check_labels(query: UcqtQuery, schema: GraphSchema) -> None:
@@ -49,24 +53,13 @@ def check_labels(query: UcqtQuery, schema: GraphSchema) -> None:
         if unknown:
             raise EmitError(f"no node label {min(unknown)!r} in the schema")
 
-    # equal subtrees are one node, within an atom and across disjuncts, and
-    # a node that passed once passes again: each is visited once, its
-    # subtree included, which leaves the first failure where it was. The
-    # query holds every node, so their ids stay theirs for the call
-    seen: set[int] = set()
     for conjunct in query.disjuncts:
         for rel in conjunct.relations:
-            stack = [rel.expr]
-            while stack:
-                sub = stack.pop()
-                if id(sub) in seen:
-                    continue
-                seen.add(id(sub))
+            for sub in walk(rel.expr):
                 if isinstance(sub, (Label, Reverse)) and sub.name not in schema.edge_labels:
                     raise EmitError(f"no edge label {sub.name!r} in the schema")
                 if isinstance(sub, Concat) and sub.labels is not None:
                     require_nodes(sub.labels)
-                stack.extend(reversed(children(sub)))
         for atom in conjunct.labels:
             require_nodes(atom.labels)
 
@@ -81,10 +74,18 @@ class _Renderer:
 
     def __init__(self, schema: GraphSchema):
         self.schema = schema
-        # unquoted SQL names ignore case, so no CTE may take a schema label's
+        # unquoted SQL names ignore case, so each label's table must differ
+        # from the others in more than case, and no CTE may take a label's
         # name in any case
-        taken = {label.lower() for label in schema.node_labels | schema.edge_labels}
-        self.fresh = fresh_names("tc_", taken)
+        taken: dict[str, str] = {}
+        for label in sorted(schema.node_labels | schema.edge_labels):
+            other = taken.setdefault(label.lower(), label)
+            if other != label:
+                raise EmitError(
+                    f"schema labels {other!r} and {label!r} differ only in case, "
+                    "so their SQL tables would clash"
+                )
+        self.fresh = fresh_names("tc_", taken.keys())
         # base SELECT of each closure -> its CTE's name, and the CTE texts in order
         self.cte_names: dict[str, str] = {}
         self.ctes: list[str] = []
@@ -209,12 +210,12 @@ def emit_sql(
     if dialect not in DIALECTS:
         raise EmitError(f"unknown dialect {dialect!r}; expected one of {', '.join(DIALECTS)}")
     check_labels(query, schema)
+    renderer = _Renderer(schema)
     if not query.disjuncts:
         columns = ", ".join(f"NULL AS {var}" for var in query.head)
         source = " FROM DUAL" if dialect == "mysql" else ""
         body = f"SELECT {columns}{source} WHERE 1 = 0;"
         return _wrap_view(body, dialect, as_view)
-    renderer = _Renderer(schema)
     selects = [renderer.conjunct(conjunct, query.head) for conjunct in query.disjuncts]
     body = "\nUNION\n".join(selects) + ";"
     if renderer.ctes:

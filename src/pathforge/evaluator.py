@@ -2,11 +2,13 @@
 
 It is the ground truth the rewriter and emitters are checked against. Path
 expressions evaluate to sets of (source id, target id) pairs under set
-semantics, so transitive closure always terminates; closure is semi-naive.
-A repetition e{m,n} is the union of the powers e^m .. e^n, each composed
-from the one before; these powers are not expression nodes. The loop stops
-at the first power the union already holds, such as an empty or a repeated
-one: each later power composes it with e, so the union holds those too.
+semantics, so transitive closure always terminates; `transitive_closure` is
+semi-naive, and schema inference calls it on label pairs too.
+A repetition e{m,n} is the union of the powers e^m .. e^n, e^m by repeated
+squaring and each later one composed from the one before; these powers are
+not expression nodes. The loop stops at the first power the union already
+holds, such as an empty or a repeated one: each later power composes it
+with e, so the union holds those too.
 A conjunct's atoms are hash-joined as binding tables, smallest first, with
 variables projected out as soon as nothing later needs them. Their
 independent oracles: ``_closure_naive`` for the closure, and a brute-force
@@ -95,16 +97,16 @@ def _eval(expr: PathExpr, db: GraphDB, stats: EvalStats | None) -> frozenset[Pai
         end = 1 if isinstance(expr, BranchR) else 0
         result = frozenset(pair for pair in main if pair[end] in test_sources)
     elif isinstance(expr, TransClos):
-        result = _closure_delta(_eval(expr.inner, db, stats))
+        result = transitive_closure(_eval(expr.inner, db, stats))
     elif isinstance(expr, Repeat):
-        base = power = _eval(expr.inner, db, stats)
-        out = set(base) if expr.lo == 1 else set()
-        for k in range(2, expr.hi + 1):
+        base = _eval(expr.inner, db, stats)
+        power = _power(base, expr.lo, db)
+        out = set(power)
+        for _ in range(expr.lo, expr.hi):
             power = _compose(power, base, None, db)
             if power <= out:
                 break
-            if k >= expr.lo:
-                out |= power
+            out |= power
         result = frozenset(out)
     else:
         raise TypeError(f"not a path expression: {expr!r}")
@@ -113,9 +115,23 @@ def _eval(expr: PathExpr, db: GraphDB, stats: EvalStats | None) -> frozenset[Pai
     return result
 
 
-def _closure_delta(base: frozenset[Pair]) -> frozenset[Pair]:
-    # semi-naive iteration: only newly discovered pairs are extended, through
-    # an index of the base built once per closure
+def _power(base: frozenset[Pair], m: int, db: GraphDB) -> frozenset[Pair]:
+    """``base`` composed with itself to the m-th power, m >= 1, by repeated
+    squaring, since composition is associative; a loop, so no bound is too
+    large for the stack."""
+    power = None
+    while m:
+        if m & 1:
+            power = base if power is None else _compose(power, base, None, db)
+        m >>= 1
+        if m:
+            base = _compose(base, base, None, db)
+    return power
+
+
+def transitive_closure(base: Set[Pair]) -> frozenset[Pair]:
+    """Pairs joined by a path of one or more ``base`` pairs, semi-naively:
+    only new pairs are extended, through an index of ``base`` built once."""
     successors: dict[str, list[str]] = {}
     for src, trg in base:
         successors.setdefault(src, []).append(trg)
@@ -128,7 +144,7 @@ def _closure_delta(base: frozenset[Pair]) -> frozenset[Pair]:
 
 
 def _closure_naive(base: frozenset[Pair], db: GraphDB) -> frozenset[Pair]:
-    # kept as a second, slower oracle for the delta implementation
+    # kept as a second, slower oracle for `transitive_closure`
     closure = frozenset(base)
     while True:
         extended = closure | _compose(closure, base, None, db)

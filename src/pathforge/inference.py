@@ -43,6 +43,9 @@ from .ast import (
     children,
     to_text,
 )
+# only the path-limit fallback calls this name; the benchmark tracer
+# (perfbench/tracer.py) counts path-limit hits by wrapping it
+from .evaluator import transitive_closure as _reachable_pairs
 from .record import Record
 from .schema import GraphSchema
 
@@ -184,20 +187,6 @@ def _infer(
     return out
 
 
-def reachable(successors: dict[str, Iterable[str]]) -> frozenset[tuple[str, str]]:
-    """Label pairs (a, b) such that one or more arcs of the label graph, which
-    ``successors`` lists by source label, lead from a to b."""
-    out = set()
-    for start in successors:
-        frontier = [start]
-        while frontier:
-            for trg in successors.get(frontier.pop(), ()):
-                if (start, trg) not in out:
-                    out.add((start, trg))
-                    frontier.append(trg)
-    return frozenset(out)
-
-
 def plus_comp(
     inner: PathExpr,
     triples: Iterable[SchemaTriple],
@@ -249,7 +238,7 @@ def plus_comp(
             log.warnings.append(
                 f"path enumeration exceeded {path_limit} paths; keeping the closure"
             )
-        pairs = _reachable_pairs(successors)
+        pairs = _reachable_pairs(arcs.keys())
         return frozenset(SchemaTriple(src, closure, trg) for src, trg in pairs)
     # the walk listed every round trip, and a label is cyclic when one
     # starts from it
@@ -266,11 +255,6 @@ def plus_comp(
                 expr = Concat(arc.expr, expr, frozenset({arc.trg}))
             out.add(SchemaTriple(path[0], expr, path[-1]))
     return frozenset(out)
-
-
-# only the path-limit fallback calls this name; the benchmark tracer
-# (perfbench/tracer.py) counts path-limit hits by wrapping it
-_reachable_pairs = reachable
 
 
 class DerivationRow(NamedTuple):

@@ -24,7 +24,7 @@ conjuncts at all (it returns nothing on every database).
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, NoReturn
+from typing import Callable, NamedTuple, NoReturn, TypeVar
 
 from .ast import (
     IDENTIFIER,
@@ -45,6 +45,8 @@ from .query import Conjunct, LabelAtom, Relation, UcqtQuery, validate_query
 # deeper nesting is rejected before the recursive descent here, or the
 # recursive passes over the tree after it, can exhaust Python's stack
 MAX_NESTING = 100
+
+_T = TypeVar("_T")
 
 
 class QuerySyntaxError(ValueError):
@@ -199,31 +201,32 @@ class _Parser:
             return self.parse_nested(")")
         self.fail(f"expected a path expression, found {token.text or 'end of input'!r}")
 
-    def parse_label_set(self) -> frozenset[str]:
-        self.expect("{")
+    def parse_identifiers(self) -> tuple[str, ...]:
         names = [self.expect("ident").text]
         while self.peek().kind == ",":
             self.next()
             names.append(self.expect("ident").text)
+        return tuple(names)
+
+    def parse_label_set(self) -> frozenset[str]:
+        self.expect("{")
+        names = self.parse_identifiers()
         self.expect("}")
         return frozenset(names)
 
     # --- queries ---
 
     def parse_query(self) -> UcqtQuery:
-        head = [self.expect("ident").text]
-        while self.peek().kind == ",":
-            self.next()
-            head.append(self.expect("ident").text)
+        head = self.parse_identifiers()
         self.expect("arrow")
         if self.peek().kind == "ident" and self.peek().text == "EMPTY":
             self.next()
-            return UcqtQuery(head=tuple(head), disjuncts=())
+            return UcqtQuery(head=head, disjuncts=())
         disjuncts = [self.parse_conjunct()]
         while self.peek().kind == "oror":
             self.next()
             disjuncts.append(self.parse_conjunct())
-        return UcqtQuery(head=tuple(head), disjuncts=tuple(disjuncts))
+        return UcqtQuery(head=head, disjuncts=tuple(disjuncts))
 
     def parse_conjunct(self) -> Conjunct:
         relations: list[Relation] = []
@@ -256,27 +259,25 @@ class _Parser:
         return Conjunct(relations=tuple(relations), labels=label_atoms)
 
 
-def parse_path_expr(text: str) -> PathExpr:
-    """Parse one path expression; raises QuerySyntaxError with a byte offset."""
+def _parse_whole(text: str, what: str, parse: Callable[[_Parser], _T]) -> _T:
     if not text.strip():
-        raise QuerySyntaxError("empty path expression", 0)
+        raise QuerySyntaxError(f"empty {what}", 0)
     parser = _Parser(text)
-    expr = parser.parse_union()
+    result = parse(parser)
     token = parser.peek()
     if token.kind != "eof":
         raise QuerySyntaxError(f"trailing input {token.text!r}", token.offset)
-    return expr
+    return result
+
+
+def parse_path_expr(text: str) -> PathExpr:
+    """Parse one path expression; raises QuerySyntaxError with a byte offset."""
+    return _parse_whole(text, "path expression", _Parser.parse_union)
 
 
 def parse_query(text: str) -> UcqtQuery:
     """Parse one query; raises QuerySyntaxError with a byte offset."""
-    if not text.strip():
-        raise QuerySyntaxError("empty query", 0)
-    parser = _Parser(text)
-    query = parser.parse_query()
-    token = parser.peek()
-    if token.kind != "eof":
-        raise QuerySyntaxError(f"trailing input {token.text!r}", token.offset)
+    query = _parse_whole(text, "query", _Parser.parse_query)
     try:
         validate_query(query)
     except ValueError as exc:

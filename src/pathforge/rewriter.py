@@ -10,10 +10,12 @@ merged alternatives:
   atom when the union has fewer AST nodes than the desugared, simplified
   expression, and otherwise reverts. Label-free alternatives never multiply
   disjuncts.
-- Otherwise each alternative is translated so that surviving junction
-  annotations become label atoms on fresh variables, and the conjunct is
-  distributed over the atoms' alternatives. When that product exceeds the
-  disjunct limit, the atom with the most alternatives reverts, until it fits.
+- Otherwise each alternative is translated into atoms: branch and
+  conjunction operators always split it, annotated or not, and surviving
+  junction annotations become label atoms on fresh variables. The conjunct
+  is then distributed over the atoms' alternatives. When that product
+  exceeds the disjunct limit, the atom with the most alternatives reverts,
+  until it fits.
 
 Only inference reads the desugared form: a reverted atom keeps its own
 expression, simplified, with its repetitions.
@@ -190,10 +192,12 @@ def query_of(
 ) -> Fragment:
     """Translate an annotated expression into atoms between two variables.
 
-    Surviving junction annotations split composition chains into separate
-    relation atoms joined by fresh variables carrying label atoms; branch
-    and conjunction structure recurses with the endpoints the operators
-    dictate. An annotation-free expression stays a single relation atom.
+    Branch and conjunction operators at the top recurse with the endpoints
+    they dictate, annotated or not: `a[b]` gives `(alpha, a, beta)` and
+    `(beta, b, _g1)`. Surviving junction annotations split composition
+    chains into separate relation atoms joined by fresh variables carrying
+    label atoms. Any other annotation-free expression, a chain with plain
+    branches inside such as `a/b[c]` included, stays a single relation atom.
     Fresh variables are drawn from ``fresh``; by default they are `_g1`,
     `_g2`, ... without ``alpha`` and ``beta``.
     """

@@ -66,14 +66,12 @@ def _apply_root(expr: PathExpr) -> PathExpr | None:
     """One rule application at the root, or None when none matches."""
     if isinstance(expr, TransClos) and isinstance(expr.inner, TransClos):
         return expr.inner  # R1
-    if isinstance(expr, BranchR):
-        if isinstance(expr.test, TransClos):
-            return BranchR(expr.main, expr.test.inner)  # R2
-        if _plain_concat(expr.test):
-            return BranchR(expr.main, _peel(expr.test))  # R3
-    if isinstance(expr, BranchL):
-        if isinstance(expr.test, TransClos):
-            return BranchL(expr.test.inner, expr.main)  # R4
-        if _plain_concat(expr.test):
-            return BranchL(_peel(expr.test), expr.main)  # R5
-    return None
+    if not isinstance(expr, (BranchR, BranchL)):
+        return None
+    if isinstance(expr.test, TransClos):
+        test = expr.test.inner  # R2, R4
+    elif _plain_concat(expr.test):
+        test = _peel(expr.test)  # R3, R5
+    else:
+        return None
+    return BranchR(expr.main, test) if isinstance(expr, BranchR) else BranchL(test, expr.main)

@@ -470,6 +470,53 @@ def test_eval_of_a_huge_repetition_bound_stops_early(label, tmp_path, query_file
     assert proc.stdout
 
 
+@pytest.mark.parametrize(
+    "huge, small",
+    [
+        # isMarriedTo's powers alternate between two relations
+        ("isMarriedTo{100000000,100000000}", "isMarriedTo{2,2}"),
+        ("isMarriedTo{100000001,100000001}", "isMarriedTo{1,1}"),
+        # squaring runs in a loop: a bound of 1,329 bits needs no deep stack
+        (f"isMarriedTo{{{10**400},{10**400}}}", "isMarriedTo{2,2}"),
+    ],
+)
+def test_eval_of_a_huge_lower_bound_squares_up_to_it(huge, small, tmp_path, query_file, capsys):
+    path = tmp_path / "huge.ucqt"
+    path.write_text(f"x,y <- (x, {huge}, y)")
+    start = time.perf_counter()
+    proc = _cli_in_fresh_process("eval", "--db", DB, "--query", str(path))
+    assert time.perf_counter() - start < 5
+    assert run(["eval", "--db", DB, "--query", query_file(f"x,y <- (x, {small}, y)")]) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+    assert proc.stdout
+
+
+def test_sql_emission_refuses_labels_equal_but_for_case(tmp_path, query_file, capsys):
+    # unquoted SQL names ignore case, so node N and edge n would share a table
+    schema = tmp_path / "schema.json"
+    schema.write_text(
+        json.dumps({"nodes": [{"label": "N"}], "edges": [{"label": "n", "src": "N", "trg": "N"}]})
+    )
+    path = query_file("x,y <- (x, n/n, y)")
+    common = ["--schema", str(schema), "--query", path]
+    message = (
+        "error: schema labels 'N' and 'n' differ only in case, so their SQL tables would clash\n"
+    )
+    for command in (
+        ["emit", "--target", "sql:sqlite", *common],
+        ["pipeline", *common, "--target", "cypher", "--target", "sql:postgres"],
+    ):
+        assert run(command) == 2
+        assert capsys.readouterr().err == message
+    for command in (
+        ["rewrite", *common],
+        ["emit", "--target", "cypher", *common],
+        ["pipeline", *common, "--target", "cypher"],
+    ):
+        assert run(command) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_long_chain_within_recursion_depth_exits_0(query_file):
     chain = "/".join(["isMarriedTo"] * 400)
     assert run(["simplify", chain]) == 0

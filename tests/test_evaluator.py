@@ -83,7 +83,7 @@ def test_closure_naive_agrees_with_delta(monkeypatch):
         expr = random_expr(rng, ["a", "b", "c"], depth=3)
         delta = eval_path(expr, db)
         with monkeypatch.context() as patch:
-            patch.setattr(pathforge.evaluator, "_closure_delta", naive)
+            patch.setattr(pathforge.evaluator, "transitive_closure", naive)
             assert eval_path(expr, db) == delta
     assert naive_calls >= 10, naive_calls
 
@@ -170,6 +170,21 @@ def test_repetition_with_a_far_bound_equals_every_power_composed():
             if k >= lo:
                 want |= power
         assert eval_path(Repeat(expr, lo, 40), db) == want, to_text(expr)
+
+
+def test_lower_bounds_reached_by_squaring_match_desugared():
+    # e^m comes from repeated squaring, each m from 1 to 9 by its own mix of
+    # squarings and compositions with e; desugar composes e m times
+    rng = random.Random(43)
+    nonempty = 0
+    for m in range(1, 10):
+        for _ in range(12):
+            db = random_db(rng, ["a", "b"], max_nodes=6)
+            expr = Repeat(random_expr(rng, ["a", "b"], depth=2), m, m + rng.randint(0, 2))
+            pairs = eval_path(expr, db)
+            assert pairs == eval_path(desugar(expr), db), to_text(expr)
+            nonempty += bool(pairs)
+    assert nonempty >= 30, nonempty
 
 
 def test_cqt_example(fig2_db):

@@ -24,7 +24,8 @@ from pathforge import (
 )
 import pathforge.inference
 from pathforge.ast import walk
-from pathforge.inference import InferenceLog, InferenceOverflow, reachable
+from pathforge.evaluator import transitive_closure
+from pathforge.inference import InferenceLog, InferenceOverflow
 from pathforge.schema import load_schema
 
 from blowup_cases import BLOWUP_CASES
@@ -142,15 +143,12 @@ def test_path_limit_fallback():
     }
 
 
-def _successors(triples):
-    successors = {}
-    for triple in triples:
-        successors.setdefault(triple.src, []).append(triple.trg)
-    return successors
+def _label_pairs(triples):
+    return {(triple.src, triple.trg) for triple in triples}
 
 
 def test_triple_graph_structure(yago_schema):
-    pairs = reachable(_successors(infer(Label("isLocatedIn"), yago_schema)))
+    pairs = transitive_closure(_label_pairs(infer(Label("isLocatedIn"), yago_schema)))
     assert pairs == {
         ("PROPERTY", "CITY"),
         ("PROPERTY", "REGION"),
@@ -160,7 +158,7 @@ def test_triple_graph_structure(yago_schema):
         ("REGION", "COUNTRY"),
     }
     # no label reaches itself: isLocatedIn has no cyclic label
-    loops = reachable(_successors(infer(Label("dealsWith"), yago_schema)))
+    loops = transitive_closure(_label_pairs(infer(Label("dealsWith"), yago_schema)))
     assert loops == {("COUNTRY", "COUNTRY")}
 
 
@@ -305,7 +303,7 @@ def test_reachable_and_cyclic_vertices_match_a_warshall_closure():
         vertices = {v for pair in pairs for v in pair}
         expected = _warshall(vertices, pairs)
         triples = [SchemaTriple(src, Label(name), trg) for src, name, trg in arcs]
-        assert reachable(_successors(triples)) == expected
+        assert transitive_closure(pairs) == expected
         # plus_comp keeps the closure for the reachable pairs some path
         # joins through a cyclic label, one reachable from itself
         cyclic = {v for v in vertices if (v, v) in expected}
@@ -419,7 +417,9 @@ def test_path_limit_counts_each_path_of_the_blowup_closure_once():
     assert (len(triples), paths) == (1007, 5_163_515)
     # every path touches a cycle, so within the limit the result is the
     # fallback's too
-    fallback = {SchemaTriple(src, closure, trg) for src, trg in reachable(_successors(triples))}
+    fallback = {
+        SchemaTriple(src, closure, trg) for src, trg in transitive_closure(_label_pairs(triples))
+    }
     log = InferenceLog()
     assert plus_comp(closure.inner, triples, paths, log) == fallback
     assert log.warnings == []
@@ -432,13 +432,13 @@ def test_plus_comp_computes_reachable_pairs_only_past_the_path_limit(yago_schema
     # under the limit the walk's round trips give the cyclic labels; only
     # the fallback needs the reachable label pairs, once
     calls = Counter()
-    for name in ("reachable", "_reachable_pairs"):
+    original = pathforge.inference._reachable_pairs
 
-        def counted(successors, name=name, original=getattr(pathforge.inference, name)):
-            calls[name] += 1
-            return original(successors)
+    def counted(pairs):
+        calls["_reachable_pairs"] += 1
+        return original(pairs)
 
-        monkeypatch.setattr(pathforge.inference, name, counted)
+    monkeypatch.setattr(pathforge.inference, "_reachable_pairs", counted)
     inner = parse_path_expr("isLocatedIn|dealsWith")
     triples = infer(inner, yago_schema)
     paths = _enumerated_paths(triples)

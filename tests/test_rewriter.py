@@ -180,6 +180,18 @@ def test_query_of_plain_single_atom():
     assert fragment.labels == {}
 
 
+def test_query_of_splits_a_plain_branch_but_not_a_chain_holding_one():
+    def atoms(text):
+        fragment = query_of("x", "y", parse_path_expr(text))
+        assert fragment.labels == {}
+        return [(r.src_var, to_text(r.expr), r.trg_var) for r in fragment.relations]
+
+    # a branch at the top splits, annotated or not; inside a plain chain it
+    # stays part of the chain's one atom
+    assert atoms("a[b]") == [("x", "a", "y"), ("y", "b", "_g1")]
+    assert atoms("a/b[c]") == [("x", "a/b[c]", "y")]
+
+
 def test_query_of_conjunction_no_fresh_vars():
     from pathforge import Conj
 
