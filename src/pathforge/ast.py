@@ -9,11 +9,14 @@ nodes labeled A or B. That junction label set is the optional third field of
 `Concat`: `None` is a plain composition, and a set (even an empty one) is a
 constraint, so code tests `labels is not None`, never its truth value.
 
-`map_children` is the one rebuild of a node over new children. Each
-structural rewrite (`desugar`, `strip_annotations`, the simplifier's
-normalisation, the rewriter's pruning of vacuous annotations) is its one
-special case plus `map_children`. A node whose children all come back as
-they are is returned itself, so subtrees that `desugar` shares stay shared.
+Each node class declares in its body its fields, those of them that hold
+child nodes (`_kids`) and its printing precedence (`_prec`); no function
+here switches on the node type to find them. `map_children` is the one
+rebuild of a node over new children. Each structural rewrite (`desugar`,
+`strip_annotations`, the simplifier's normalisation, the rewriter's pruning
+of vacuous annotations) is its one special case plus `map_children`. A node
+whose children all come back as they are is returned itself, so subtrees
+that `desugar` shares stay shared.
 
 Nodes are hash-consed (Filliâtre and Conchon, *Type-Safe Modular
 Hash-Consing*, ML Workshop 2006): building a node whose class and fields
@@ -44,6 +47,8 @@ from __future__ import annotations
 import sys
 from typing import Callable, Iterator
 from weakref import ref
+
+from .record import Frozen
 
 # a node or edge label, or a query variable, as the concrete syntax spells it
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -90,10 +95,14 @@ def _intern(key: tuple, fields: tuple):
     return node
 
 
-class _Node:
-    """The shared behaviour of the node classes; each class lists its
-    fields, in constructor order, as both `__slots__` and `__match_args__`.
-    Equality is `object`'s, identity.
+class _Node(Frozen):
+    """The shared behaviour of the node classes. Each class lists its fields,
+    in constructor order, as both `__slots__` and `__match_args__`; those that
+    hold child nodes, in `children` order, as `_kids`, which lead the
+    constructor's fields; and its printing precedence, from 0 for `|`, the
+    loosest, to 5 for a label, as `_prec`. `Frozen` refuses assignment and
+    gives the `repr`; equality is `object`'s, identity, as `Record`'s would
+    compare trees field by field.
 
     `_plain` holds None when the node is its own plain form: a node that
     referred to itself would be a cycle, which reference counting alone
@@ -101,31 +110,21 @@ class _Node:
     """
 
     __slots__ = ("_hash", "_text", "_plain", "__weakref__")
+    __eq__ = object.__eq__
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
-
     # copy.copy rebuilds through __reduce__, which finds the node itself;
-    # copy.deepcopy would first copy the whole tree
+    # copy.deepcopy would first copy the whole tree, and fail on a long chain
     def __deepcopy__(self, memo):
         return self
 
 
 class Label(_Node):
     __slots__ = __match_args__ = ("name",)
+    _kids = ()
+    _prec = 5
 
     def __new__(cls, name: str):
         return _intern((cls, name), (name,))
@@ -134,6 +133,8 @@ class Label(_Node):
 class Reverse(_Node):
     # reversal is restricted to single edge labels
     __slots__ = __match_args__ = ("name",)
+    _kids = ()
+    _prec = 5
 
     def __new__(cls, name: str):
         return _intern((cls, name), (name,))
@@ -143,20 +144,24 @@ class Concat(_Node):
     """Composition; with ``labels``, the junction node must carry one of them."""
 
     __slots__ = __match_args__ = ("left", "right", "labels")
+    _kids = ("left", "right")
+    _prec = 2
 
     def __new__(cls, left: PathExpr, right: PathExpr, labels: frozenset[str] | None = None):
         return _intern((cls, id(left), id(right), labels), (left, right, labels))
 
 
 class Union(_Node):
-    __slots__ = __match_args__ = ("left", "right")
+    __slots__ = __match_args__ = _kids = ("left", "right")
+    _prec = 0
 
     def __new__(cls, left: PathExpr, right: PathExpr):
         return _intern((cls, id(left), id(right)), (left, right))
 
 
 class Conj(_Node):
-    __slots__ = __match_args__ = ("left", "right")
+    __slots__ = __match_args__ = _kids = ("left", "right")
+    _prec = 1
 
     def __new__(cls, left: PathExpr, right: PathExpr):
         return _intern((cls, id(left), id(right)), (left, right))
@@ -165,7 +170,8 @@ class Conj(_Node):
 class BranchR(_Node):
     """`main[test]`: keep main pairs whose target has an outgoing test path."""
 
-    __slots__ = __match_args__ = ("main", "test")
+    __slots__ = __match_args__ = _kids = ("main", "test")
+    _prec = 3
 
     def __new__(cls, main: PathExpr, test: PathExpr):
         return _intern((cls, id(main), id(test)), (main, test))
@@ -174,14 +180,16 @@ class BranchR(_Node):
 class BranchL(_Node):
     """`[test]main`: keep main pairs whose source has an outgoing test path."""
 
-    __slots__ = __match_args__ = ("test", "main")
+    __slots__ = __match_args__ = _kids = ("test", "main")
+    _prec = 3
 
     def __new__(cls, test: PathExpr, main: PathExpr):
         return _intern((cls, id(test), id(main)), (test, main))
 
 
 class TransClos(_Node):
-    __slots__ = __match_args__ = ("inner",)
+    __slots__ = __match_args__ = _kids = ("inner",)
+    _prec = 4
 
     def __new__(cls, inner: PathExpr):
         return _intern((cls, id(inner)), (inner,))
@@ -191,6 +199,8 @@ class Repeat(_Node):
     """Bounded repetition `e{m,n}`, pure sugar for a union of compositions."""
 
     __slots__ = __match_args__ = ("inner", "lo", "hi")
+    _kids = ("inner",)
+    _prec = 4
 
     def __new__(cls, inner: PathExpr, lo: int, hi: int):
         if not (1 <= lo <= hi):
@@ -200,27 +210,9 @@ class Repeat(_Node):
 
 PathExpr = Label | Reverse | Concat | Union | Conj | BranchR | BranchL | TransClos | Repeat
 
-# precedence levels, loosest first; used by the printer to decide parentheses
-_PREC_UNION = 0
-_PREC_CONJ = 1
-_PREC_CONCAT = 2
-_PREC_BRANCH = 3
-_PREC_POSTFIX = 4
-_PREC_ATOM = 5
-
 
 def precedence(expr: PathExpr) -> int:
-    if isinstance(expr, (Label, Reverse)):
-        return _PREC_ATOM
-    if isinstance(expr, (TransClos, Repeat)):
-        return _PREC_POSTFIX
-    if isinstance(expr, (BranchR, BranchL)):
-        return _PREC_BRANCH
-    if isinstance(expr, Concat):
-        return _PREC_CONCAT
-    if isinstance(expr, Conj):
-        return _PREC_CONJ
-    return _PREC_UNION
+    return expr._prec
 
 
 def _label_set(labels: frozenset[str]) -> str:
@@ -240,7 +232,7 @@ def _render(expr: PathExpr, min_prec: int) -> str:
     except AttributeError:
         text = _render_raw(expr)
         object.__setattr__(expr, "_text", text)
-    if min_prec and precedence(expr) < min_prec:
+    if min_prec and expr._prec < min_prec:
         return "(" + text + ")"
     return text
 
@@ -251,39 +243,41 @@ def _render_raw(expr: PathExpr) -> str:
     if isinstance(expr, Reverse):
         return "-" + expr.name
     if isinstance(expr, TransClos):
-        return _render(expr.inner, _PREC_POSTFIX) + "+"
+        return _render(expr.inner, expr._prec) + "+"
     if isinstance(expr, Repeat):
-        return _render(expr.inner, _PREC_POSTFIX) + "{%d,%d}" % (expr.lo, expr.hi)
+        return _render(expr.inner, expr._prec) + "{%d,%d}" % (expr.lo, expr.hi)
     if isinstance(expr, BranchR):
         # a main that is itself a left branch would re-parse with the wrong
         # nesting, so it always gets parentheses
         if isinstance(expr.main, BranchL):
             main = "(" + _render(expr.main, 0) + ")"
         else:
-            main = _render(expr.main, _PREC_BRANCH)
+            main = _render(expr.main, expr._prec)
         return main + "[" + _render(expr.test, 0) + "]"
     if isinstance(expr, BranchL):
-        return "[" + _render(expr.test, 0) + "]" + _render(expr.main, _PREC_BRANCH)
+        return "[" + _render(expr.test, 0) + "]" + _render(expr.main, expr._prec)
     if isinstance(expr, Concat):
-        junction = "" if expr.labels is None else _label_set(expr.labels)
-        return _render(expr.left, _PREC_CONCAT) + "/" + junction + _render(expr.right, _PREC_BRANCH)
-    if isinstance(expr, Conj):
-        return _render(expr.left, _PREC_CONJ) + "&" + _render(expr.right, _PREC_CONCAT)
-    if isinstance(expr, Union):
-        return _render(expr.left, _PREC_UNION) + "|" + _render(expr.right, _PREC_CONJ)
-    raise TypeError(f"not a path expression: {expr!r}")
+        op = "/" if expr.labels is None else "/" + _label_set(expr.labels)
+    elif isinstance(expr, Conj):
+        op = "&"
+    elif isinstance(expr, Union):
+        op = "|"
+    else:
+        raise TypeError(f"not a path expression: {expr!r}")
+    # an operand binds at least as tightly as its operator, and the infix
+    # operators associate to the left: a right operand of their level needs
+    # parentheses
+    return _render(expr.left, expr._prec) + op + _render(expr.right, expr._prec + 1)
 
 
 def children(expr: PathExpr) -> tuple[PathExpr, ...]:
-    if isinstance(expr, (Label, Reverse)):
+    # unrolled: a comprehension would cost a frame per call, leaves included
+    kids = expr._kids
+    if not kids:
         return ()
-    if isinstance(expr, (TransClos, Repeat)):
-        return (expr.inner,)
-    if isinstance(expr, BranchR):
-        return (expr.main, expr.test)
-    if isinstance(expr, BranchL):
-        return (expr.test, expr.main)
-    return (expr.left, expr.right)
+    if len(kids) == 1:
+        return (getattr(expr, kids[0]),)
+    return (getattr(expr, kids[0]), getattr(expr, kids[1]))
 
 
 def walk(expr: PathExpr) -> Iterator[PathExpr]:
@@ -295,21 +289,6 @@ def walk(expr: PathExpr) -> Iterator[PathExpr]:
         stack.extend(reversed(children(node)))
 
 
-# node types by how `map_children` rebuilds them
-_LEAF, _PAIR, _CONCAT, _BRANCH_R, _BRANCH_L, _CLOSURE, _REPEAT = range(7)
-_SHAPE = {
-    Label: _LEAF,
-    Reverse: _LEAF,
-    Concat: _CONCAT,
-    Union: _PAIR,
-    Conj: _PAIR,
-    BranchR: _BRANCH_R,
-    BranchL: _BRANCH_L,
-    TransClos: _CLOSURE,
-    Repeat: _REPEAT,
-}
-
-
 def map_children(expr: PathExpr, f: Callable[[PathExpr], PathExpr]) -> PathExpr:
     """The node rebuilt with `f` applied to each child, in `children` order.
 
@@ -318,32 +297,27 @@ def map_children(expr: PathExpr, f: Callable[[PathExpr], PathExpr]) -> PathExpr:
     raises TypeError.
     """
     # f is called from this frame, so a recursive rewrite through here nests
-    # two frames per tree level; a per-type helper that called f would add a
-    # third and cut the chain length that fits under the recursion limit
-    kind = type(expr)
-    shape = _SHAPE.get(kind)
-    if shape == _LEAF:
+    # two frames per tree level; a helper or comprehension that called f
+    # would add a third and cut the chain length that fits under the
+    # recursion limit
+    try:
+        kids = expr._kids
+    except AttributeError:
+        raise TypeError(f"not a path expression: {expr!r}") from None
+    if not kids:
         return expr
-    if shape == _CLOSURE or shape == _REPEAT:
-        inner = f(expr.inner)
-        if inner is expr.inner:
+    # the children lead the constructor's fields; the other fields carry over
+    first = getattr(expr, kids[0])
+    new_first = f(first)
+    if len(kids) == 1:
+        if new_first is first:
             return expr
-        return TransClos(inner) if shape == _CLOSURE else Repeat(inner, expr.lo, expr.hi)
-    if shape == _BRANCH_R:
-        first, second = expr.main, expr.test
-    elif shape == _BRANCH_L:
-        first, second = expr.test, expr.main
-    elif shape is None:
-        raise TypeError(f"not a path expression: {expr!r}")
-    else:
-        first, second = expr.left, expr.right
-    new_first, new_second = f(first), f(second)
+        return type(expr)(new_first, *expr._values()[1:])
+    second = getattr(expr, kids[1])
+    new_second = f(second)
     if new_first is first and new_second is second:
         return expr
-    if shape == _CONCAT:
-        return Concat(new_first, new_second, expr.labels)
-    # Union, Conj, BranchR and BranchL take their children in `children` order
-    return kind(new_first, new_second)
+    return type(expr)(new_first, new_second, *expr._values()[2:])
 
 
 def desugar(expr: PathExpr) -> PathExpr:

@@ -1,15 +1,19 @@
 """The base of the record classes that cannot be `typing.NamedTuple`s: the
-mutable ones, and the graphs, whose `cached_property` indexes need an
-instance `__dict__`.
+mutable ones, the graphs, whose `cached_property` indexes need an instance
+`__dict__`, and the path-expression nodes.
 
 A subclass lists its fields, in constructor order, as `__match_args__`, and
-writes its own `__init__`. A record equals a record of its own class with
-equal fields, its `repr` is ``Name(field=value, ...)``, and it is
+writes its own `__init__` or `__new__`. A record equals a record of its own
+class with equal fields, its `repr` is ``Name(field=value, ...)``, and it is
 unhashable unless its class defines `__hash__`, as with a dataclass. The
 package does not use `dataclasses`, which imports `inspect`: the two add to
 every cold start of the command.
 
-The immutable records are `NamedTuple`s: C-level construction, hash and
+A `Frozen` record, whose constructor sets its fields with
+`object.__setattr__`, refuses assignment once built, and a copy or a pickle
+rebuilds it through its constructor.
+
+The other immutable records are `NamedTuple`s: C-level construction, hash and
 `==`. A `NamedTuple` equals any tuple with the same values, a record of
 another class included, so each stays where no set or comparison mixes it
 with tuples or other records.
@@ -35,3 +39,16 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__name__}({fields})"
+
+
+class Frozen(Record):
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .ast import IDENTIFIER
-from .record import Record
+from .record import Frozen
 
 DATA_TYPES = ("String", "Int", "Float", "Bool", "Date")
 
@@ -51,10 +51,10 @@ class SchemaEdge(NamedTuple):
     trg: str
 
 
-class _Graph(Record):
+class _Graph(Frozen):
     """Nodes and edges, immutable and hashed as the tuple of the two; each
     subclass indexes them in cached properties, stored in the instance
-    `__dict__` on first use."""
+    `__dict__` on first use and built again in a copy."""
 
     __match_args__ = ("nodes", "edges")
     __slots__ = ("nodes", "edges", "__dict__")
@@ -65,17 +65,6 @@ class _Graph(Record):
 
     def __hash__(self) -> int:
         return hash((self.nodes, self.edges))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    # copies and pickles rebuild through the constructor, as the default
-    # protocol would assign the fields; the caches are built again on use
-    def __reduce__(self):
-        return type(self), (self.nodes, self.edges)
 
 
 class GraphSchema(_Graph):
@@ -181,6 +170,16 @@ def _has_type(value: PropertyValue, type_name: str) -> bool:
 _IDENTIFIER = re.compile(IDENTIFIER)
 
 
+def _parse_json(text: str, what: str):
+    # besides JSONDecodeError, an integer of over 4,300 digits raises a plain
+    # ValueError, and a document nested past the recursion limit a
+    # RecursionError, which the command would report as a too deep expression
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _entries(doc: dict, key: str) -> list[dict]:
     entries = doc.get(key, [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
@@ -207,10 +206,7 @@ def load_schema(source: str | Path) -> GraphSchema:
     Every label, ``src`` and ``trg`` must be an identifier, as in queries.
     """
     text = source.read_text() if isinstance(source, Path) else source
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"schema is not valid JSON: {exc}") from exc
+    doc = _parse_json(text, "schema")
     if not isinstance(doc, dict):
         raise FormatError("schema document must be a JSON object")
 
@@ -282,10 +278,7 @@ def load_db(nodes_source: str | Path, edges_source: str | Path) -> GraphDB:
         props_text = row["props"].strip()
         props: dict[str, PropertyValue] = {}
         if props_text:
-            try:
-                props = json.loads(props_text)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"node {node_id!r} props is not valid JSON: {exc}") from exc
+            props = _parse_json(props_text, f"node {node_id!r} props")
             if not isinstance(props, dict):
                 raise FormatError(f"node {node_id!r} props must be a JSON object")
             for value in props.values():

@@ -58,11 +58,17 @@ def test_shape_table_precedence_children_and_printer_cover_the_node_set():
         Repeat(a, 1, 2),
     ]
     members = set(typing.get_args(PathExpr))
-    assert set(pathforge.ast._SHAPE) == members
+    assert set(pathforge.ast._Node.__subclasses__()) == members
     assert {type(node) for node in one_of_each} == members
     for node in one_of_each:
+        node_fields = tuple(
+            name
+            for name in node.__match_args__
+            if isinstance(getattr(node, name), pathforge.ast._Node)
+        )
+        assert node._kids == node_fields
+        assert children(node) == tuple(getattr(node, name) for name in node_fields)
         assert isinstance(precedence(node), int)
-        assert {type(child) for child in children(node)} <= {Label}
         assert parse_path_expr(to_text(node)) == node
 
 

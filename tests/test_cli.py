@@ -437,6 +437,28 @@ def test_too_deep_for_recursion_exits_2(expr, query_file, capsys):
     assert capsys.readouterr().err == "error: expression nested too deeply\n"
 
 
+def test_json_nested_too_deeply_exits_2_naming_the_file(tmp_path, query_file, capsys):
+    deep = "[" * 50_000 + "]" * 50_000
+    schema = tmp_path / "deep.json"
+    schema.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["rewrite", "--schema", str(schema), "--query", query_file(README_QUERY)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: schema is not valid JSON: maximum recursion depth")
+    assert "expression" not in err
+    nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    nodes.write_text(f'id,label,props\nn1,PERSON,"{{""a"": {deep}}}"\n')
+    edges.write_text("src,label,trg\n")
+    db = f"{nodes},{edges}"
+    for argv in (
+        ["check", "--schema", YAGO, "--db", db],
+        ["eval", "--db", db, "--query", query_file(README_QUERY)],
+    ):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: node 'n1' props is not valid JSON: maximum recursion")
+        assert "expression" not in err
+
+
 def test_a_repetition_bound_past_the_recursion_limit_exits_2_at_once():
     # desugar refuses the bound before it builds ten thousand powers
     start = time.perf_counter()

@@ -193,3 +193,26 @@ def test_schema_text_that_is_not_json_raises_format_error(tmp_path):
     with pytest.raises(FormatError, match="not valid JSON"):
         load_schema(str(path))
     assert load_schema(path).nodes == ()
+
+
+# past the recursion limit, json.loads raises RecursionError, not a decode error
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
+
+def test_schema_json_nested_too_deeply_raises_format_error():
+    with pytest.raises(FormatError, match="^schema is not valid JSON: maximum recursion depth"):
+        load_schema(DEEP_ARRAY)
+
+
+def test_db_props_nested_too_deeply_raises_format_error():
+    # under the csv module's 131,072-character field limit
+    props = '"{""a"": ' + "[" * 50_000 + "]" * 50_000 + '}"'
+    with pytest.raises(FormatError, match="^node 'n1' props is not valid JSON: maximum recursion"):
+        load_db(f"id,label,props\nn1,A,{props}\n", "src,label,trg\n")
+
+
+def test_db_props_integer_past_the_digit_limit_raises_format_error():
+    # json.loads raises a plain ValueError, not JSONDecodeError, past 4,300 digits
+    props = '"{""age"": ' + "1" * 5000 + '}"'
+    with pytest.raises(FormatError, match="^node 'n1' props is not valid JSON: Exceeds the limit"):
+        load_db(f"id,label,props\nn1,A,{props}\n", "src,label,trg\n")
