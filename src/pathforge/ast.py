@@ -10,13 +10,13 @@ nodes labeled A or B. That junction label set is the optional third field of
 constraint, so code tests `labels is not None`, never its truth value.
 
 Each node class declares in its body its fields, those of them that hold
-child nodes (`_kids`) and its printing precedence (`_prec`); no function
-here switches on the node type to find them. `map_children` is the one
-rebuild of a node over new children. Each structural rewrite (`desugar`,
-`strip_annotations`, the simplifier's normalisation, the rewriter's pruning
-of vacuous annotations) is its one special case plus `map_children`. A node
-whose children all come back as they are is returned itself, so subtrees
-that `desugar` shares stay shared.
+child nodes (`_kids`) and its binding level (`_prec`, which the printer and
+the parser read); no function here switches on the node type to find them.
+`map_children` is the one rebuild of a node over new children. Each
+structural rewrite (`desugar`, `strip_annotations`, the simplifier's
+normalisation, the rewriter's pruning of vacuous annotations) is its one
+special case plus `map_children`. A node whose children all come back as
+they are is returned itself, so subtrees that `desugar` shares stay shared.
 
 Nodes are hash-consed (Filliâtre and Conchon, *Type-Safe Modular
 Hash-Consing*, ML Workshop 2006): building a node whose class and fields
@@ -99,10 +99,10 @@ class _Node(Frozen):
     """The shared behaviour of the node classes. Each class lists its fields,
     in constructor order, as both `__slots__` and `__match_args__`; those that
     hold child nodes, in `children` order, as `_kids`, which lead the
-    constructor's fields; and its printing precedence, from 0 for `|`, the
-    loosest, to 5 for a label, as `_prec`. `Frozen` refuses assignment and
-    gives the `repr`; equality is `object`'s, identity, as `Record`'s would
-    compare trees field by field.
+    constructor's fields; and as `_prec` its binding level, which the printer
+    and the parser read, from 0 for `|`, the loosest, to 5 for a label.
+    `Frozen` refuses assignment and gives the `repr`; equality is `object`'s,
+    identity, as `Record`'s would compare trees field by field.
 
     `_plain` holds None when the node is its own plain form: a node that
     referred to itself would be a cycle, which reference counting alone
@@ -209,10 +209,6 @@ class Repeat(_Node):
 
 
 PathExpr = Label | Reverse | Concat | Union | Conj | BranchR | BranchL | TransClos | Repeat
-
-
-def precedence(expr: PathExpr) -> int:
-    return expr._prec
 
 
 def _label_set(labels: frozenset[str]) -> str:

@@ -11,10 +11,12 @@ Path expression grammar, loosest binding first:
     atom     := IDENT | '-' IDENT | '(' union ')'
     labelset := '{' IDENT (',' IDENT)* '}'
 
-Binary operators associate to the left. A `{` directly after `/` always
-introduces a junction label set; after a complete operand it is a bounded
-repetition. Brackets, `(` and `[` together, nest at most MAX_NESTING deep;
-each leading source-side test counts as one level for what follows it.
+Each level is the `_prec` of its operators' node classes in `ast`, and one
+precedence-climbing loop, `parse_union`, parses them all. Binary operators
+associate to the left. A `{` directly after `/` always introduces a junction
+label set; after a complete operand it is a bounded repetition. Brackets,
+`(` and `[` together, nest at most MAX_NESTING deep; each leading
+source-side test counts as one level for what follows it.
 Query text is a head variable list, `<-`, then conjuncts joined by `||`,
 each a `&&`-separated mix of relation atoms `(x, expr, y)` and label atoms
 `x:{A,B}`. The head `EMPTY` body form denotes the query with no
@@ -93,6 +95,10 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# each path-expression operator's node class by the token that starts it
+_OPERATORS = {"|": Union, "&": Conj, "/": Concat, "[": BranchR, "+": TransClos, "{": Repeat}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -130,62 +136,47 @@ class _Parser:
 
     # --- path expressions ---
 
-    def parse_union(self) -> PathExpr:
-        expr = self.parse_conj()
-        while self.peek().kind == "|":
-            self.next()
-            expr = Union(expr, self.parse_conj())
-        return expr
-
-    def parse_conj(self) -> PathExpr:
-        expr = self.parse_concat()
-        while self.peek().kind == "&":
-            self.next()
-            expr = Conj(expr, self.parse_concat())
-        return expr
-
-    def parse_concat(self) -> PathExpr:
-        expr = self.parse_branch()
-        while self.peek().kind == "/":
-            self.next()
-            labels = self.parse_label_set() if self.peek().kind == "{" else None
-            expr = Concat(expr, self.parse_branch(), labels)
-        return expr
-
-    def parse_branch(self) -> PathExpr:
+    def parse_union(self, min_prec: int = 0) -> PathExpr:
+        """A path expression of operators that bind at ``min_prec`` or tighter."""
         if self.peek().kind == "[":
             test = self.parse_nested("]")
             # the rest of the branch nests inside this BranchL, one level
             # deeper, so a run of leading tests counts toward the cap
             self.depth += 1
-            main = self.parse_branch()
+            expr = BranchL(test, self.parse_union(BranchL._prec))
             self.depth -= 1
-            return BranchL(test, main)
-        expr = self.parse_postfix()
-        while self.peek().kind == "[":
-            expr = BranchR(expr, self.parse_nested("]"))
-        return expr
-
-    def parse_postfix(self) -> PathExpr:
-        expr = self.parse_atom()
+            level = BranchL._prec
+        else:
+            expr, level = self.parse_atom(), Label._prec
+        # precedence climbing: `level` is how tightly what is parsed so far
+        # binds, and only an operator no tighter applies to it, so infix
+        # operators associate to the left and a branch takes no `+` or `{m,n}`
         while True:
             token = self.peek()
-            if token.kind == "+":
-                self.next()
+            cls = _OPERATORS.get(token.kind)
+            if cls is None or not min_prec <= cls._prec <= level:
+                return expr
+            level = cls._prec
+            if cls is BranchR:
+                expr = BranchR(expr, self.parse_nested("]"))
+                continue
+            self.next()
+            if cls is TransClos:
                 expr = TransClos(expr)
-            elif token.kind == "{":
-                self.next()
+            elif cls is Repeat:
                 lo = int(self.expect("int").text)
                 self.expect(",")
                 hi = int(self.expect("int").text)
                 self.expect("}")
-                if not (1 <= lo <= hi):
-                    raise QuerySyntaxError(
-                        f"repeat bounds must satisfy 1 <= m <= n, got {{{lo},{hi}}}", token.offset
-                    )
-                expr = Repeat(expr, lo, hi)
+                try:
+                    expr = Repeat(expr, lo, hi)
+                except ValueError as exc:
+                    raise QuerySyntaxError(str(exc), token.offset) from exc
+            elif cls is Concat:
+                labels = self.parse_label_set() if self.peek().kind == "{" else None
+                expr = Concat(expr, self.parse_union(level + 1), labels)
             else:
-                return expr
+                expr = cls(expr, self.parse_union(level + 1))
 
     def parse_atom(self) -> PathExpr:
         token = self.peek()
@@ -253,8 +244,6 @@ class _Parser:
             if self.peek().kind != "andand":
                 break
             self.next()
-        if not relations and not labels:
-            self.fail("a conjunct needs at least one atom")
         label_atoms = tuple(LabelAtom(var, names) for var, names in sorted(labels.items()))
         return Conjunct(relations=tuple(relations), labels=label_atoms)
 

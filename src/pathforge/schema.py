@@ -190,7 +190,7 @@ def _entries(doc: dict, key: str) -> list[dict]:
 def _identifier(entry: dict, key: str, what: str) -> str:
     value = entry.get(key)
     if not isinstance(value, str) or not _IDENTIFIER.fullmatch(value):
-        raise FormatError(f"schema {what} {key} must be an identifier, got {value!r}")
+        raise FormatError(f"{what} {key} must be an identifier, got {value!r}")
     return value
 
 
@@ -213,7 +213,7 @@ def load_schema(source: str | Path) -> GraphSchema:
     nodes = []
     labels_seen = set()
     for entry in _entries(doc, "nodes"):
-        label = _identifier(entry, "label", "node")
+        label = _identifier(entry, "label", "schema node")
         if label in labels_seen:
             raise FormatError(f"duplicate schema node label {label!r}")
         labels_seen.add(label)
@@ -222,13 +222,15 @@ def load_schema(source: str | Path) -> GraphSchema:
             raise FormatError(f"properties of schema node {label!r} must be an object")
         for key, type_name in props.items():
             if type_name not in DATA_TYPES:
-                raise FormatError(f"unknown data type {type_name!r} for property {key!r}")
+                raise FormatError(
+                    f"unknown data type {type_name!r} for property {key!r} of schema node {label!r}"
+                )
         nodes.append(SchemaNode(label=label, properties=tuple(sorted(props.items()))))
 
     edges = []
     signatures = set()
     for entry in _entries(doc, "edges"):
-        label, src, trg = (_identifier(entry, key, "edge") for key in ("label", "src", "trg"))
+        label, src, trg = (_identifier(entry, k, "schema edge") for k in ("label", "src", "trg"))
         if label in labels_seen:
             raise FormatError(f"label {label!r} used for both a node and an edge")
         for endpoint in (src, trg):
@@ -275,21 +277,25 @@ def load_db(nodes_source: str | Path, edges_source: str | Path) -> GraphDB:
             raise FormatError(f"duplicate node id {node_id!r}")
         if not node_id or not label:
             raise FormatError("node rows need both id and label")
+        _identifier(row, "label", "nodes.csv")
         props_text = row["props"].strip()
         props: dict[str, PropertyValue] = {}
         if props_text:
             props = _parse_json(props_text, f"node {node_id!r} props")
             if not isinstance(props, dict):
                 raise FormatError(f"node {node_id!r} props must be a JSON object")
-            for value in props.values():
-                value_type(value)  # rejects nested containers
+            for key, value in props.items():
+                if not isinstance(value, PropertyValue):
+                    raise FormatError(
+                        f"node {node_id!r} property {key!r} has unsupported value {value!r}"
+                    )
         node_labels[node_id] = label
         nodes.append(DbNode(id=node_id, label=label, properties=tuple(sorted(props.items()))))
 
     node_label_set = set(node_labels.values())
     edges = []
     for index, row in enumerate(edge_rows):
-        src, label, trg = row["src"], row["label"], row["trg"]
+        src, label, trg = row["src"], _identifier(row, "label", "edges.csv"), row["trg"]
         if label in node_label_set:
             raise FormatError(f"label {label!r} used for both a node and an edge")
         for endpoint in (src, trg):

@@ -33,7 +33,7 @@ from pathforge import (
 )
 import pathforge.ast
 import pathforge.rewriter
-from pathforge.ast import children, flatten_chain, map_children, precedence, walk
+from pathforge.ast import children, flatten_chain, map_children, walk
 from pathforge.inference import derivation_rows
 
 from blowup_cases import BLOWUP_CASES
@@ -68,7 +68,7 @@ def test_shape_table_precedence_children_and_printer_cover_the_node_set():
         )
         assert node._kids == node_fields
         assert children(node) == tuple(getattr(node, name) for name in node_fields)
-        assert isinstance(precedence(node), int)
+        assert isinstance(node._prec, int)
         assert parse_path_expr(to_text(node)) == node
 
 

@@ -117,6 +117,43 @@ def test_check_inconsistent(tmp_path, capsys):
     assert "unknown_node_label" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["check", "eval"])
+@pytest.mark.parametrize(
+    "node_rows, edge_rows, message",
+    [
+        ("n1,A,\n", "n1,,n1\n", "edges.csv label must be an identifier, got ''"),
+        ("n1,A,\n", "n1,has part,n1\n", "edges.csv label must be an identifier, got 'has part'"),
+        ("n1,MY CITY,\n", "", "nodes.csv label must be an identifier, got 'MY CITY'"),
+        ('n1,A,"{""name"": null}"\n', "", "node 'n1' property 'name' has unsupported value None"),
+    ],
+    ids=["empty-edge-label", "spaced-edge-label", "spaced-node-label", "null-prop"],
+)
+def test_malformed_db_exits_2_naming_the_element(
+    command, node_rows, edge_rows, message, tmp_path, query_file, capsys
+):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("id,label,props\n" + node_rows)
+    edges = tmp_path / "edges.csv"
+    edges.write_text("src,label,trg\n" + edge_rows)
+    argv = ["--db", f"{nodes},{edges}"]
+    if command == "check":
+        argv += ["--schema", YAGO]
+    else:
+        argv += ["--query", query_file("x,y <- (x, owns, y)")]
+    assert run([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_unknown_data_type_exits_2_naming_the_schema_node(tmp_path, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"nodes": [{"label": "P", "properties": {"name": 0}}]}))
+    assert run(["check", "--schema", str(schema), "--db", DB]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown data type 0 for property 'name' of schema node 'P'\n"
+
+
 @pytest.mark.parametrize(
     "declared,value,code",
     [

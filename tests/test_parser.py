@@ -175,3 +175,38 @@ def test_print_parse_round_trip(expr):
 def test_canonical_text_is_stable(expr):
     text = to_text(expr)
     assert to_text(parse_path_expr(text)) == text
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        # a postfix operator needs an atom, a parenthesis or another postfix
+        # as its operand, never a branch
+        ("a[b]+", "trailing input '+'", 4),
+        ("a[b]{1,2}", "trailing input '{'", 4),
+        ("[t]a[b]+", "trailing input '+'", 7),
+        ("a/{X}+", "expected a path expression, found '+'", 5),
+        ("a{2,1}", "repeat bounds must satisfy 1 <= m <= n, got {2,1}", 1),
+        ("a+{0,3}", "repeat bounds must satisfy 1 <= m <= n, got {0,3}", 2),
+        ("-(a)", "reverse applies to a single edge label", 1),
+        ("a//b", "expected a path expression, found '/'", 2),
+    ],
+)
+def test_errors_at_each_binding_level(text, message, offset):
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_path_expr(text)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
+def test_postfix_on_a_branch_inside_a_query():
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query("x,y <- (x, a[b]+, y)")
+    assert str(err.value) == "expected ',', found '+' (at offset 15)"
+    assert err.value.offset == 15
+
+
+def test_closure_of_a_parenthesised_branch():
+    expr = parse_path_expr("(a[b])+")
+    assert expr == TransClos(BranchR(Label("a"), Label("b")))
+    assert to_text(expr) == "(a[b])+"

@@ -114,6 +114,43 @@ def test_db_duplicate_node_id_rejected():
         load_db("id,label,props\nn1,A,\nn1,A,\n", "src,label,trg\n")
 
 
+@pytest.mark.parametrize(
+    "nodes, edges, message",
+    [
+        ("n1,A,\n", "n1,,n1\n", "edges.csv label must be an identifier, got ''"),
+        (
+            "n1,A,\n",
+            "n1,not an identifier,n1\n",
+            "edges.csv label must be an identifier, got 'not an identifier'",
+        ),
+        ("n1,MY CITY,\n", "", "nodes.csv label must be an identifier, got 'MY CITY'"),
+        ("n1,1A,\n", "", "nodes.csv label must be an identifier, got '1A'"),
+        # an empty label keeps its own message
+        ("n1,,\n", "", "node rows need both id and label"),
+    ],
+    ids=["empty-edge", "spaced-edge", "spaced-node", "digit-node", "empty-node"],
+)
+def test_db_labels_must_be_identifiers(nodes, edges, message):
+    # labels are spliced into query text and SQL, as in a schema
+    with pytest.raises(FormatError) as err:
+        load_db(f"id,label,props\n{nodes}", f"src,label,trg\n{edges}")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value", ["null", "[1]", '{""a"": 1}'])
+def test_db_unsupported_property_value_names_node_and_key(value):
+    with pytest.raises(FormatError) as err:
+        load_db(f'id,label,props\nn1,A,"{{""name"": {value}}}"\n', "src,label,trg\n")
+    assert str(err.value).startswith("node 'n1' property 'name' has unsupported value ")
+
+
+def test_unknown_data_type_names_the_schema_node():
+    doc = {"nodes": [{"label": "B"}, {"label": "P", "properties": {"name": 0}}]}
+    with pytest.raises(FormatError) as err:
+        load_schema(json.dumps(doc))
+    assert str(err.value) == "unknown data type 0 for property 'name' of schema node 'P'"
+
+
 def test_db_csv_field_over_the_csv_module_limit_raises_format_error():
     # the csv module rejects a field over 131,072 characters
     long_field = "x" * 200_000
