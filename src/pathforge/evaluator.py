@@ -1,25 +1,32 @@
 """Reference evaluator over in-memory graphs, plus a conforming-database generator.
 
-It is the ground truth the rewriter and emitters are checked against. Path
-expressions evaluate to sets of (source id, target id) pairs under set
-semantics, so transitive closure always terminates; `transitive_closure` is
-semi-naive, and schema inference calls it on label pairs too.
+It is the ground truth the rewriter and emitters are checked against. A path
+expression evaluates, under set semantics, to a successor map: the set of
+target ids each source id reaches, with no source mapped to an empty set.
+Operators work a set at a time: composition unions, per source, the target
+sets of its middle nodes (those of the junction labels, if any), and
+`transitive_closure` grows each source's reach by the targets of the nodes
+it reached last, so it always terminates; schema inference calls it on label
+maps too. Each edge label's map is built once per database; a map's sets are
+never changed once it is returned, so a map may share them with another.
 A repetition e{m,n} is the union of the powers e^m .. e^n, e^m by repeated
 squaring and each later one composed from the one before; these powers are
 not expression nodes. The loop stops at the first power the union already
 holds, such as an empty or a repeated one: each later power composes it
 with e, so the union holds those too.
-A conjunct's atoms are hash-joined as binding tables, smallest first, with
+`eval_path` returns an expression's (source id, target id) pairs. A
+conjunct's atoms are hash-joined as binding tables, smallest first, with
 variables projected out as soon as nothing later needs them. Their
-independent oracles: ``_closure_naive`` for the closure, and a brute-force
-enumeration of variable assignments in the evaluator tests for the join.
+independent oracles: ``_closure_naive`` for the closure, and, in the
+evaluator tests, pair-set semantics for each operator and a brute-force
+enumeration of variable assignments for the join.
 """
 
 from __future__ import annotations
 
 import random
 import string
-from collections.abc import Set
+from collections.abc import Collection, Mapping, Set
 from operator import itemgetter
 
 from .ast import (
@@ -39,6 +46,8 @@ from .record import Record
 from .schema import DbEdge, DbNode, GraphDB, GraphSchema
 
 Pair = tuple[str, str]
+# a successor map: the target ids of each source id, none of them empty
+Succ = Mapping[str, Set[str]]
 # a binding table: its variables, and one row of node ids per binding
 Table = tuple[tuple[str, ...], Set[tuple]]
 
@@ -56,101 +65,135 @@ class EvalStats(Record):
         self.pairs = pairs
 
 
-def _compose(
-    left: frozenset[Pair], right: frozenset[Pair], junction: frozenset[str] | None, db: GraphDB
-) -> frozenset[Pair]:
-    by_src: dict[str, set[str]] = {}
-    labels = db.node_label
-    for src, trg in right:
-        by_src.setdefault(src, set()).add(trg)
-    out = set()
-    for src, mid in left:
-        if junction is not None and labels.get(mid) not in junction:
-            continue
-        for trg in by_src.get(mid, ()):
-            out.add((src, trg))
-    return frozenset(out)
-
-
 def eval_path(expr: PathExpr, db: GraphDB, stats: EvalStats | None = None) -> frozenset[Pair]:
     """All node pairs connected by the expression."""
-    return _eval(expr, db, stats)
-
-
-def _eval(expr: PathExpr, db: GraphDB, stats: EvalStats | None) -> frozenset[Pair]:
-    """One node's pairs, its children evaluated by recursion here and not
-    through ``eval_path``, so a wrapper of that name sees each top-level call
-    once."""
     if isinstance(expr, Label):
-        result = db.edge_pairs.get(expr.name, frozenset())
+        # a bare label's pairs are indexed already
+        pairs = db.edge_pairs.get(expr.name, frozenset())
+        if stats is not None:
+            stats.pairs += len(pairs)
+        return pairs
+    succ = _eval(expr, db, stats)
+    return frozenset([(src, trg) for src, trgs in succ.items() for trg in trgs])
+
+
+def _eval(expr: PathExpr, db: GraphDB, stats: EvalStats | None) -> Succ:
+    """One node's successor map, its children evaluated by recursion here and
+    not through ``eval_path``, so a wrapper of that name sees each top-level
+    call once."""
+    if isinstance(expr, Label):
+        result = db.successors.get(expr.name, {})
     elif isinstance(expr, Reverse):
-        result = frozenset((t, s) for s, t in db.edge_pairs.get(expr.name, frozenset()))
+        result = db.predecessors.get(expr.name, {})
     elif isinstance(expr, Concat):
-        result = _compose(_eval(expr.left, db, stats), _eval(expr.right, db, stats), expr.labels, db)
+        left, right = _eval(expr.left, db, stats), _eval(expr.right, db, stats)
+        if expr.labels is not None:
+            labels, junction = db.node_label, expr.labels
+            right = {mid: trgs for mid, trgs in right.items() if labels.get(mid) in junction}
+        result = _compose(left, right)
     elif isinstance(expr, Union):
-        result = _eval(expr.left, db, stats) | _eval(expr.right, db, stats)
+        result = _union(_eval(expr.left, db, stats), _eval(expr.right, db, stats))
     elif isinstance(expr, Conj):
-        result = _eval(expr.left, db, stats) & _eval(expr.right, db, stats)
-    elif isinstance(expr, (BranchR, BranchL)):
-        main = _eval(expr.main, db, stats)
-        test_sources = {s for s, _ in _eval(expr.test, db, stats)}
-        end = 1 if isinstance(expr, BranchR) else 0
-        result = frozenset(pair for pair in main if pair[end] in test_sources)
+        left, right = _eval(expr.left, db, stats), _eval(expr.right, db, stats)
+        result = {}
+        for src, trgs in left.items():
+            other = right.get(src)
+            if other is not None and (both := trgs & other):
+                result[src] = both
+    elif isinstance(expr, BranchR):
+        main, test = _eval(expr.main, db, stats), set(_eval(expr.test, db, stats))
+        result = {}
+        for src, trgs in main.items():
+            if kept := trgs & test:
+                result[src] = kept
+    elif isinstance(expr, BranchL):
+        main, test = _eval(expr.main, db, stats), _eval(expr.test, db, stats)
+        result = {src: trgs for src, trgs in main.items() if src in test}
     elif isinstance(expr, TransClos):
         result = transitive_closure(_eval(expr.inner, db, stats))
     elif isinstance(expr, Repeat):
         base = _eval(expr.inner, db, stats)
-        power = _power(base, expr.lo, db)
-        out = set(power)
+        result = power = _power(base, expr.lo)
         for _ in range(expr.lo, expr.hi):
-            power = _compose(power, base, None, db)
-            if power <= out:
+            power = _compose(power, base)
+            if _within(power, result):
                 break
-            out |= power
-        result = frozenset(out)
+            result = _union(result, power)
     else:
         raise TypeError(f"not a path expression: {expr!r}")
     if stats is not None:
-        stats.pairs += len(result)
+        stats.pairs += sum(map(len, result.values()))
     return result
 
 
-def _power(base: frozenset[Pair], m: int, db: GraphDB) -> frozenset[Pair]:
+def _compose(left: Succ, right: Succ) -> dict[str, Set[str]]:
+    """Each source of ``left`` to the union of its middle nodes' targets in
+    ``right``."""
+    out = {}
+    for src, mids in left.items():
+        reach = [trgs for mid in mids if (trgs := right.get(mid)) is not None]
+        if reach:
+            out[src] = reach[0] if len(reach) == 1 else set().union(*reach)
+    return out
+
+
+def _union(left: Succ, right: Succ) -> Succ:
+    """The pairs of either map."""
+    out = {**left, **right}
+    for src in left.keys() & right.keys():
+        out[src] = left[src] | right[src]
+    return out
+
+
+def _within(part: Succ, whole: Succ) -> bool:
+    """Whether ``whole`` holds every pair of ``part``."""
+    return all(src in whole and trgs <= whole[src] for src, trgs in part.items())
+
+
+def _power(base: Succ, m: int) -> Succ:
     """``base`` composed with itself to the m-th power, m >= 1, by repeated
     squaring, since composition is associative; a loop, so no bound is too
     large for the stack."""
     power = None
     while m:
         if m & 1:
-            power = base if power is None else _compose(power, base, None, db)
+            power = base if power is None else _compose(power, base)
         m >>= 1
         if m:
-            base = _compose(base, base, None, db)
+            base = _compose(base, base)
     return power
 
 
-def transitive_closure(base: Set[Pair]) -> frozenset[Pair]:
-    """Pairs joined by a path of one or more ``base`` pairs, semi-naively:
-    only new pairs are extended, through an index of ``base`` built once."""
-    successors: dict[str, list[str]] = {}
-    for src, trg in base:
-        successors.setdefault(src, []).append(trg)
-    closure = set(base)
-    delta = closure.copy()
-    while delta:
-        delta = {(s, t) for s, mid in delta for t in successors.get(mid, ())} - closure
-        closure |= delta
-    return frozenset(closure)
+def transitive_closure(successors: Mapping[str, Collection[str]]) -> dict[str, set[str]]:
+    """The targets each source reaches by one or more steps of
+    ``successors``: its reach grows by the targets of the nodes it first
+    reached in the step before, a set at a time, until none is new. A node
+    whose own reach is complete adds all of it at once, and the nodes in it
+    need no step of their own, as they reach nothing it lacks."""
+    closure: dict[str, set[str]] = {}
+    for src, first in successors.items():
+        reach = set(first)
+        frontier = first
+        while frontier:
+            step = set()
+            for mid in frontier:
+                done = closure.get(mid)
+                if done is not None:
+                    reach |= done
+                elif trgs := successors.get(mid):
+                    step.update(trgs)
+            frontier = step - reach
+            reach |= frontier
+        closure[src] = reach
+    return closure
 
 
-def _closure_naive(base: frozenset[Pair], db: GraphDB) -> frozenset[Pair]:
+def _closure_naive(base: Succ) -> Succ:
     # kept as a second, slower oracle for `transitive_closure`
-    closure = frozenset(base)
-    while True:
-        extended = closure | _compose(closure, base, None, db)
-        if extended == closure:
-            return closure
-        closure = extended
+    closure = base
+    while not _within(step := _compose(closure, base), closure):
+        closure = _union(closure, step)
+    return closure
 
 
 def eval_ucqt(query: UcqtQuery, db: GraphDB, stats: EvalStats | None = None) -> frozenset[tuple]:
@@ -170,6 +213,11 @@ def _columns(positions: list[int]):
     if len(positions) == 1:
         (index,) = positions
         return lambda row: (row[index],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+def _key(positions: list[int]):
+    """A function that picks the given positions of a row, a value for one."""
     return itemgetter(*positions) if positions else lambda row: ()
 
 
@@ -254,25 +302,29 @@ def _hash_join(
     """Join ``rows`` with a table on their shared columns, keeping ``keep``."""
     shared = [var for var in table_cols if var in cols]
     added = [i for i, var in enumerate(table_cols) if var not in cols and var in keep]
-    table_key = _columns([table_cols.index(var) for var in shared])
-    row_key = _columns([cols.index(var) for var in shared])
+    # a key is one value, or a tuple of several, the same way on both sides
+    table_key = _key([table_cols.index(var) for var in shared])
+    row_key = _key([cols.index(var) for var in shared])
     kept = [i for i, var in enumerate(cols) if var in keep]
     left_pick = _columns(kept)
     out_cols = tuple(cols[i] for i in kept) + tuple(table_cols[i] for i in added)
     if not added:
         keys = {table_key(row) for row in table_rows}
         return out_cols, {left_pick(row) for row in rows if row_key(row) in keys}
-    index: dict[tuple, set[tuple]] = {}
+    index: dict[object, set[tuple]] = {}
     value = _columns(added)
     for row in table_rows:
         index.setdefault(table_key(row), set()).add(value(row))
-    out: set[tuple] = set()
+    # the matches of rows with one kept prefix merge before any output row
+    # is built, so each distinct row is built once
+    grouped: dict[tuple, set[tuple]] = {}
     for row in rows:
         match = index.get(row_key(row))
         if match:
             prefix = left_pick(row)
-            out.update([prefix + rest for rest in match])
-    return out_cols, out
+            have = grouped.get(prefix)
+            grouped[prefix] = match if have is None else have | match
+    return out_cols, {prefix + rest for prefix, rests in grouped.items() for rest in rests}
 
 
 _WORDS = ("ada", "bo", "cy", "dee", "eli", "fay", "gus", "hal", "ivy", "jo")

@@ -238,8 +238,10 @@ def plus_comp(
             log.warnings.append(
                 f"path enumeration exceeded {path_limit} paths; keeping the closure"
             )
-        pairs = _reachable_pairs(arcs.keys())
-        return frozenset(SchemaTriple(src, closure, trg) for src, trg in pairs)
+        reach = _reachable_pairs(successors)
+        return frozenset(
+            SchemaTriple(src, closure, trg) for src, trgs in reach.items() for trg in trgs
+        )
     # the walk listed every round trip, and a label is cyclic when one
     # starts from it
     cyclic = {path[0] for path in sequences if path[0] == path[-1]}

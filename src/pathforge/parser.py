@@ -164,9 +164,9 @@ class _Parser:
             if cls is TransClos:
                 expr = TransClos(expr)
             elif cls is Repeat:
-                lo = int(self.expect("int").text)
+                lo = self.parse_bound()
                 self.expect(",")
-                hi = int(self.expect("int").text)
+                hi = self.parse_bound()
                 self.expect("}")
                 try:
                     expr = Repeat(expr, lo, hi)
@@ -177,6 +177,17 @@ class _Parser:
                 expr = Concat(expr, self.parse_union(level + 1), labels)
             else:
                 expr = cls(expr, self.parse_union(level + 1))
+
+    def parse_bound(self) -> int:
+        token = self.expect("int")
+        # `int` refuses a string of more digits than the interpreter's limit
+        # (4,300 by default) with a plain ValueError
+        try:
+            return int(token.text)
+        except ValueError:
+            raise QuerySyntaxError(
+                f"repeat bound of {len(token.text)} digits is too long", token.offset
+            ) from None
 
     def parse_atom(self) -> PathExpr:
         token = self.peek()

@@ -21,7 +21,7 @@ import json
 import re
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .ast import IDENTIFIER
 from .record import Frozen
@@ -134,6 +134,30 @@ class GraphDB(_Graph):
         for edge in self.edges:
             out.setdefault(edge.label, set()).add((edge.src, edge.trg))
         return {label: frozenset(pairs) for label, pairs in out.items()}
+
+    @cached_property
+    def successors(self) -> dict[str, dict[str, set[str]]]:
+        """Per edge label, the target ids of each source id; read-only."""
+        return {label: _grouped(pairs) for label, pairs in self.edge_pairs.items()}
+
+    @cached_property
+    def predecessors(self) -> dict[str, dict[str, set[str]]]:
+        """Per edge label, the source ids of each target id; read-only."""
+        return {
+            label: _grouped((trg, src) for src, trg in pairs)
+            for label, pairs in self.edge_pairs.items()
+        }
+
+
+def _grouped(pairs: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
+    """The second ids of the pairs by their first id."""
+    out: dict[str, set[str]] = {}
+    for first, second in pairs:
+        if first in out:
+            out[first].add(second)
+        else:
+            out[first] = {second}
+    return out
 
 
 _ISO_DATE = "%Y-%m-%d"

@@ -49,6 +49,18 @@ def test_simplify_parse_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_repetition_bound_past_the_integer_digit_limit_exits_2(query_file, capsys):
+    bound = "1" * 5000
+    assert run(["simplify", f"a{{{bound},2}}"]) == 2
+    path = query_file(f"x,y <- (x, owns{{1,{bound}}}, y)")
+    assert run(["eval", "--db", DB, "--query", path]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: repeat bound of 5000 digits is too long (at offset 2)",
+        "error: repeat bound of 5000 digits is too long (at offset 18)",
+    ]
+
+
 def test_infer_command(capsys):
     assert run(["infer", "--schema", YAGO, "livesIn/isLocatedIn+"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -199,6 +199,20 @@ def test_errors_at_each_binding_level(text, message, offset):
     assert err.value.offset == offset
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [("a{" + "1" * 5000 + ",2}", 2), ("a{1," + "9" * 4301 + "}", 4)],
+    ids=["lower", "upper"],
+)
+def test_a_repetition_bound_past_the_integer_digit_limit_is_a_syntax_error(text, offset):
+    # Python's int() refuses more than 4,300 digits with a plain ValueError
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_path_expr(text)
+    digits = len(text) - len("a{,2}") if offset == 2 else len(text) - len("a{1,}")
+    assert str(err.value) == f"repeat bound of {digits} digits is too long (at offset {offset})"
+    assert err.value.offset == offset
+
+
 def test_postfix_on_a_branch_inside_a_query():
     with pytest.raises(QuerySyntaxError) as err:
         parse_query("x,y <- (x, a[b]+, y)")
