@@ -379,11 +379,3 @@ def flatten_chain(expr: PathExpr) -> tuple[list[PathExpr], list[frozenset[str] |
 
     go(expr)
     return factors, junctions
-
-
-def build_chain(factors: list[PathExpr]) -> PathExpr:
-    """The plain composition of the factors, left-leaning."""
-    out = factors[0]
-    for factor in factors[1:]:
-        out = Concat(out, factor)
-    return out

@@ -87,12 +87,15 @@ def _node(name: str | None, labels: frozenset[str] | None) -> str:
 def emit_cypher(query: UcqtQuery, schema: GraphSchema) -> str | UnsupportedReport:
     """Cypher text for a chain-shaped query, or a report saying why not."""
     check_labels(query, schema)
-    if not query.disjuncts:
+    # label atoms on one variable whose labels meet in the empty set match
+    # no node, so their conjunct adds no rows
+    disjuncts = [conjunct for conjunct in query.disjuncts if all(conjunct.label_map().values())]
+    if not disjuncts:
         columns = ", ".join(f"NULL AS {var}" for var in query.head)
         return f"RETURN DISTINCT {columns} LIMIT 0;\n"
     blocks = []
     try:
-        for conjunct in query.disjuncts:
+        for conjunct in disjuncts:
             blocks.append(_render_conjunct(query, conjunct))
     except _Unsupported as exc:
         return exc.report
@@ -113,15 +116,10 @@ def _render_conjunct(query: UcqtQuery, conjunct) -> str:
     mentioned: set[str] = set()
     for rel in conjunct.relations:
         factors, junctions = flatten_chain(rel.expr)
-        text = node(rel.src_var)
-        for index, factor in enumerate(factors):
-            text += _relationship(factor)
-            if index < len(factors) - 1:
-                junction = junctions[index]
-                text += _node(None, junction)
-            else:
-                text += node(rel.trg_var)
-        patterns.append(text)
+        text = node(rel.src_var) + _relationship(factors[0])
+        for junction, factor in zip(junctions, factors[1:]):
+            text += _node(None, junction) + _relationship(factor)
+        patterns.append(text + node(rel.trg_var))
         mentioned.update((rel.src_var, rel.trg_var))
     # a variable no relation atom mentions is a node pattern of its own,
     # labeled when a label atom names it

@@ -249,7 +249,9 @@ class _Parser:
                 self.expect(":")
                 names = self.parse_label_set()
                 # repeated label atoms on one variable conjoin
-                labels[token.text] = labels.get(token.text, names) & names
+                met = labels[token.text] = labels.get(token.text, names) & names
+                if not met:
+                    raise QuerySyntaxError(f"empty label set on variable {token.text!r}", token.offset)
             else:
                 self.fail("expected a relation atom or a label atom")
             if self.peek().kind != "andand":

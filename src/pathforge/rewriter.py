@@ -39,7 +39,6 @@ from .ast import (
     Reverse,
     TransClos,
     Union,
-    build_chain,
     desugar,
     flatten_chain,
     has_annotations,
@@ -239,27 +238,26 @@ def _translate_chain(
     # and around every annotated factor (a branch holding annotations), which
     # recurses
     factors, junctions = flatten_chain(expr)
-    var, run = alpha, [factors[0]]
+    var, run = alpha, factors[0]
     for junction, left, right in zip(junctions, factors, factors[1:]):
         if junction is None and not has_annotations(left) and not has_annotations(right):
-            run.append(right)
+            run = Concat(run, right)
             continue
         nxt = next(fresh)
         _translate_run(var, nxt, run, fresh, out)
         if junction is not None:
             _meet(out.labels, nxt, junction)
-        var, run = nxt, [right]
+        var, run = nxt, right
     _translate_run(var, beta, run, fresh, out)
 
 
 def _translate_run(
-    alpha: str, beta: str, run: list[PathExpr], fresh: Iterator[str], out: Fragment
+    alpha: str, beta: str, run: PathExpr, fresh: Iterator[str], out: Fragment
 ) -> None:
-    piece = build_chain(run)
-    if has_annotations(piece):
-        _translate(alpha, beta, piece, fresh, out)
+    if has_annotations(run):
+        _translate(alpha, beta, run, fresh, out)
     else:
-        out.relations.append(Relation(alpha, piece, beta))
+        out.relations.append(Relation(alpha, run, beta))
 
 
 def _meet(labels: dict[str, frozenset[str]], var: str, labs: frozenset[str]) -> frozenset[str]:
@@ -297,11 +295,14 @@ def rewrite(
     repetitions included ("revert"), and so do the atoms reverted to bring a
     conjunct's product of alternatives within ``disjunct_limit``. Atoms unsatisfiable under the
     schema erase their conjunct with a warning; when every conjunct dies the
-    result is the canonical empty query. Both limits must be at least 0.
+    result is the canonical empty query. The empty query rewrites to itself
+    with no warning. A query `validate_query` refuses raises ValueError, and
+    both limits must be at least 0.
     """
     for name, limit in (("path", path_limit), ("disjunct", disjunct_limit)):
         if limit < 0:
             raise ValueError(f"{name} limit must be at least 0, got {limit}")
+    validate_query(query)
     warnings: list[str] = []
     taken = frozenset(query.head).union(*(c.variables() for c in query.disjuncts))
     fresh = fresh_names("_g", taken)
@@ -408,9 +409,7 @@ def rewrite(
     # a disjunct can recur, written twice or as another's unrolled closure;
     # the union keeps its first occurrence
     enriched = UcqtQuery(head=query.head, disjuncts=tuple(dict.fromkeys(out_disjuncts)))
-    if out_disjuncts:
-        validate_query(enriched)
-    else:
+    if query.disjuncts and not out_disjuncts:
         warnings.append("query is unsatisfiable under the schema; emitting the empty query")
     return RewriteOutcome(
         enriched=enriched,

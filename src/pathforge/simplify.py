@@ -29,7 +29,6 @@ from .ast import (
     Concat,
     PathExpr,
     TransClos,
-    build_chain,
     map_children,
 )
 
@@ -50,16 +49,13 @@ def _plain_concat(expr: PathExpr) -> bool:
     return isinstance(expr, Concat) and expr.labels is None
 
 
-def _concat_factors(expr: PathExpr) -> list[PathExpr]:
-    if _plain_concat(expr):
-        return _concat_factors(expr.left) + _concat_factors(expr.right)
-    return [expr]
-
-
 def _peel(test: Concat) -> BranchR:
-    """`a/b/...` as `a[b/...]`: the leading factor, filtered by the rest."""
-    first, *rest = _concat_factors(test)
-    return BranchR(first, build_chain(rest))
+    """`a/b/...` as `a[b/...]`: the leading factor of the plain left spine,
+    filtered by the rest, so `(a/b)/c` becomes `a[b/c]`."""
+    if not _plain_concat(test.left):
+        return BranchR(test.left, test.right)
+    head = _peel(test.left)
+    return BranchR(head.main, Concat(head.test, test.right))
 
 
 def _apply_root(expr: PathExpr) -> PathExpr | None:

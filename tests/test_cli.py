@@ -221,6 +221,14 @@ def test_rewrite_warning_strict(query_file, capsys):
     assert "unsatisfiable" in err
 
 
+def test_rewrite_of_the_empty_query_passes_strict(query_file, capsys):
+    path = query_file("x <- EMPTY")
+    assert run(["rewrite", "--schema", YAGO, "--query", path, "--strict"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "x <- EMPTY\n"
+    assert captured.err == ""
+
+
 def test_eval_command(query_file, capsys):
     path = query_file("x,y <- (x, livesIn/isLocatedIn+, y)")
     assert run(["eval", "--db", DB, "--query", path]) == 0

@@ -274,6 +274,30 @@ def test_sqlite_matches_evaluator_on_yago_queries(yago_schema):
         assert run_sql(enriched, yago_schema, db) == want, text
 
 
+def test_repeated_label_atoms_meet_in_every_backend(yago_schema):
+    db = gen_db(yago_schema, seed=1, nodes_per_label=4, edge_prob=0.5)
+    located = Relation("x", Label("isLocatedIn"), "y")
+
+    def query(*label_sets):
+        atoms = tuple(LabelAtom("x", frozenset(labels)) for labels in label_sets)
+        return UcqtQuery(("x", "y"), (Conjunct((located,), atoms),))
+
+    # the first atom narrows the second, so the meet is not the last atom
+    met = query({"CITY"}, {"CITY", "PROPERTY"})
+    rows = eval_ucqt(met, db)
+    assert rows and rows == eval_ucqt(query({"CITY"}), db) == run_sql(met, yago_schema, db)
+    assert emit_cypher(met, yago_schema) == emit_cypher(query({"CITY"}), yago_schema)
+    assert "(x:CITY)" in emit_cypher(met, yago_schema)
+    # an empty meet matches nothing, and Cypher drops its conjunct
+    empty = query({"CITY", "PROPERTY"}, {"CITY"}, {"PROPERTY"})
+    assert eval_ucqt(empty, db) == run_sql(empty, yago_schema, db) == frozenset()
+    nothing = UcqtQuery(("x", "y"), ())
+    assert emit_cypher(empty, yago_schema) == emit_cypher(nothing, yago_schema)
+    both = UcqtQuery(("x", "y"), empty.disjuncts + met.disjuncts)
+    assert eval_ucqt(both, db) == run_sql(both, yago_schema, db) == rows
+    assert emit_cypher(both, yago_schema) == emit_cypher(met, yago_schema)
+
+
 def test_sqlite_matches_evaluator_single_atom():
     rng = random.Random(616)
     for index in range(60):

@@ -129,6 +129,11 @@ def test_duplicate_label_atoms_conjoin():
     assert query.disjuncts[0].label_map() == {"y": frozenset({"B"})}
 
 
+def test_empty_label_meet_is_an_error_at_the_atom_that_empties_it():
+    with pytest.raises(QuerySyntaxError, match=r"empty label set on variable 'x' \(at offset 19\)"):
+        parse_query("x <- x:{PERSON} && x:{CITY}")
+
+
 def test_query_errors():
     with pytest.raises(QuerySyntaxError):
         parse_query("x <-")

@@ -248,6 +248,21 @@ def test_rewrite_unsatisfiable(yago_schema):
     assert any("unsatisfiable" in w for w in outcome.warnings)
 
 
+def test_rewrite_of_the_empty_query_warns_nothing(yago_schema):
+    query = parse_query("x <- EMPTY")
+    outcome = rewrite(query, yago_schema)
+    assert outcome.enriched == query
+    assert outcome.warnings == ()
+
+
+def test_rewrite_validates_its_input_even_when_no_conjunct_survives(yago_schema):
+    owns2 = Relation("x", Concat(Label("owns"), Label("owns")), "y")
+    with pytest.raises(ValueError, match="duplicate head variable"):
+        rewrite(UcqtQuery(head=("x", "x"), disjuncts=(Conjunct((owns2,)),)), yago_schema)
+    with pytest.raises(ValueError, match="at least one variable"):
+        rewrite(UcqtQuery(head=(), disjuncts=()), yago_schema)
+
+
 def test_rewrite_reverts_closure_kept_by_schema(yago_schema):
     outcome = rewrite(parse_query("x,y <- (x, dealsWith+, y)"), yago_schema)
     assert query_to_text(outcome.enriched) == "x,y <- (x, dealsWith+, y)"

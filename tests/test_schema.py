@@ -218,6 +218,28 @@ def test_gen_db_extremes(yago_schema):
     assert len(full.edges) == len(yago_schema.edges) * 2 * 2
 
 
+def test_gen_db_values_of_every_type_are_consistent():
+    types = {"s": "String", "i": "Int", "f": "Float", "b": "Bool", "d": "Date"}
+    doc = {
+        "nodes": [{"label": "T", "properties": types}, {"label": "U", "properties": {}}],
+        "edges": [{"label": "e", "src": "T", "trg": "U"}],
+    }
+    schema = load_schema(json.dumps(doc))
+    for seed in range(200):
+        db = gen_db(schema, seed=seed, nodes_per_label=3, edge_prob=0.5)
+        assert check_consistency(db, schema).consistent, seed
+        for node in db.nodes:
+            assert {key: value_type(value) for key, value in node.properties} == (
+                types if node.label == "T" else {}
+            )
+
+
+@pytest.mark.parametrize("nodes_per_label, edge_prob", [(-1, 0.5), (2, 1.5), (2, -0.1)])
+def test_gen_db_refuses_bad_arguments(yago_schema, nodes_per_label, edge_prob):
+    with pytest.raises(ValueError):
+        gen_db(yago_schema, seed=1, nodes_per_label=nodes_per_label, edge_prob=edge_prob)
+
+
 def test_header_only_csv_text_without_newline_is_an_empty_db():
     db = load_db("id,label,props", "src,label,trg")
     assert db.nodes == () and db.edges == ()
