@@ -5,13 +5,18 @@ the constructors and changes no node. The concrete syntax uses `/` for compositi
 postfix `+` for transitive closure, `{m,n}` for bounded repetition, `-label`
 for reversal of a single edge label, `main[test]` / `[test]main` for the two
 branch filters, and `/{A,B}` for a composition step constrained to junction
-nodes labeled A or B. That junction label set is the optional third field of
-`Concat`: `None` is a plain composition, and a set (even an empty one) is a
-constraint, so code tests `labels is not None`, never its truth value.
+nodes labeled A or B.
+
+Composition is associative, so `Concat` is one node over a flat chain: two
+or more `factors`, none a composition, and between each two a junction,
+`None` for a plain step or the label set the junction node must carry (a
+set, even an empty one, is a constraint: code tests `is not None`). Its
+constructors splice in a composition factor, so `(a/b)/c` and `a/(b/c)` are
+one node, and a chain of any length is one tree level.
 
 Each node class declares in its body its fields, those of them that hold
-child nodes (`_kids`) and its binding level (`_prec`, which the printer and
-the parser read); no function here switches on the node type to find them.
+child nodes (`_kids`; a composition's children are its factors) and its
+binding level (`_prec`, which the printer and the parser read).
 `map_children` is the one rebuild of a node over new children. Each
 structural rewrite (`desugar`, `strip_annotations`, the simplifier's
 normalisation, the rewriter's pruning of vacuous annotations) is its one
@@ -37,15 +42,17 @@ triples then compares pointers instead of walking trees.
 
 Each node also caches, on first use, its text without outer parentheses
 (`_render` adds those by context) and its `strip_annotations` result, which
-the triples' shared subtrees would otherwise compute again and again. The
-caches are sound because a node never changes after it is built; they take
-no part in `__match_args__` or `repr`.
+the triples' shared subtrees would otherwise compute again and again; a
+composition built by `Concat` or `Concat.chain` gets its text at once,
+joined from its operands' texts, where rendering it later would walk all
+its factors. The caches are sound because a node never changes after it is
+built; they take no part in `__match_args__` or `repr`.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 from weakref import ref
 
 from .record import Frozen
@@ -99,8 +106,9 @@ class _Node(Frozen):
     """The shared behaviour of the node classes. Each class lists its fields,
     in constructor order, as both `__slots__` and `__match_args__`; those that
     hold child nodes, in `children` order, as `_kids`, which lead the
-    constructor's fields; and as `_prec` its binding level, which the printer
-    and the parser read, from 0 for `|`, the loosest, to 5 for a label.
+    constructor's fields (a `Concat` holds them in one tuple); and as
+    `_prec` its binding level, which the printer and the parser read, from
+    0 for `|`, the loosest, to 5 for a label.
     `Frozen` refuses assignment and gives the `repr`; equality is `object`'s,
     identity, as `Record`'s would compare trees field by field.
 
@@ -141,14 +149,48 @@ class Reverse(_Node):
 
 
 class Concat(_Node):
-    """Composition; with ``labels``, the junction node must carry one of them."""
+    """Composition: junction i, between factor i and factor i + 1, is None or
+    the label set the junction node must carry one of."""
 
-    __slots__ = __match_args__ = ("left", "right", "labels")
-    _kids = ("left", "right")
+    __slots__ = __match_args__ = ("factors", "junctions")
     _prec = 2
 
     def __new__(cls, left: PathExpr, right: PathExpr, labels: frozenset[str] | None = None):
-        return _intern((cls, id(left), id(right), labels), (left, right, labels))
+        return cls.chain((left, right), (labels,))
+
+    @classmethod
+    def chain(
+        cls, factors: Iterable[PathExpr], junctions: Iterable[frozenset[str] | None]
+    ) -> PathExpr:
+        """The composition of the factors, with one junction fewer; a factor
+        that is a composition brings its own, and one factor is itself."""
+        operands, steps = tuple(factors), tuple(junctions)
+        if len(steps) != len(operands) - 1:
+            raise ValueError(f"{len(operands)} factors need {len(operands) - 1} junctions")
+        if len(operands) == 1:
+            return operands[0]
+        factors, junctions = operands, steps
+        if cls in map(type, operands):
+            # each operand's own junctions, then the one after it
+            flat, joints = [], []
+            for operand, junction in zip(operands, (*steps, None)):
+                if type(operand) is cls:
+                    flat += operand.factors
+                    joints += operand.junctions
+                else:
+                    flat.append(operand)
+                joints.append(junction)
+            factors, junctions = tuple(flat), tuple(joints[:-1])
+        node = _intern((cls, junctions, *map(id, factors)), (factors, junctions))
+        if not hasattr(node, "_text"):
+            # joined from the operands' texts now: inference builds a chain
+            # a step at a time onto the one before, whose text is at hand,
+            # where rendering the finished chain would walk all its factors
+            _set(node, "_text", _chain_text(operands, steps))
+        return node
+
+    def __reduce__(self):
+        return Concat.chain, (self.factors, self.junctions)
 
 
 class Union(_Node):
@@ -215,6 +257,14 @@ def _label_set(labels: frozenset[str]) -> str:
     return "{" + ",".join(sorted(labels)) + "}"
 
 
+def _chain_text(operands: tuple, junctions: tuple) -> str:
+    # a composition operand brings its text whole; any other binds at least
+    # as tightly as a factor, or gets parentheses
+    texts = [_render(op, 0 if type(op) is Concat else Concat._prec + 1) for op in operands]
+    steps = ["/" if labels is None else "/" + _label_set(labels) for labels in junctions]
+    return texts[0] + "".join(map(str.__add__, steps, texts[1:]))
+
+
 def to_text(expr: PathExpr) -> str:
     """Canonical concrete syntax; `parse_path_expr(to_text(e)) is e` holds."""
     return _render(expr, 0)
@@ -253,8 +303,8 @@ def _render_raw(expr: PathExpr) -> str:
     if isinstance(expr, BranchL):
         return "[" + _render(expr.test, 0) + "]" + _render(expr.main, expr._prec)
     if isinstance(expr, Concat):
-        op = "/" if expr.labels is None else "/" + _label_set(expr.labels)
-    elif isinstance(expr, Conj):
+        return _chain_text(expr.factors, expr.junctions)
+    if isinstance(expr, Conj):
         op = "&"
     elif isinstance(expr, Union):
         op = "|"
@@ -267,6 +317,8 @@ def _render_raw(expr: PathExpr) -> str:
 
 
 def children(expr: PathExpr) -> tuple[PathExpr, ...]:
+    if expr.__class__ is Concat:
+        return expr.factors
     # unrolled: a comprehension would cost a frame per call, leaves included
     kids = expr._kids
     if not kids:
@@ -294,8 +346,11 @@ def map_children(expr: PathExpr, f: Callable[[PathExpr], PathExpr]) -> PathExpr:
     """
     # f is called from this frame, so a recursive rewrite through here nests
     # two frames per tree level; a helper or comprehension that called f
-    # would add a third and cut the chain length that fits under the
-    # recursion limit
+    # would add a third and cut the depth that fits under the recursion limit
+    if expr.__class__ is Concat:
+        # nodes are equal only when identical, so == compares pointers
+        factors = tuple(map(f, expr.factors))
+        return expr if factors == expr.factors else Concat.chain(factors, expr.junctions)
     try:
         kids = expr._kids
     except AttributeError:
@@ -319,11 +374,11 @@ def map_children(expr: PathExpr, f: Callable[[PathExpr], PathExpr]) -> PathExpr:
 def desugar(expr: PathExpr) -> PathExpr:
     """Expand every bounded repetition into a union of compositions.
 
-    e{m,n} becomes e^m | e^(m+1) | ... | e^n with left-leaning unions and
-    compositions, e.g. a{2,3} -> (a/a) | (a/a/a); each power is built from
-    the one before, e^k = e^(k-1)/e. A bound n above the recursion limit
-    raises RecursionError before anything is built: e^n nests n deep, and
-    every pass over the expansion recurses through it.
+    e{m,n} becomes e^m | e^(m+1) | ... | e^n with left-leaning unions,
+    e.g. a{2,3} -> (a/a) | (a/a/a); each power is the chain of the one
+    before and e. A bound n above the recursion limit raises RecursionError
+    before anything is built: the union nests up to n deep, and every pass
+    over the expansion recurses through it.
     """
     if isinstance(expr, Repeat):
         if expr.hi > sys.getrecursionlimit():
@@ -343,8 +398,8 @@ def strip_annotations(expr: PathExpr) -> PathExpr:
     try:
         plain = expr._plain
     except AttributeError:
-        if isinstance(expr, Concat) and expr.labels is not None:
-            plain = Concat(strip_annotations(expr.left), strip_annotations(expr.right))
+        if isinstance(expr, Concat):
+            plain = Concat.chain(map(strip_annotations, expr.factors), (None,) * len(expr.junctions))
         else:
             plain = map_children(expr, strip_annotations)
         object.__setattr__(expr, "_plain", None if plain is expr else plain)
@@ -357,25 +412,3 @@ def has_annotations(expr: PathExpr) -> bool:
     # asking again about a node or its subtrees walks nothing
     return strip_annotations(expr) is not expr
 
-
-def flatten_chain(expr: PathExpr) -> tuple[list[PathExpr], list[frozenset[str] | None]]:
-    """Flatten the composition spine into factors and junction constraints.
-
-    Returns (factors, junctions) with len(junctions) == len(factors) - 1;
-    junction i sits between factor i and factor i+1 and is None when the
-    step is unconstrained. Composition is associative, so the original
-    grouping is irrelevant to the callers.
-    """
-    factors: list[PathExpr] = []
-    junctions: list[frozenset[str] | None] = []
-
-    def go(node: PathExpr) -> None:
-        if isinstance(node, Concat):
-            go(node.left)
-            junctions.append(node.labels)
-            go(node.right)
-        else:
-            factors.append(node)
-
-    go(expr)
-    return factors, junctions

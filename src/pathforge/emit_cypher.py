@@ -14,6 +14,7 @@ from typing import NamedTuple
 from .ast import (
     BranchL,
     BranchR,
+    Concat,
     Conj,
     Label,
     PathExpr,
@@ -21,11 +22,10 @@ from .ast import (
     Reverse,
     TransClos,
     Union,
-    flatten_chain,
     to_text,
 )
 from .emit_sql import check_labels
-from .query import UcqtQuery
+from .query import UcqtQuery, validate_query
 from .schema import GraphSchema
 
 
@@ -86,16 +86,14 @@ def _node(name: str | None, labels: frozenset[str] | None) -> str:
 
 def emit_cypher(query: UcqtQuery, schema: GraphSchema) -> str | UnsupportedReport:
     """Cypher text for a chain-shaped query, or a report saying why not."""
+    validate_query(query)
     check_labels(query, schema)
-    # label atoms on one variable whose labels meet in the empty set match
-    # no node, so their conjunct adds no rows
-    disjuncts = [conjunct for conjunct in query.disjuncts if all(conjunct.label_map().values())]
-    if not disjuncts:
+    if not query.disjuncts:
         columns = ", ".join(f"NULL AS {var}" for var in query.head)
         return f"RETURN DISTINCT {columns} LIMIT 0;\n"
     blocks = []
     try:
-        for conjunct in disjuncts:
+        for conjunct in query.disjuncts:
             blocks.append(_render_conjunct(query, conjunct))
     except _Unsupported as exc:
         return exc.report
@@ -115,7 +113,9 @@ def _render_conjunct(query: UcqtQuery, conjunct) -> str:
     patterns = []
     mentioned: set[str] = set()
     for rel in conjunct.relations:
-        factors, junctions = flatten_chain(rel.expr)
+        factors, junctions = (rel.expr,), ()
+        if isinstance(rel.expr, Concat):
+            factors, junctions = rel.expr.factors, rel.expr.junctions
         text = node(rel.src_var) + _relationship(factors[0])
         for junction, factor in zip(junctions, factors[1:]):
             text += _node(None, junction) + _relationship(factor)

@@ -18,6 +18,8 @@ would name one table, and emission refuses such a schema.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .ast import (
     BranchL,
     BranchR,
@@ -29,10 +31,9 @@ from .ast import (
     TransClos,
     Union,
     desugar,
-    flatten_chain,
     walk,
 )
-from .query import Conjunct, UcqtQuery, fresh_names
+from .query import Conjunct, UcqtQuery, fresh_names, validate_query
 from .schema import GraphSchema
 
 DIALECTS = ("postgres", "sqlite", "mysql")
@@ -58,8 +59,9 @@ def check_labels(query: UcqtQuery, schema: GraphSchema) -> None:
             for sub in walk(rel.expr):
                 if isinstance(sub, (Label, Reverse)) and sub.name not in schema.edge_labels:
                     raise EmitError(f"no edge label {sub.name!r} in the schema")
-                if isinstance(sub, Concat) and sub.labels is not None:
-                    require_nodes(sub.labels)
+                if isinstance(sub, Concat):
+                    for labels in filter(None, sub.junctions):
+                        require_nodes(labels)
         for atom in conjunct.labels:
             require_nodes(atom.labels)
 
@@ -89,6 +91,8 @@ class _Renderer:
         # base SELECT of each closure -> its CTE's name, and the CTE texts in order
         self.cte_names: dict[str, str] = {}
         self.ctes: list[str] = []
+        # a node recurs across atoms and disjuncts; it is rendered once
+        self.pair = cache(self.pair)
 
     def pair(self, expr: PathExpr) -> tuple[str, str]:
         """A self-contained SELECT yielding columns Sr, Tr, and the same
@@ -113,7 +117,7 @@ class _Renderer:
         if isinstance(expr, Reverse):
             select = f"SELECT Tr AS Sr, Sr AS Tr FROM {expr.name}"
         elif isinstance(expr, Concat):
-            factors, junctions = flatten_chain(expr)
+            factors, junctions = expr.factors, expr.junctions
             items = [f"FROM {self.pair(factors[0])[1]} AS s1"]
             for index, (junction, factor) in enumerate(zip(junctions, factors[1:]), start=2):
                 item = self.pair(factor)[1]
@@ -209,6 +213,7 @@ def emit_sql(
     """
     if dialect not in DIALECTS:
         raise EmitError(f"unknown dialect {dialect!r}; expected one of {', '.join(DIALECTS)}")
+    validate_query(query)
     check_labels(query, schema)
     renderer = _Renderer(schema)
     if not query.disjuncts:

@@ -3,12 +3,13 @@
 It is the ground truth the rewriter and emitters are checked against. A path
 expression evaluates, under set semantics, to a successor map: the set of
 target ids each source id reaches, with no source mapped to an empty set.
-Operators work a set at a time: composition unions, per source, the target
-sets of its middle nodes (those of the junction labels, if any), and
-`transitive_closure` grows each source's reach by the targets of the nodes
-it reached last, so it always terminates; schema inference calls it on label
-maps too. Each edge label's map is built once per database; a map's sets are
-never changed once it is returned, so a map may share them with another.
+Operators work a set at a time: a chain composes left to right, each step
+the union, per source, of the target sets of its middle nodes (those of the
+junction labels, if any), and `transitive_closure` grows each source's reach
+by the targets of the nodes it reached last, so it always terminates; schema
+inference calls it on label maps too. Each edge label's map is built once
+per database, on first use; a map's sets are never changed once it is
+returned, so a map may share them with another.
 A repetition e{m,n} is the union of the powers e^m .. e^n, e^m by repeated
 squaring and each later one composed from the one before; these powers are
 not expression nodes. The loop stops at the first power the union already
@@ -41,7 +42,7 @@ from .ast import (
     TransClos,
     Union,
 )
-from .query import UcqtQuery
+from .query import UcqtQuery, validate_query
 from .record import Record
 from .schema import DbEdge, DbNode, GraphDB, GraphSchema
 
@@ -56,7 +57,9 @@ class EvalStats(Record):
     """Counts pairs materialized across all subexpression evaluations.
 
     A repetition counts once, for the union of its powers; the intermediate
-    powers are not expression nodes and are not counted.
+    powers are not expression nodes and are not counted. A chain counts each
+    of its left prefixes, as the left-nested binary compositions it stands
+    for would.
     """
 
     __slots__ = __match_args__ = ("pairs",)
@@ -82,15 +85,20 @@ def _eval(expr: PathExpr, db: GraphDB, stats: EvalStats | None) -> Succ:
     not through ``eval_path``, so a wrapper of that name sees each top-level
     call once."""
     if isinstance(expr, Label):
-        result = db.successors.get(expr.name, {})
+        result = db.successors_of(expr.name)
     elif isinstance(expr, Reverse):
-        result = db.predecessors.get(expr.name, {})
+        result = db.predecessors_of(expr.name)
     elif isinstance(expr, Concat):
-        left, right = _eval(expr.left, db, stats), _eval(expr.right, db, stats)
-        if expr.labels is not None:
-            labels, junction = db.node_label, expr.labels
-            right = {mid: trgs for mid, trgs in right.items() if labels.get(mid) in junction}
-        result = _compose(left, right)
+        # each prefix but the whole chain, which counts below, counts here
+        result = _eval(expr.factors[0], db, stats)
+        for index, junction in enumerate(expr.junctions, start=1):
+            if index > 1 and stats is not None:
+                stats.pairs += sum(map(len, result.values()))
+            right = _eval(expr.factors[index], db, stats)
+            if junction is not None:
+                labels = db.node_label
+                right = {mid: trgs for mid, trgs in right.items() if labels.get(mid) in junction}
+            result = _compose(result, right)
     elif isinstance(expr, Union):
         result = _union(_eval(expr.left, db, stats), _eval(expr.right, db, stats))
     elif isinstance(expr, Conj):
@@ -198,6 +206,7 @@ def _closure_naive(base: Succ) -> Succ:
 
 def eval_ucqt(query: UcqtQuery, db: GraphDB, stats: EvalStats | None = None) -> frozenset[tuple]:
     """All head-variable tuples, as the union over the query's conjuncts."""
+    validate_query(query)
     out: set[tuple] = set()
     for conjunct in query.disjuncts:
         atoms = [

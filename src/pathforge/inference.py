@@ -6,7 +6,8 @@ database, and the annotated expression says which junction labels the
 connecting paths pass through. The rules mirror the expression structure:
 
   TBasic    an edge label takes the (src, label, trg) of each schema edge
-  TConcat   join on matching junction label, which becomes the annotation
+  TConcat   fold over the chain's factors, left to right: each join on a
+            matching junction label makes it that junction's annotation
   TMinus    reversal swaps source and target
   TUnion    either side's triples carry over unchanged
   TConj     join on equal source AND equal target
@@ -25,6 +26,7 @@ dropped. The path limit caps triple paths, counted per label sequence.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import pairwise, product
 from operator import attrgetter
 from typing import Iterable, NamedTuple
@@ -134,16 +136,20 @@ def _join(left, right, left_key, right_key, make) -> frozenset[SchemaTriple]:
     return frozenset(make(t1, t2) for t1, group in matches for t2 in group)
 
 
+@cache
+def _step(chain: PathExpr, factor: PathExpr, junction: str) -> PathExpr:
+    # a chain costs its length to build, and the pairs of a join that differ
+    # only in their outer ends share one; each join empties the memo, so it
+    # keeps no chain alive past the join
+    return Concat(chain, factor, frozenset({junction}))
+
+
 # TConcat, TConj, TBranchR and TBranchL by node type: the key of the first
 # operand's triples, the key of the second's, and the triple a matching pair
 # makes. Operands are inferred in `children` order, so TBranchL infers its
-# test before its main.
+# test before its main, and TConcat joins each factor onto the chain before it.
 _JOIN_RULES = {
-    Concat: (
-        _TRG,
-        _SRC,
-        lambda t1, t2: SchemaTriple(t1.src, Concat(t1.expr, t2.expr, frozenset({t1.trg})), t2.trg),
-    ),
+    Concat: (_TRG, _SRC, lambda t1, t2: SchemaTriple(t1.src, _step(t1.expr, t2.expr, t1.trg), t2.trg)),
     Conj: (_ENDS, _ENDS, lambda t1, t2: SchemaTriple(t1.src, Conj(t1.expr, t2.expr), t1.trg)),
     BranchR: (_TRG, _SRC, lambda t1, t2: SchemaTriple(t1.src, BranchR(t1.expr, t2.expr), t1.trg)),
     BranchL: (_SRC, _SRC, lambda t1, t2: SchemaTriple(t2.src, BranchL(t1.expr, t2.expr), t2.trg)),
@@ -162,15 +168,16 @@ def _infer(
         out = frozenset(
             SchemaTriple(t.trg, Reverse(expr.name), t.src) for t in basics.get(expr.name, ())
         )
-    elif isinstance(expr, Concat) and expr.labels is not None:
+    elif isinstance(expr, Concat) and set(expr.junctions) != {None}:
         raise ValueError("infer operates on plain (annotation-free) path expressions")
     elif type(expr) in _JOIN_RULES:
-        first, second = children(expr)
-        out = _join(
-            _infer(first, basics, path_limit, log),
-            _infer(second, basics, path_limit, log),
-            *_JOIN_RULES[type(expr)],
-        )
+        operands, rule = children(expr), _JOIN_RULES[type(expr)]
+        out = _infer(operands[0], basics, path_limit, log)
+        for operand in operands[1:]:
+            try:
+                out = _join(out, _infer(operand, basics, path_limit, log), *rule)
+            finally:
+                _step.cache_clear()
     elif isinstance(expr, Union):
         out = _infer(expr.left, basics, path_limit, log) | _infer(
             expr.right, basics, path_limit, log
@@ -251,10 +258,9 @@ def plus_comp(
         if not cyclic.isdisjoint(path):
             out.add(SchemaTriple(path[0], closure, path[-1]))
             continue
+        junctions = [frozenset({label}) for label in path[1:-1]]
         for chain in product(*(arcs[step] for step in pairwise(path))):
-            expr = chain[-1].expr
-            for arc in reversed(chain[:-1]):
-                expr = Concat(arc.expr, expr, frozenset({arc.trg}))
+            expr = Concat.chain([arc.expr for arc in chain], junctions)
             out.add(SchemaTriple(path[0], expr, path[-1]))
     return frozenset(out)
 

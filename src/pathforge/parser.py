@@ -12,9 +12,10 @@ Path expression grammar, loosest binding first:
     labelset := '{' IDENT (',' IDENT)* '}'
 
 Each level is the `_prec` of its operators' node classes in `ast`, and one
-precedence-climbing loop, `parse_union`, parses them all. Binary operators
-associate to the left. A `{` directly after `/` always introduces a junction
-label set; after a complete operand it is a bounded repetition. Brackets,
+precedence-climbing loop, `parse_union`, parses them all. A run of `/`
+steps is one chain; the other binary operators associate to the left. A `{`
+directly after `/` always introduces a junction label set; after a complete
+operand it is a bounded repetition. Brackets,
 `(` and `[` together, nest at most MAX_NESTING deep; each leading
 source-side test counts as one level for what follows it.
 Query text is a head variable list, `<-`, then conjuncts joined by `||`,
@@ -160,6 +161,15 @@ class _Parser:
             if cls is BranchR:
                 expr = BranchR(expr, self.parse_nested("]"))
                 continue
+            if cls is Concat:
+                # a run of steps is one chain, built once
+                factors, junctions = [expr], []
+                while self.peek().kind == "/":
+                    self.next()
+                    junctions.append(self.parse_label_set() if self.peek().kind == "{" else None)
+                    factors.append(self.parse_union(level + 1))
+                expr = Concat.chain(factors, junctions)
+                continue
             self.next()
             if cls is TransClos:
                 expr = TransClos(expr)
@@ -172,9 +182,6 @@ class _Parser:
                     expr = Repeat(expr, lo, hi)
                 except ValueError as exc:
                     raise QuerySyntaxError(str(exc), token.offset) from exc
-            elif cls is Concat:
-                labels = self.parse_label_set() if self.peek().kind == "{" else None
-                expr = Concat(expr, self.parse_union(level + 1), labels)
             else:
                 expr = cls(expr, self.parse_union(level + 1))
 

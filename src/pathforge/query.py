@@ -33,12 +33,9 @@ class Conjunct(NamedTuple):
         return frozenset(out)
 
     def label_map(self) -> dict[str, frozenset[str]]:
-        """Each labeled variable's label set; repeated label atoms on one
-        variable meet, as the parser and the SQL joins conjoin them."""
-        out: dict[str, frozenset[str]] = {}
-        for atom in self.labels:
-            out[atom.var] = out.get(atom.var, atom.labels) & atom.labels
-        return out
+        """Each labeled variable's label set: a valid conjunct has at most
+        one label atom per variable (see `validate_query`)."""
+        return {atom.var: atom.labels for atom in self.labels}
 
 
 class UcqtQuery(NamedTuple):

@@ -39,8 +39,8 @@ from .ast import (
     Reverse,
     TransClos,
     Union,
+    children,
     desugar,
-    flatten_chain,
     has_annotations,
     map_children,
     strip_annotations,
@@ -101,14 +101,14 @@ def merge_triples(triples: tuple[SchemaTriple, ...] | list[SchemaTriple]) -> tup
         merged.append(
             MergedTriple(
                 src_set=frozenset(t.src for t in group),
-                expr=_merge_exprs([t.expr for t in group]),
+                expr=_merge_exprs(tuple(t.expr for t in group)),
                 trg_set=frozenset(t.trg for t in group),
             )
         )
     return tuple(sorted(merged, key=lambda m: to_text(m.expr)))
 
 
-def _merge_exprs(exprs: list[PathExpr]) -> PathExpr:
+def _merge_exprs(exprs: tuple[PathExpr, ...]) -> PathExpr:
     # members of one shape that carry no annotations are all equal: labels,
     # reversals and closures end here. Inference builds no union (TUnion
     # carries triples over), so the rest are compositions, conjunctions and
@@ -116,14 +116,15 @@ def _merge_exprs(exprs: list[PathExpr]) -> PathExpr:
     first = exprs[0]
     if not has_annotations(first):
         return first
+    # position by position: each child, and each junction of a chain
+    kids = [_merge_exprs(column) for column in zip(*map(children, exprs))]
     if isinstance(first, Concat):
-        labels = None if first.labels is None else frozenset().union(*(e.labels for e in exprs))
-        return Concat(_merge_exprs([e.left for e in exprs]), _merge_exprs([e.right for e in exprs]), labels)
-    if isinstance(first, Conj):
-        return Conj(_merge_exprs([e.left for e in exprs]), _merge_exprs([e.right for e in exprs]))
-    if isinstance(first, BranchR):
-        return BranchR(_merge_exprs([e.main for e in exprs]), _merge_exprs([e.test for e in exprs]))
-    return BranchL(_merge_exprs([e.test for e in exprs]), _merge_exprs([e.main for e in exprs]))
+        junctions = [
+            None if column[0] is None else frozenset().union(*column)
+            for column in zip(*(e.junctions for e in exprs))
+        ]
+        return Concat.chain(kids, junctions)
+    return type(first)(*kids)
 
 
 def end_label_set(expr: PathExpr, schema: GraphSchema, source: bool) -> frozenset[str]:
@@ -134,7 +135,7 @@ def end_label_set(expr: PathExpr, schema: GraphSchema, source: bool) -> frozense
     if isinstance(expr, Reverse):
         return end_label_set(Label(expr.name), schema, not source)
     if isinstance(expr, Concat):
-        return end_label_set(expr.left if source else expr.right, schema, source)
+        return end_label_set(expr.factors[0 if source else -1], schema, source)
     if isinstance(expr, Union):
         return end_label_set(expr.left, schema, source) | end_label_set(expr.right, schema, source)
     if isinstance(expr, Conj):
@@ -155,11 +156,15 @@ def remove_redundant(merged: MergedTriple, schema: GraphSchema) -> MergedTriple:
     """
 
     def prune(expr: PathExpr) -> PathExpr:
-        if isinstance(expr, Concat) and expr.labels is not None:
-            delivered = end_label_set(expr.left, schema, source=False)
-            accepted = end_label_set(expr.right, schema, source=True)
-            if expr.labels >= delivered or expr.labels >= accepted:
-                return Concat(prune(expr.left), prune(expr.right))
+        if isinstance(expr, Concat):
+            factors, junctions = expr.factors, list(expr.junctions)
+            for i, labels in enumerate(junctions):
+                if labels is not None and (
+                    labels >= end_label_set(factors[i], schema, source=False)
+                    or labels >= end_label_set(factors[i + 1], schema, source=True)
+                ):
+                    junctions[i] = None
+            return Concat.chain(map(prune, factors), junctions)
         return map_children(expr, prune)
 
     expr = prune(merged.expr)
@@ -237,17 +242,19 @@ def _translate_chain(
     # every surviving junction, whose labels go on the fresh variable there,
     # and around every annotated factor (a branch holding annotations), which
     # recurses
-    factors, junctions = flatten_chain(expr)
-    var, run = alpha, factors[0]
-    for junction, left, right in zip(junctions, factors, factors[1:]):
-        if junction is None and not has_annotations(left) and not has_annotations(right):
-            run = Concat(run, right)
+    factors, junctions = expr.factors, expr.junctions
+    var, start = alpha, 0
+    for end, junction in enumerate(junctions, start=1):
+        plain = not (has_annotations(factors[end - 1]) or has_annotations(factors[end]))
+        if junction is None and plain:
             continue
         nxt = next(fresh)
+        run = Concat.chain(factors[start:end], junctions[start : end - 1])
         _translate_run(var, nxt, run, fresh, out)
         if junction is not None:
             _meet(out.labels, nxt, junction)
-        var, run = nxt, right
+        var, start = nxt, end
+    run = Concat.chain(factors[start:], junctions[start:])
     _translate_run(var, beta, run, fresh, out)
 
 

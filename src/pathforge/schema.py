@@ -21,7 +21,7 @@ import json
 import re
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .ast import IDENTIFIER
 from .record import Frozen
@@ -135,29 +135,30 @@ class GraphDB(_Graph):
             out.setdefault(edge.label, set()).add((edge.src, edge.trg))
         return {label: frozenset(pairs) for label, pairs in out.items()}
 
-    @cached_property
-    def successors(self) -> dict[str, dict[str, set[str]]]:
-        """Per edge label, the target ids of each source id; read-only."""
-        return {label: _grouped(pairs) for label, pairs in self.edge_pairs.items()}
+    def successors_of(self, label: str) -> dict[str, set[str]]:
+        """The target ids of each source id along edge ``label``; read-only."""
+        return self._grouped(label, reverse=False)
+
+    def predecessors_of(self, label: str) -> dict[str, set[str]]:
+        """The source ids of each target id along edge ``label``; read-only."""
+        return self._grouped(label, reverse=True)
 
     @cached_property
-    def predecessors(self) -> dict[str, dict[str, set[str]]]:
-        """Per edge label, the source ids of each target id; read-only."""
-        return {
-            label: _grouped((trg, src) for src, trg in pairs)
-            for label, pairs in self.edge_pairs.items()
-        }
+    def _groups(self) -> dict[tuple[str, bool], dict[str, set[str]]]:
+        # (label, reverse) -> its map, each built on first use
+        return {}
 
-
-def _grouped(pairs: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
-    """The second ids of the pairs by their first id."""
-    out: dict[str, set[str]] = {}
-    for first, second in pairs:
-        if first in out:
-            out[first].add(second)
-        else:
-            out[first] = {second}
-    return out
+    def _grouped(self, label: str, reverse: bool) -> dict[str, set[str]]:
+        out = self._groups.get((label, reverse))
+        if out is None:
+            out = self._groups[label, reverse] = {}
+            for pair in self.edge_pairs.get(label, ()):
+                first, second = pair[::-1] if reverse else pair
+                if first in out:
+                    out[first].add(second)
+                else:
+                    out[first] = {second}
+        return out
 
 
 _ISO_DATE = "%Y-%m-%d"

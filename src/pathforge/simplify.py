@@ -10,11 +10,12 @@ for the branch filters:
   R3  main[a/b/...]  ->  main[a[b[...]]]
   R5  [a/b/...]main  ->  [a[b[...]]]main
 
-R3 and R5 peel composition chains head-first, so the leading factor of the
-test becomes the outer branch step. They fire only when the test's top
-operator is a plain composition (no junction label set); a junction-annotated
-step is left alone, and inside a chain it is one factor, as is a bounded
-repetition.
+R3 and R5 peel a test's chain head-first, so its leading factor becomes the
+outer branch step. They fire only when the chain's last step is plain (no
+junction label set), and the head they peel runs to the chain's last
+annotated step, if any: `m[a/{X}b/c]` becomes `m[(a/{X}b)[c]]`, and a chain
+whose last step is annotated is left alone. A bounded repetition is one
+factor.
 All five rules preserve the evaluated pair set on every database. A test's
 own closures are dropped only at the top of the test: a `+` on the main
 expression of a branch is never removed, because the main's pairs, not just
@@ -45,29 +46,21 @@ def simplify(expr: PathExpr) -> PathExpr:
     return expr if step is None else simplify(step)
 
 
-def _plain_concat(expr: PathExpr) -> bool:
-    return isinstance(expr, Concat) and expr.labels is None
-
-
-def _peel(test: Concat) -> BranchR:
-    """`a/b/...` as `a[b/...]`: the leading factor of the plain left spine,
-    filtered by the rest, so `(a/b)/c` becomes `a[b/c]`."""
-    if not _plain_concat(test.left):
-        return BranchR(test.left, test.right)
-    head = _peel(test.left)
-    return BranchR(head.main, Concat(head.test, test.right))
-
-
 def _apply_root(expr: PathExpr) -> PathExpr | None:
     """One rule application at the root, or None when none matches."""
     if isinstance(expr, TransClos) and isinstance(expr.inner, TransClos):
         return expr.inner  # R1
     if not isinstance(expr, (BranchR, BranchL)):
         return None
-    if isinstance(expr.test, TransClos):
-        test = expr.test.inner  # R2, R4
-    elif _plain_concat(expr.test):
-        test = _peel(expr.test)  # R3, R5
+    test = expr.test
+    if isinstance(test, TransClos):
+        test = test.inner  # R2, R4
+    elif isinstance(test, Concat) and test.junctions[-1] is None:
+        # R3, R5: the head ends after the last annotated step
+        factors, junctions = test.factors, test.junctions
+        cut = max((i + 1 for i, labels in enumerate(junctions) if labels is not None), default=0)
+        head = Concat.chain(factors[: cut + 1], junctions[:cut])
+        test = BranchR(head, Concat.chain(factors[cut + 1 :], junctions[cut + 1 :]))
     else:
         return None
     return BranchR(expr.main, test) if isinstance(expr, BranchR) else BranchL(test, expr.main)

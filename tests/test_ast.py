@@ -33,7 +33,7 @@ from pathforge import (
 )
 import pathforge.ast
 import pathforge.rewriter
-from pathforge.ast import children, flatten_chain, map_children, walk
+from pathforge.ast import children, map_children, walk
 from pathforge.inference import derivation_rows
 
 from blowup_cases import BLOWUP_CASES
@@ -61,13 +61,17 @@ def test_shape_table_precedence_children_and_printer_cover_the_node_set():
     assert set(pathforge.ast._Node.__subclasses__()) == members
     assert {type(node) for node in one_of_each} == members
     for node in one_of_each:
-        node_fields = tuple(
-            name
-            for name in node.__match_args__
-            if isinstance(getattr(node, name), pathforge.ast._Node)
-        )
-        assert node._kids == node_fields
-        assert children(node) == tuple(getattr(node, name) for name in node_fields)
+        if isinstance(node, Concat):
+            # a composition holds its children in one tuple field
+            assert children(node) == node.factors == (a, b)
+        else:
+            node_fields = tuple(
+                name
+                for name in node.__match_args__
+                if isinstance(getattr(node, name), pathforge.ast._Node)
+            )
+            assert node._kids == node_fields
+            assert children(node) == tuple(getattr(node, name) for name in node_fields)
         assert isinstance(node._prec, int)
         assert parse_path_expr(to_text(node)) == node
 
@@ -147,8 +151,8 @@ def _random_nodes():
     rng = random.Random(7)
     nodes = [node for _ in range(200) for node in walk(_random_annotated(rng))]
     assert {type(node) for node in nodes} >= {Repeat, BranchL, BranchR, TransClos}
-    assert any(isinstance(node, Concat) and node.labels is not None for node in nodes)
-    assert any(isinstance(node, Concat) and node.labels is None for node in nodes)
+    junctions = [labels for node in nodes if isinstance(node, Concat) for labels in node.junctions]
+    assert None in junctions and any(labels is not None for labels in junctions)
     return nodes
 
 
@@ -191,9 +195,34 @@ def test_map_children_rejects_a_non_expression(value):
 def test_rewrites_through_map_children_keep_their_recursion_depth():
     # desugar and simplify recurse through map_children at two frames per
     # tree level, as the hand-written rewrites did; a third frame per level
-    # would pass the default recursion limit on this 400-factor chain
-    factors, _ = flatten_chain(simplify(desugar(parse_path_expr("/".join(["a"] * 400)))))
-    assert factors == [a] * 400
+    # would pass the default recursion limit on these 400 nested unions
+    expr = parse_path_expr("|".join(["a"] * 400))
+    assert simplify(desugar(expr)) is expr
+
+
+def _chain_length(expr):
+    return len(expr.factors) if isinstance(expr, Concat) else 1
+
+
+def test_a_composition_is_one_flat_node_however_it_is_grouped():
+    rng = random.Random(61)
+    junctions = [None, frozenset({"A"}), frozenset({"B", "C"})]
+    for _ in range(300):
+        x, y, z = (_random_annotated(rng, 3) for _ in range(3))
+        j1, j2 = rng.choice(junctions), rng.choice(junctions)
+        expr = Concat(Concat(x, y, j1), z, j2)
+        assert expr is Concat(x, Concat(y, z, j2), j1) is Concat.chain([x, y, z], [j1, j2])
+        assert len(expr.factors) == sum(map(_chain_length, (x, y, z)))
+        for node in walk(expr):
+            assert not (isinstance(node, Concat) and Concat in map(type, node.factors))
+        assert parse_path_expr(to_text(expr)) is expr
+
+
+def test_a_chain_takes_one_junction_fewer_than_its_factors():
+    assert Concat.chain([a], []) is a
+    for factors, junctions in (([], []), ([a], [None]), ([a, a], []), ([a, a], [None, None])):
+        with pytest.raises(ValueError):
+            Concat.chain(factors, junctions)
 
 
 def _fields(node):
@@ -202,6 +231,8 @@ def _fields(node):
 
 def _rebuilt(node):
     """The node built again through the constructors, bottom up."""
+    if isinstance(node, Concat):
+        return Concat.chain(map(_rebuilt, node.factors), node.junctions)
     node_types = typing.get_args(PathExpr)
     return type(node)(*(_rebuilt(v) if isinstance(v, node_types) else v for v in _fields(node)))
 
@@ -218,7 +249,7 @@ def _interning_pool():
     exprs = [_random_annotated(rng) for _ in range(300)]
     nodes = [node for expr in exprs for node in walk(expr)]
     assert {type(node) for node in nodes} >= {Repeat, BranchL, BranchR, TransClos}
-    assert any(isinstance(node, Concat) and node.labels is not None for node in nodes)
+    assert any(isinstance(node, Concat) and set(node.junctions) != {None} for node in nodes)
     return exprs, nodes
 
 
@@ -251,7 +282,7 @@ def test_caches_stay_out_of_fields_match_args_and_repr():
     expected = {
         Label: ("name",),
         Reverse: ("name",),
-        Concat: ("left", "right", "labels"),
+        Concat: ("factors", "junctions"),
         Union: ("left", "right"),
         Conj: ("left", "right"),
         BranchR: ("main", "test"),
@@ -264,8 +295,8 @@ def test_caches_stay_out_of_fields_match_args_and_repr():
     node = Concat(TransClos(a), Repeat(b, 1, 2), frozenset({"X"}))
     hash(node), to_text(node), strip_annotations(node)
     assert repr(node) == (
-        "Concat(left=TransClos(inner=Label(name='a')), "
-        "right=Repeat(inner=Label(name='b'), lo=1, hi=2), labels=frozenset({'X'}))"
+        "Concat(factors=(TransClos(inner=Label(name='a')), "
+        "Repeat(inner=Label(name='b'), lo=1, hi=2)), junctions=(frozenset({'X'}),))"
     )
     assert node is _rebuilt(node)
 

@@ -97,8 +97,10 @@ def oracle(expr, db, counts):
         pairs = {(e.src, e.trg) for e in db.edges if e.label == expr.name}
         out = pairs if isinstance(expr, Label) else {(t, s) for s, t in pairs}
     elif isinstance(expr, Concat):
-        left, right = oracle(expr.left, db, counts), oracle(expr.right, db, counts)
-        out = compose_pairs(left, right, expr.labels, db)
+        # the chain as the left-nested composition of its factors
+        prefix = Concat.chain(expr.factors[:-1], expr.junctions[:-1])
+        left, right = oracle(prefix, db, counts), oracle(expr.factors[-1], db, counts)
+        out = compose_pairs(left, right, expr.junctions[-1], db)
     elif isinstance(expr, (Union, Conj)):
         left, right = oracle(expr.left, db, counts), oracle(expr.right, db, counts)
         out = left | right if isinstance(expr, Union) else left & right
@@ -124,11 +126,12 @@ def oracle(expr, db, counts):
 
 def with_junctions(rng, expr):
     """``expr`` with a random junction label set on about half its
-    compositions."""
+    composition steps."""
     expr = map_children(expr, lambda child: with_junctions(rng, child))
-    if isinstance(expr, Concat) and rng.random() < 0.5:
-        junction = frozenset(rng.sample(["L0", "L1", "L2"], rng.randint(1, 2)))
-        return Concat(expr.left, expr.right, junction)
+    if isinstance(expr, Concat):
+        labels = lambda: frozenset(rng.sample(["L0", "L1", "L2"], rng.randint(1, 2)))
+        junctions = [labels() if rng.random() < 0.5 else None for _ in expr.junctions]
+        return Concat.chain(expr.factors, junctions)
     return expr
 
 
@@ -146,13 +149,16 @@ def test_eval_path_matches_pair_set_semantics():
         for node in walk(expr):
             seen.add(type(node).__name__)
             if isinstance(node, Concat):
-                seen.add("junction" if node.labels else "no junction")
+                seen.update("junction" if labels else "no junction" for labels in node.junctions)
+                seen.add("chain" if len(node.factors) > 2 else "step")
     assert seen == {
         "Label",
         "Reverse",
         "Concat",
         "junction",
         "no junction",
+        "chain",
+        "step",
         "Union",
         "Conj",
         "BranchR",

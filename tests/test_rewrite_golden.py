@@ -9,10 +9,13 @@ the exit code the CLI gave for:
 - 200 random queries in four shapes, eight to a random schema, drawn from
   `random.Random(CORPUS_SEED)` by `corpus_inputs` below.
 
-The file was written by running this module as a script
-(`PYTHONPATH=src python tests/test_rewrite_golden.py`) before the
-rewriter's merge step stopped re-checking the shape of each triple group,
-so it pins the output of the code before that change. The test runs the
+The file was last written by running this module as a script
+(`PYTHONPATH=src python tests/test_rewrite_golden.py`) once a composition
+became one node over its flat chain of factors, so it pins that code's
+output: chains print flat, with no parenthesized right operand, and
+inference no longer keeps `(a/b)/c` and `a/(b/c)` as two triples. The
+output before that change was the same up to the grouping of chains, with
+equal rows on random databases where a rewrite differs. The test runs the
 CLI in process on the same inputs and compares the printed text. A change
 that alters the output on purpose rewrites the file the same way and says
 in CHANGES.md which documents changed and why.
@@ -27,9 +30,8 @@ only digests are kept. The same script run writes them.
 It also holds the SHA-256 of that `pipeline` stdout, with the emitted SQL
 and Cypher text, for every other input of the golden and for
 `UNBOUND_QUERIES`: YAGO queries with a head variable that no atom
-mentions, or a variable that only a label atom mentions. These were
-written, by the same script run, before the evaluator and both emitters
-bound such variables in the loops that bind all others.
+mentions, or a variable that only a label atom mentions. The same script
+run writes these too.
 """
 
 from __future__ import annotations

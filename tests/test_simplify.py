@@ -79,14 +79,14 @@ def test_closure_inside_test_chain_survives_mid_chain():
         ("[a/(b/(c/d))]m", "[a[b[c[d]]]]m"),
         ("m[(a/b)/(c/d)]", "m[a[b[c[d]]]]"),
         ("[(a/b)/(c/d)]m", "[a[b[c[d]]]]m"),
-        ("m[a/(b/{X}c)]", "m[a[b/{X}c]]"),
-        ("[a/(b/{X}c)]m", "[a[b/{X}c]]m"),
+        ("m[a/(b/{X}c)]", "m[a/b/{X}c]"),
+        ("[a/(b/{X}c)]m", "[a/b/{X}c]m"),
     ],
 )
 def test_r3_r5_peel_only_plain_compositions(before, after):
-    # a junction-annotated step is one factor of a test chain, and a test
-    # whose top step is annotated is left alone. However a plain chain is
-    # grouped, it reaches the one head-first nesting of its factors
+    # the head peeled off a test chain runs to its last junction-annotated
+    # step, and a chain whose last step is annotated is left alone. However
+    # a chain is grouped, it is one node, and so has one normal form
     assert norm(before) == after
     # random_db labels its nodes L0-L2, so there the junction set filters
     expr, expected = (parse_path_expr(text.replace("X", "L1")) for text in (before, after))
