@@ -7,15 +7,17 @@ for reversal of a single edge label, `main[test]` / `[test]main` for the two
 branch filters, and `/{A,B}` for a composition step constrained to junction
 nodes labeled A or B.
 
-Composition is associative, so `Concat` is one node over a flat chain: two
-or more `factors`, none a composition, and between each two a junction,
-`None` for a plain step or the label set the junction node must carry (a
-set, even an empty one, is a constraint: code tests `is not None`). Its
-constructors splice in a composition factor, so `(a/b)/c` and `a/(b/c)` are
-one node, and a chain of any length is one tree level.
+Union, conjunction and composition are associative, so each is one n-ary
+node over a flat tuple of two or more operands, none of its own class:
+`Union.operands`, `Conj.operands` and `Concat.factors`. Between each two
+factors of a chain is a junction, `None` for a plain step or the label set
+the junction node must carry (a set, even an empty one, is a constraint:
+code tests `is not None`). The constructors splice in an operand of the
+node's own class, so `(a|b)|c` and `a|(b|c)` are one node, and a run of
+one operator, however long, is one tree level.
 
 Each node class declares in its body its fields, those of them that hold
-child nodes (`_kids`; a composition's children are its factors) and its
+child nodes (`_kids`; an n-ary node's children are its operands) and its
 binding level (`_prec`, which the printer and the parser read).
 `map_children` is the one rebuild of a node over new children. Each
 structural rewrite (`desugar`, `strip_annotations`, the simplifier's
@@ -42,16 +44,17 @@ triples then compares pointers instead of walking trees.
 
 Each node also caches, on first use, its text without outer parentheses
 (`_render` adds those by context) and its `strip_annotations` result, which
-the triples' shared subtrees would otherwise compute again and again; a
-composition built by `Concat` or `Concat.chain` gets its text at once,
-joined from its operands' texts, where rendering it later would walk all
-its factors. The caches are sound because a node never changes after it is
-built; they take no part in `__match_args__` or `repr`.
+the triples' shared subtrees would otherwise compute again and again; an
+n-ary node gets its text when it is built, joined from its operands'
+texts: inference builds a chain or a conjunction an operand at a time onto
+the one before, whose text is at hand, where rendering the finished node
+would walk all its operands. The caches are sound because a node never
+changes after it is built; they take no part in `__match_args__` or `repr`.
 """
 
 from __future__ import annotations
 
-import sys
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 from weakref import ref
 
@@ -59,6 +62,9 @@ from .record import Frozen
 
 # a node or edge label, or a query variable, as the concrete syntax spells it
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+
+# the most factors `desugar` expands one repetition into: e{1,490} fits
+MAX_EXPANSION = 150_000
 
 
 class _Ref(ref):
@@ -106,7 +112,7 @@ class _Node(Frozen):
     """The shared behaviour of the node classes. Each class lists its fields,
     in constructor order, as both `__slots__` and `__match_args__`; those that
     hold child nodes, in `children` order, as `_kids`, which lead the
-    constructor's fields (a `Concat` holds them in one tuple); and as
+    constructor's fields (an n-ary node holds them in one tuple); and as
     `_prec` its binding level, which the printer and the parser read, from
     0 for `|`, the loosest, to 5 for a label.
     `Frozen` refuses assignment and gives the `repr`; equality is `object`'s,
@@ -148,7 +154,37 @@ class Reverse(_Node):
         return _intern((cls, name), (name,))
 
 
-class Concat(_Node):
+class _Nary(_Node):
+    """An associative operator, built by `chain`; its first field holds its operands."""
+
+    __slots__ = ()
+
+    def __new__(cls, *operands: PathExpr):
+        return cls.chain(operands)
+
+    @classmethod
+    def chain(cls, operands: Iterable[PathExpr]) -> PathExpr:
+        operands = tuple(operands)
+        if len(operands) < 2:
+            return operands[0]
+        flat = tuple([x for op in operands for x in (op.operands if type(op) is cls else (op,))])
+        node = _intern((cls, *map(id, flat)), (flat,))
+        seps = (cls._op,) * (len(operands) - 1)
+        return node if hasattr(node, "_text") else node._named(operands, seps)
+
+    def _named(self, operands: tuple, seps: Iterable[str]) -> PathExpr:
+        """The node, given its text: the operands' texts joined by `seps`, one
+        of its class whole, any other in parentheses unless it binds tighter."""
+        cls = type(self)
+        texts = [_render(op, 0 if type(op) is cls else cls._prec + 1) for op in operands]
+        _set(self, "_text", texts[0] + "".join(map(str.__add__, seps, texts[1:])))
+        return self
+
+    def __reduce__(self):
+        return self.chain, self._values()
+
+
+class Concat(_Nary):
     """Composition: junction i, between factor i and factor i + 1, is None or
     the label set the junction node must carry one of."""
 
@@ -174,39 +210,26 @@ class Concat(_Node):
             # each operand's own junctions, then the one after it
             flat, joints = [], []
             for operand, junction in zip(operands, (*steps, None)):
-                if type(operand) is cls:
-                    flat += operand.factors
-                    joints += operand.junctions
-                else:
-                    flat.append(operand)
+                flat += operand.factors if type(operand) is cls else (operand,)
+                joints += operand.junctions if type(operand) is cls else ()
                 joints.append(junction)
             factors, junctions = tuple(flat), tuple(joints[:-1])
         node = _intern((cls, junctions, *map(id, factors)), (factors, junctions))
-        if not hasattr(node, "_text"):
-            # joined from the operands' texts now: inference builds a chain
-            # a step at a time onto the one before, whose text is at hand,
-            # where rendering the finished chain would walk all its factors
-            _set(node, "_text", _chain_text(operands, steps))
-        return node
-
-    def __reduce__(self):
-        return Concat.chain, (self.factors, self.junctions)
+        if hasattr(node, "_text"):
+            return node
+        return node._named(operands, ["/" if j is None else "/" + _label_set(j) for j in steps])
 
 
-class Union(_Node):
-    __slots__ = __match_args__ = _kids = ("left", "right")
+class Union(_Nary):
+    __slots__ = __match_args__ = ("operands",)
     _prec = 0
-
-    def __new__(cls, left: PathExpr, right: PathExpr):
-        return _intern((cls, id(left), id(right)), (left, right))
+    _op = "|"
 
 
-class Conj(_Node):
-    __slots__ = __match_args__ = _kids = ("left", "right")
+class Conj(_Nary):
+    __slots__ = __match_args__ = ("operands",)
     _prec = 1
-
-    def __new__(cls, left: PathExpr, right: PathExpr):
-        return _intern((cls, id(left), id(right)), (left, right))
+    _op = "&"
 
 
 class BranchR(_Node):
@@ -257,14 +280,6 @@ def _label_set(labels: frozenset[str]) -> str:
     return "{" + ",".join(sorted(labels)) + "}"
 
 
-def _chain_text(operands: tuple, junctions: tuple) -> str:
-    # a composition operand brings its text whole; any other binds at least
-    # as tightly as a factor, or gets parentheses
-    texts = [_render(op, 0 if type(op) is Concat else Concat._prec + 1) for op in operands]
-    steps = ["/" if labels is None else "/" + _label_set(labels) for labels in junctions]
-    return texts[0] + "".join(map(str.__add__, steps, texts[1:]))
-
-
 def to_text(expr: PathExpr) -> str:
     """Canonical concrete syntax; `parse_path_expr(to_text(e)) is e` holds."""
     return _render(expr, 0)
@@ -302,23 +317,13 @@ def _render_raw(expr: PathExpr) -> str:
         return main + "[" + _render(expr.test, 0) + "]"
     if isinstance(expr, BranchL):
         return "[" + _render(expr.test, 0) + "]" + _render(expr.main, expr._prec)
-    if isinstance(expr, Concat):
-        return _chain_text(expr.factors, expr.junctions)
-    if isinstance(expr, Conj):
-        op = "&"
-    elif isinstance(expr, Union):
-        op = "|"
-    else:
-        raise TypeError(f"not a path expression: {expr!r}")
-    # an operand binds at least as tightly as its operator, and the infix
-    # operators associate to the left: a right operand of their level needs
-    # parentheses
-    return _render(expr.left, expr._prec) + op + _render(expr.right, expr._prec + 1)
+    # an n-ary node gets its text when it is built
+    raise TypeError(f"not a path expression: {expr!r}")
 
 
 def children(expr: PathExpr) -> tuple[PathExpr, ...]:
-    if expr.__class__ is Concat:
-        return expr.factors
+    if isinstance(expr, _Nary):
+        return getattr(expr, expr.__match_args__[0])
     # unrolled: a comprehension would cost a frame per call, leaves included
     kids = expr._kids
     if not kids:
@@ -347,10 +352,11 @@ def map_children(expr: PathExpr, f: Callable[[PathExpr], PathExpr]) -> PathExpr:
     # f is called from this frame, so a recursive rewrite through here nests
     # two frames per tree level; a helper or comprehension that called f
     # would add a third and cut the depth that fits under the recursion limit
-    if expr.__class__ is Concat:
+    if isinstance(expr, _Nary):
         # nodes are equal only when identical, so == compares pointers
-        factors = tuple(map(f, expr.factors))
-        return expr if factors == expr.factors else Concat.chain(factors, expr.junctions)
+        operands = getattr(expr, expr.__match_args__[0])
+        new = tuple(map(f, operands))
+        return expr if new == operands else expr.chain(new, *expr._values()[1:])
     try:
         kids = expr._kids
     except AttributeError:
@@ -374,22 +380,19 @@ def map_children(expr: PathExpr, f: Callable[[PathExpr], PathExpr]) -> PathExpr:
 def desugar(expr: PathExpr) -> PathExpr:
     """Expand every bounded repetition into a union of compositions.
 
-    e{m,n} becomes e^m | e^(m+1) | ... | e^n with left-leaning unions,
-    e.g. a{2,3} -> (a/a) | (a/a/a); each power is the chain of the one
-    before and e. A bound n above the recursion limit raises RecursionError
-    before anything is built: the union nests up to n deep, and every pass
-    over the expansion recurses through it.
+    e{m,n} becomes the union e^m | e^(m+1) | ... | e^n, e.g. a{2,3} ->
+    a/a|a/a/a; each power is the chain of the one before and e. A
+    repetition whose expansion would hold more than MAX_EXPANSION factors
+    of e, m + ... + n, raises ValueError before anything is built.
     """
     if isinstance(expr, Repeat):
-        if expr.hi > sys.getrecursionlimit():
-            raise RecursionError(f"repetition bound {expr.hi} nests too deeply")
-        inner = desugar(expr.inner)
-        power = out = None
-        for k in range(1, expr.hi + 1):
-            power = inner if power is None else Concat(power, inner)
-            if k >= expr.lo:
-                out = power if out is None else Union(out, power)
-        return out
+        lo, hi = expr.lo, expr.hi
+        if (size := (hi * (hi + 1) - lo * (lo - 1)) // 2) > MAX_EXPANSION:
+            raise ValueError(
+                f"repetition {to_text(expr)} expands to {size} factors, more than {MAX_EXPANSION}"
+            )
+        powers = list(accumulate([desugar(expr.inner)] * hi, Concat))
+        return Union(*powers[lo - 1 :])
     return map_children(expr, desugar)
 
 

@@ -45,17 +45,13 @@ class _Unsupported(Exception):
 
 def _relationship_types(expr: PathExpr) -> tuple[str, list[str]]:
     """Direction plus type names for a single relationship step."""
-    if isinstance(expr, Label):
-        return "fwd", [expr.name]
-    if isinstance(expr, Reverse):
-        return "bwd", [expr.name]
-    if isinstance(expr, Union):
-        left_dir, left = _relationship_types(expr.left)
-        right_dir, right = _relationship_types(expr.right)
-        if left_dir != right_dir:
+    steps = expr.operands if isinstance(expr, Union) else (expr,)
+    for step in steps:
+        if not isinstance(step, (Label, Reverse)):
+            raise _Unsupported("union of composite expressions", to_text(step))
+        if type(step) is not type(steps[0]):
             raise _Unsupported("union of mixed directions", to_text(expr))
-        return left_dir, left + right
-    raise _Unsupported("union of composite expressions", to_text(expr))
+    return "fwd" if isinstance(steps[0], Label) else "bwd", [step.name for step in steps]
 
 
 def _relationship(expr: PathExpr) -> str:

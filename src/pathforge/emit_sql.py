@@ -133,12 +133,13 @@ class _Renderer:
             # them away here keeps later joins from multiplying them
             select = f"SELECT DISTINCT s1.Sr AS Sr, s{len(factors)}.Tr AS Tr " + " ".join(items)
         elif isinstance(expr, Union):
-            select = self.pair(expr.left)[0] + " UNION " + self.pair(expr.right)[0]
+            select = " UNION ".join(self.pair(op)[0] for op in expr.operands)
         elif isinstance(expr, Conj):
-            left, right = self.pair(expr.left)[0], self.pair(expr.right)[0]
-            select = (
-                f"SELECT p1.Sr AS Sr, p1.Tr AS Tr FROM ({left}) AS p1 "
-                f"JOIN ({right}) AS p2 ON p1.Sr = p2.Sr AND p1.Tr = p2.Tr"
+            # one join, each operand's pairs matched with the first's
+            first, *rest = (self.pair(op)[0] for op in expr.operands)
+            select = f"SELECT p1.Sr AS Sr, p1.Tr AS Tr FROM ({first}) AS p1" + "".join(
+                f" JOIN ({other}) AS p{i} ON p1.Sr = p{i}.Sr AND p1.Tr = p{i}.Tr"
+                for i, other in enumerate(rest, start=2)
             )
         elif isinstance(expr, (BranchR, BranchL)):
             main, test = self.pair(expr.main)[0], self.pair(expr.test)[0]

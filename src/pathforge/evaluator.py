@@ -57,9 +57,10 @@ class EvalStats(Record):
     """Counts pairs materialized across all subexpression evaluations.
 
     A repetition counts once, for the union of its powers; the intermediate
-    powers are not expression nodes and are not counted. A chain counts each
-    of its left prefixes, as the left-nested binary compositions it stands
-    for would.
+    powers are not expression nodes and are not counted. A union or a
+    conjunction counts once, as one node, and not the partial results of
+    its operands; a chain counts each of its left prefixes, as the
+    left-nested binary compositions it stands for would.
     """
 
     __slots__ = __match_args__ = ("pairs",)
@@ -99,15 +100,12 @@ def _eval(expr: PathExpr, db: GraphDB, stats: EvalStats | None) -> Succ:
                 labels = db.node_label
                 right = {mid: trgs for mid, trgs in right.items() if labels.get(mid) in junction}
             result = _compose(result, right)
-    elif isinstance(expr, Union):
-        result = _union(_eval(expr.left, db, stats), _eval(expr.right, db, stats))
-    elif isinstance(expr, Conj):
-        left, right = _eval(expr.left, db, stats), _eval(expr.right, db, stats)
-        result = {}
-        for src, trgs in left.items():
-            other = right.get(src)
-            if other is not None and (both := trgs & other):
-                result[src] = both
+    elif isinstance(expr, (Union, Conj)):
+        # the operands fold left to right; only the whole node counts
+        combine = _union if isinstance(expr, Union) else _intersect
+        result = _eval(expr.operands[0], db, stats)
+        for operand in expr.operands[1:]:
+            result = combine(result, _eval(operand, db, stats))
     elif isinstance(expr, BranchR):
         main, test = _eval(expr.main, db, stats), set(_eval(expr.test, db, stats))
         result = {}
@@ -151,6 +149,12 @@ def _union(left: Succ, right: Succ) -> Succ:
     for src in left.keys() & right.keys():
         out[src] = left[src] | right[src]
     return out
+
+
+def _intersect(left: Succ, right: Succ) -> Succ:
+    """The pairs of both maps."""
+    both = ((src, trgs & right.get(src, frozenset())) for src, trgs in left.items())
+    return {src: trgs for src, trgs in both if trgs}
 
 
 def _within(part: Succ, whole: Succ) -> bool:

@@ -9,8 +9,9 @@ connecting paths pass through. The rules mirror the expression structure:
   TConcat   fold over the chain's factors, left to right: each join on a
             matching junction label makes it that junction's annotation
   TMinus    reversal swaps source and target
-  TUnion    either side's triples carry over unchanged
-  TConj     join on equal source AND equal target
+  TUnion    every operand's triples carry over unchanged
+  TConj     fold over the operands, left to right: join on equal source
+            AND equal target
   TBranchR  main[test]: join main's target with test's source; the result
             keeps main's endpoints
   TBranchL  [test]main: join on equal source; the result keeps main's target
@@ -147,7 +148,8 @@ def _step(chain: PathExpr, factor: PathExpr, junction: str) -> PathExpr:
 # TConcat, TConj, TBranchR and TBranchL by node type: the key of the first
 # operand's triples, the key of the second's, and the triple a matching pair
 # makes. Operands are inferred in `children` order, so TBranchL infers its
-# test before its main, and TConcat joins each factor onto the chain before it.
+# test before its main, and TConcat and TConj join each operand onto the
+# triples of the ones before it.
 _JOIN_RULES = {
     Concat: (_TRG, _SRC, lambda t1, t2: SchemaTriple(t1.src, _step(t1.expr, t2.expr, t1.trg), t2.trg)),
     Conj: (_ENDS, _ENDS, lambda t1, t2: SchemaTriple(t1.src, Conj(t1.expr, t2.expr), t1.trg)),
@@ -179,9 +181,7 @@ def _infer(
             finally:
                 _step.cache_clear()
     elif isinstance(expr, Union):
-        out = _infer(expr.left, basics, path_limit, log) | _infer(
-            expr.right, basics, path_limit, log
-        )
+        out = frozenset().union(*(_infer(op, basics, path_limit, log) for op in expr.operands))
     elif isinstance(expr, TransClos):
         inner = _infer(expr.inner, basics, path_limit, log)
         out = plus_comp(expr.inner, inner, path_limit, log)

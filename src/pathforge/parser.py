@@ -12,8 +12,8 @@ Path expression grammar, loosest binding first:
     labelset := '{' IDENT (',' IDENT)* '}'
 
 Each level is the `_prec` of its operators' node classes in `ast`, and one
-precedence-climbing loop, `parse_union`, parses them all. A run of `/`
-steps is one chain; the other binary operators associate to the left. A `{`
+precedence-climbing loop, `parse_union`, parses them all. A run of `/`,
+`|` or `&` is one n-ary node, whatever its grouping. A `{`
 directly after `/` always introduces a junction label set; after a complete
 operand it is a bounded repetition. Brackets,
 `(` and `[` together, nest at most MAX_NESTING deep; each leading
@@ -150,8 +150,8 @@ class _Parser:
         else:
             expr, level = self.parse_atom(), Label._prec
         # precedence climbing: `level` is how tightly what is parsed so far
-        # binds, and only an operator no tighter applies to it, so infix
-        # operators associate to the left and a branch takes no `+` or `{m,n}`
+        # binds, and only an operator no tighter applies to it, so a branch
+        # takes no `+` or `{m,n}`
         while True:
             token = self.peek()
             cls = _OPERATORS.get(token.kind)
@@ -160,20 +160,11 @@ class _Parser:
             level = cls._prec
             if cls is BranchR:
                 expr = BranchR(expr, self.parse_nested("]"))
-                continue
-            if cls is Concat:
-                # a run of steps is one chain, built once
-                factors, junctions = [expr], []
-                while self.peek().kind == "/":
-                    self.next()
-                    junctions.append(self.parse_label_set() if self.peek().kind == "{" else None)
-                    factors.append(self.parse_union(level + 1))
-                expr = Concat.chain(factors, junctions)
-                continue
-            self.next()
-            if cls is TransClos:
+            elif cls is TransClos:
+                self.next()
                 expr = TransClos(expr)
             elif cls is Repeat:
+                self.next()
                 lo = self.parse_bound()
                 self.expect(",")
                 hi = self.parse_bound()
@@ -183,7 +174,14 @@ class _Parser:
                 except ValueError as exc:
                     raise QuerySyntaxError(str(exc), token.offset) from exc
             else:
-                expr = cls(expr, self.parse_union(level + 1))
+                # a run of one infix operator is one node, built once
+                operands, junctions = [expr], []
+                while self.peek().kind == token.kind:
+                    self.next()
+                    if cls is Concat:
+                        junctions.append(self.parse_label_set() if self.peek().kind == "{" else None)
+                    operands.append(self.parse_union(level + 1))
+                expr = Concat.chain(operands, junctions) if cls is Concat else cls.chain(operands)
 
     def parse_bound(self) -> int:
         token = self.expect("int")

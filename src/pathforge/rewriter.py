@@ -23,7 +23,6 @@ expression, simplified, with its repetitions.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Iterator, NamedTuple
@@ -136,10 +135,9 @@ def end_label_set(expr: PathExpr, schema: GraphSchema, source: bool) -> frozense
         return end_label_set(Label(expr.name), schema, not source)
     if isinstance(expr, Concat):
         return end_label_set(expr.factors[0 if source else -1], schema, source)
-    if isinstance(expr, Union):
-        return end_label_set(expr.left, schema, source) | end_label_set(expr.right, schema, source)
-    if isinstance(expr, Conj):
-        return end_label_set(expr.left, schema, source) & end_label_set(expr.right, schema, source)
+    if isinstance(expr, (Union, Conj)):
+        sets = [end_label_set(op, schema, source) for op in expr.operands]
+        return frozenset.union(*sets) if isinstance(expr, Union) else frozenset.intersection(*sets)
     if isinstance(expr, (BranchR, BranchL)):
         return end_label_set(expr.main, schema, source)
     if isinstance(expr, (TransClos, Repeat)):
@@ -224,8 +222,8 @@ def _translate(alpha: str, beta: str, expr: PathExpr, fresh: Iterator[str], out:
         _translate(alpha, beta, expr.main, fresh, out)
         return
     if isinstance(expr, Conj):
-        _translate(alpha, beta, expr.left, fresh, out)
-        _translate(alpha, beta, expr.right, fresh, out)
+        for operand in expr.operands:
+            _translate(alpha, beta, operand, fresh, out)
         return
     if not has_annotations(expr):
         out.relations.append(Relation(alpha, expr, beta))
@@ -338,7 +336,7 @@ def rewrite(
             return merged
         # no alternative carries label information: keep them in one atom,
         # and only when their union is smaller than phi
-        folded = functools.reduce(Union, (m.expr for m in merged))
+        folded = Union(*(m.expr for m in merged))
         if _size(folded) >= _size(phi):
             return None
         return [MergedTriple(frozenset(), folded, frozenset())]

@@ -5,7 +5,6 @@ import json
 import pickle
 import random
 import re
-import sys
 import typing
 
 import pytest
@@ -58,12 +57,14 @@ def test_shape_table_precedence_children_and_printer_cover_the_node_set():
         Repeat(a, 1, 2),
     ]
     members = set(typing.get_args(PathExpr))
-    assert set(pathforge.ast._Node.__subclasses__()) == members
+    nary = pathforge.ast._Nary
+    assert set(pathforge.ast._Node.__subclasses__()) - {nary} == members - {Concat, Union, Conj}
+    assert set(nary.__subclasses__()) == {Concat, Union, Conj}
     assert {type(node) for node in one_of_each} == members
     for node in one_of_each:
-        if isinstance(node, Concat):
-            # a composition holds its children in one tuple field
-            assert children(node) == node.factors == (a, b)
+        if isinstance(node, nary):
+            # an n-ary node holds its children in one tuple field, its first
+            assert children(node) == _fields(node)[0] == (a, b)
         else:
             node_fields = tuple(
                 name
@@ -110,8 +111,11 @@ def test_desugar_is_the_union_of_powers(lo, hi):
 
 
 def test_desugar_refuses_a_bound_past_the_recursion_limit():
-    with pytest.raises(RecursionError):
-        desugar(Repeat(a, 1, sys.getrecursionlimit() + 1))
+    # a{1,490} expands to 120,295 factors and a{1,600} to 180,300
+    assert len(desugar(Repeat(a, 1, 490)).operands) == 490
+    message = "repetition a{2,600} expands to 180299 factors, more than 150000"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        desugar(Concat(a, Repeat(a, 2, 600)))
 
 
 @given(_exprs())
@@ -195,13 +199,14 @@ def test_map_children_rejects_a_non_expression(value):
 def test_rewrites_through_map_children_keep_their_recursion_depth():
     # desugar and simplify recurse through map_children at two frames per
     # tree level, as the hand-written rewrites did; a third frame per level
-    # would pass the default recursion limit on these 400 nested unions
-    expr = parse_path_expr("|".join(["a"] * 400))
+    # would pass the default recursion limit on these 400 nested branches
+    expr = parse_path_expr("a" + "[a]" * 400)
     assert simplify(desugar(expr)) is expr
 
 
-def _chain_length(expr):
-    return len(expr.factors) if isinstance(expr, Concat) else 1
+def _length(cls, expr):
+    # the operands an operand of this class brings
+    return len(children(expr)) if isinstance(expr, cls) else 1
 
 
 def test_a_composition_is_one_flat_node_however_it_is_grouped():
@@ -212,9 +217,17 @@ def test_a_composition_is_one_flat_node_however_it_is_grouped():
         j1, j2 = rng.choice(junctions), rng.choice(junctions)
         expr = Concat(Concat(x, y, j1), z, j2)
         assert expr is Concat(x, Concat(y, z, j2), j1) is Concat.chain([x, y, z], [j1, j2])
-        assert len(expr.factors) == sum(map(_chain_length, (x, y, z)))
-        for node in walk(expr):
-            assert not (isinstance(node, Concat) and Concat in map(type, node.factors))
+        assert len(expr.factors) == sum(_length(Concat, e) for e in (x, y, z))
+        for cls in (Union, Conj):
+            node = cls(cls(x, y), z)
+            assert node is cls(x, cls(y, z)) is cls.chain([x, y, z]) is cls(x, y, z)
+            assert len(children(node)) == sum(_length(cls, e) for e in (x, y, z))
+            assert cls(x) is x
+            assert parse_path_expr(to_text(node)) is node
+        mixed = Conj(Union(expr, Union(x, y)), Conj(Union(y, z), x))
+        for node in walk(mixed):
+            if isinstance(node, pathforge.ast._Nary):
+                assert type(node) not in map(type, children(node))
         assert parse_path_expr(to_text(expr)) is expr
 
 
@@ -233,6 +246,8 @@ def _rebuilt(node):
     """The node built again through the constructors, bottom up."""
     if isinstance(node, Concat):
         return Concat.chain(map(_rebuilt, node.factors), node.junctions)
+    if isinstance(node, (Union, Conj)):
+        return type(node)(*map(_rebuilt, node.operands))
     node_types = typing.get_args(PathExpr)
     return type(node)(*(_rebuilt(v) if isinstance(v, node_types) else v for v in _fields(node)))
 
@@ -283,8 +298,8 @@ def test_caches_stay_out_of_fields_match_args_and_repr():
         Label: ("name",),
         Reverse: ("name",),
         Concat: ("factors", "junctions"),
-        Union: ("left", "right"),
-        Conj: ("left", "right"),
+        Union: ("operands",),
+        Conj: ("operands",),
         BranchR: ("main", "test"),
         BranchL: ("test", "main"),
         TransClos: ("inner",),
@@ -302,7 +317,7 @@ def test_caches_stay_out_of_fields_match_args_and_repr():
 
 
 def test_blowup_rewrite_renders_and_strips_each_node_at_most_once(monkeypatch):
-    # infer-blowup case A: 11.8k triples whose expressions share most of
+    # infer-blowup case A: 11.4k triples whose expressions share most of
     # their nodes; without the caches each node is rendered many times
     _, schema_doc, text = BLOWUP_CASES[0]
     schema = load_schema(json.dumps(schema_doc))
@@ -328,7 +343,7 @@ def test_blowup_rewrite_renders_and_strips_each_node_at_most_once(monkeypatch):
         monkeypatch.setattr(module, "strip_annotations", counted_strip)
     outcome = rewrite(parse_query(text), schema)
     rows = derivation_rows(outcome.logs)
-    assert sum(len(row.triples) for row in rows) == 11820
+    assert sum(len(row.triples) for row in rows) == 11352
     for seen in (rendered, stripped):
         assert seen
         assert max(count for _, count in seen.values()) == 1

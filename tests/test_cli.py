@@ -482,31 +482,43 @@ def test_many_leading_tests_exit_2_without_traceback():
 
 
 TOO_DEEP = {
-    "union": "|".join(["isMarriedTo"] * 2000),
-    "repeat": "isMarriedTo{1,600}",
+    # a postfix operator and a trailing test still nest one level each
+    "closure": ("isMarriedTo" + "+" * 2000, "error: expression nested too deeply\n"),
+    "tests": ("isMarriedTo" + "[isMarriedTo]" * 2000, "error: expression nested too deeply\n"),
+    "repeat": (
+        "isMarriedTo{1,600}",
+        "error: repetition isMarriedTo{1,600} expands to 180300 factors, more than 150000\n",
+    ),
 }
 
 
-@pytest.mark.parametrize("expr", TOO_DEEP.values(), ids=TOO_DEEP.keys())
-def test_too_deep_for_recursion_exits_2(expr, query_file, capsys):
+@pytest.mark.parametrize("expr, error", TOO_DEEP.values(), ids=TOO_DEEP.keys())
+def test_too_deep_for_recursion_exits_2(expr, error, query_file, capsys):
     assert run(["simplify", expr]) == 2
-    assert capsys.readouterr().err == "error: expression nested too deeply\n"
+    assert capsys.readouterr().err == error
     assert run(["rewrite", "--schema", YAGO, "--query", query_file(f"x,y <- (x, {expr}, y)")]) == 2
-    assert capsys.readouterr().err == "error: expression nested too deeply\n"
+    assert capsys.readouterr().err == error
 
 
 def test_a_chain_of_thousands_of_factors_runs_every_stage(query_file):
-    # a chain is one node over its factors, however long
+    # a run of one operator is one node over its operands, however long
     chain = "/".join(["isMarriedTo"] * 5000)
-    path = query_file(f"x,y <- (x, {chain}, y)")
-    for argv in (
-        ["simplify", chain],
-        ["rewrite", "--schema", YAGO, "--query", path],
-        ["eval", "--db", DB, "--query", path],
-    ):
-        proc = _cli_in_fresh_process(*argv)
-        assert (proc.returncode, proc.stderr) == (0, ""), argv[0]
-        assert argv[0] == "eval" or chain in proc.stdout
+    union = "|".join(["isMarriedTo"] * 2000)
+    conj = "&".join(["isMarriedTo"] * 2000)
+    # the union's alternatives are one expression, and the others revert
+    for expr, rewritten in ((chain, chain), (union, "isMarriedTo"), (conj, conj)):
+        path = query_file(f"x,y <- (x, {expr}, y)")
+        expected = {"simplify": expr, "rewrite": f"x,y <- (x, {rewritten}, y)"}
+        for argv in (
+            ["simplify", expr],
+            ["rewrite", "--schema", YAGO, "--query", path],
+            ["eval", "--db", DB, "--query", path],
+            ["emit", "--target", "sql:sqlite", "--schema", YAGO, "--query", path],
+        ):
+            proc = _cli_in_fresh_process(*argv)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv[0]
+            if argv[0] in expected:
+                assert proc.stdout == expected[argv[0]] + "\n"
 
 
 def test_json_nested_too_deeply_exits_2_naming_the_file(tmp_path, query_file, capsys):
@@ -539,7 +551,7 @@ def test_a_repetition_bound_past_the_recursion_limit_exits_2_at_once():
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2,
         "",
-        "error: expression nested too deeply\n",
+        "error: repetition a{1,10000} expands to 50005000 factors, more than 150000\n",
     )
 
 

@@ -70,12 +70,21 @@ def test_label_alternation(ldbc_schema):
     query = parse_query("x,y <- (x, (knows|workAt)+, y)")
     text = emit_cypher(query, ldbc_schema)
     assert text == "MATCH (x)-[:knows|workAt*1..]->(y)\nRETURN DISTINCT x, y;\n"
+    # a union of three labels is one node, however it is grouped
+    for union in ("knows|workAt|isLocatedIn", "knows|(workAt|isLocatedIn)"):
+        text = emit_cypher(parse_query(f"x,y <- (x, {union}, y)"), ldbc_schema)
+        assert text == "MATCH (x)-[:knows|workAt|isLocatedIn]->(y)\nRETURN DISTINCT x, y;\n"
+    text = emit_cypher(parse_query("x,y <- (x, -knows|(-workAt|-isLocatedIn), y)"), ldbc_schema)
+    assert text == "MATCH (x)<-[:knows|workAt|isLocatedIn]-(y)\nRETURN DISTINCT x, y;\n"
 
 
 def test_mixed_direction_union_unsupported(yago_schema):
     report = emit_cypher(parse_query("x,y <- (x, owns|-owns, y)"), yago_schema)
     assert isinstance(report, UnsupportedReport)
     assert report.construct == "union of mixed directions"
+    for union in ("owns|livesIn|-owns", "owns|(livesIn|-owns)"):
+        report = emit_cypher(parse_query(f"x,y <- (x, {union}, y)"), yago_schema)
+        assert report == UnsupportedReport("union of mixed directions", "owns|livesIn|-owns")
 
 
 def test_multi_label_junction(yago_schema):

@@ -6,7 +6,7 @@ import sqlite3
 import pytest
 
 from pathforge import desugar, eval_ucqt, gen_db, load_schema, parse_query, rewrite, to_text
-from pathforge.ast import Concat, Label, Reverse, walk
+from pathforge.ast import Concat, Label, Reverse, children, walk
 from pathforge.emit_cypher import emit_cypher
 from pathforge.emit_sql import EmitError, check_labels, emit_sql
 from pathforge.query import Conjunct, LabelAtom, Relation, UcqtQuery
@@ -353,6 +353,25 @@ def test_sqlite_matches_evaluator_on_junction_annotations():
         query = parse_query(text)
         db = gen_db(schema, seed=index, nodes_per_label=3, edge_prob=0.4)
         assert run_sql(query, schema, db) == eval_ucqt(query, db), text
+
+
+def test_sqlite_matches_evaluator_on_unions_and_conjunctions_of_three_or_more():
+    rng = random.Random(919)
+    nonempty = 0
+    for index in range(40):
+        schema = random_schema(rng)
+        alphabet = schema_edge_alphabet(schema)
+        e1, e2, e3, e4 = (to_text(random_expr(rng, alphabet, depth=2)) for _ in range(4))
+        op = "|&"[index % 2]
+        # grouped to the left, and nested to the right
+        text = rng.choice([f"({e1}){op}({e2}){op}({e3})", f"({e1}){op}(({e2}){op}(({e3}){op}({e4})))"])
+        query = parse_query(f"x,y <- (x, {text}, y)")
+        assert len(children(query.disjuncts[0].relations[0].expr)) >= 3, text
+        db = gen_db(schema, seed=index, nodes_per_label=3, edge_prob=0.4)
+        want = eval_ucqt(query, db)
+        assert run_sql(query, schema, db) == want, text
+        nonempty += bool(want)
+    assert nonempty >= 10, nonempty
 
 
 def _schema(nodes, edges):

@@ -102,8 +102,9 @@ def oracle(expr, db, counts):
         left, right = oracle(prefix, db, counts), oracle(expr.factors[-1], db, counts)
         out = compose_pairs(left, right, expr.junctions[-1], db)
     elif isinstance(expr, (Union, Conj)):
-        left, right = oracle(expr.left, db, counts), oracle(expr.right, db, counts)
-        out = left | right if isinstance(expr, Union) else left & right
+        # the node counts once, and the partial results of its operands not
+        parts = [oracle(operand, db, counts) for operand in expr.operands]
+        out = set.union(*parts) if isinstance(expr, Union) else set.intersection(*parts)
     elif isinstance(expr, (BranchR, BranchL)):
         main, test = oracle(expr.main, db, counts), oracle(expr.test, db, counts)
         sources = {src for src, _ in test}
@@ -151,6 +152,8 @@ def test_eval_path_matches_pair_set_semantics():
             if isinstance(node, Concat):
                 seen.update("junction" if labels else "no junction" for labels in node.junctions)
                 seen.add("chain" if len(node.factors) > 2 else "step")
+            if isinstance(node, (Union, Conj)) and len(node.operands) > 2:
+                seen.add("n-ary " + type(node).__name__)
     assert seen == {
         "Label",
         "Reverse",
@@ -160,7 +163,9 @@ def test_eval_path_matches_pair_set_semantics():
         "chain",
         "step",
         "Union",
+        "n-ary Union",
         "Conj",
+        "n-ary Conj",
         "BranchR",
         "BranchL",
         "TransClos",

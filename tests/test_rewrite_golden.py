@@ -10,12 +10,13 @@ the exit code the CLI gave for:
   `random.Random(CORPUS_SEED)` by `corpus_inputs` below.
 
 The file was last written by running this module as a script
-(`PYTHONPATH=src python tests/test_rewrite_golden.py`) once a composition
-became one node over its flat chain of factors, so it pins that code's
-output: chains print flat, with no parenthesized right operand, and
-inference no longer keeps `(a/b)/c` and `a/(b/c)` as two triples. The
-output before that change was the same up to the grouping of chains, with
-equal rows on random databases where a rewrite differs. The test runs the
+(`PYTHONPATH=src python tests/test_rewrite_golden.py`) once a union and a
+conjunction, like a composition before them, became one node over a flat
+tuple of operands, so it pins that code's output: unions and conjunctions
+print flat, with no parenthesized right operand of their own operator.
+The output before that change was the same up to that grouping. The
+digests also changed where the derivation table lost the rows of union
+and conjunction prefixes, which are no longer nodes. The test runs the
 CLI in process on the same inputs and compares the printed text. A change
 that alters the output on purpose rewrites the file the same way and says
 in CHANGES.md which documents changed and why.
