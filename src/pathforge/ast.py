@@ -54,7 +54,6 @@ changes after it is built; they take no part in `__match_args__` or `repr`.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 from weakref import ref
 
@@ -381,9 +380,10 @@ def desugar(expr: PathExpr) -> PathExpr:
     """Expand every bounded repetition into a union of compositions.
 
     e{m,n} becomes the union e^m | e^(m+1) | ... | e^n, e.g. a{2,3} ->
-    a/a|a/a/a; each power is the chain of the one before and e. A
-    repetition whose expansion would hold more than MAX_EXPANSION factors
-    of e, m + ... + n, raises ValueError before anything is built.
+    a/a|a/a/a; e^m is one chain of m factors and each later power the chain
+    of the one before and e, so no power below e^m is built. A repetition
+    whose expansion would hold more than MAX_EXPANSION factors of e,
+    m + ... + n, raises ValueError before anything is built.
     """
     if isinstance(expr, Repeat):
         lo, hi = expr.lo, expr.hi
@@ -391,8 +391,11 @@ def desugar(expr: PathExpr) -> PathExpr:
             raise ValueError(
                 f"repetition {to_text(expr)} expands to {size} factors, more than {MAX_EXPANSION}"
             )
-        powers = list(accumulate([desugar(expr.inner)] * hi, Concat))
-        return Union(*powers[lo - 1 :])
+        inner = desugar(expr.inner)
+        powers = [Concat.chain([inner] * lo, [None] * (lo - 1))]
+        while len(powers) <= hi - lo:
+            powers.append(Concat(powers[-1], inner))
+        return Union.chain(powers)
     return map_children(expr, desugar)
 
 

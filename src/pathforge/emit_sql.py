@@ -7,11 +7,13 @@ distinct (Sr, Tr) pairs as one FROM item: a bare edge table or closure CTE,
 or a derived table whose composition steps are joined target to source,
 with a junction label set as a semi-join with its node tables. The atoms are
 then joined on their shared variables, and label atoms become node-table
-joins. Transitive closures become recursive CTEs named tc_1, tc_2, ... in
-post order, left to right; a closure that recurs anywhere in the query
-reuses the CTE of its first occurrence. The numbering skips each name that
-a schema label takes, in any case, since unquoted SQL names ignore case:
-with an edge label `TC_1`, the first CTE is tc_2. For the same reason, two
+joins; SQLite joins at most 64 tables in one SELECT, so a conjunct of more
+FROM items nests them in runs of 64, each a derived SELECT DISTINCT of the
+variables needed outside it. Transitive closures become recursive CTEs
+named tc_1, tc_2, ... in post order, left to right; a closure that recurs
+anywhere in the query reuses the CTE of its first occurrence. The numbering
+skips each name that a schema label takes, in any case, since unquoted SQL
+names ignore case: with an edge label `TC_1`, the first CTE is tc_2. For the same reason, two
 schema labels that differ only in case, such as node `N` and edge `n`,
 would name one table, and emission refuses such a schema.
 """
@@ -154,47 +156,84 @@ class _Renderer:
         return select, f"({select})"
 
     def conjunct(self, conjunct: Conjunct, head: tuple[str, ...]) -> str:
-        items: list[tuple[str, str, list[str]]] = []  # (alias, item text, join conditions)
-        var_column: dict[str, str] = {}
-
+        items: list[_Item] = []
         for index, rel in enumerate(conjunct.relations, start=1):
             alias = f"e{index}"
-            conditions: list[str] = []
-            for var, column in ((rel.src_var, f"{alias}.Sr"), (rel.trg_var, f"{alias}.Tr")):
-                if var in var_column:
-                    conditions.append(f"{var_column[var]} = {column}")
-                else:
-                    var_column[var] = column
-            items.append((alias, self.pair(desugar(rel.expr))[1], conditions))
+            binds = [(rel.src_var, f"{alias}.Sr"), (rel.trg_var, f"{alias}.Tr")]
+            items.append((alias, self.pair(desugar(rel.expr))[1], binds))
 
         # each label atom is a node set, and so is each head variable that no
         # atom mentions, over every node label: it ranges over every node
         node_sets = sorted((atom.var, atom.labels) for atom in conjunct.labels)
-        mentioned = var_column.keys() | {var for var, _ in node_sets}
+        mentioned = conjunct.variables()
         node_sets += [(var, self.schema.node_labels) for var in head if var not in mentioned]
         for index, (var, labels) in enumerate(node_sets, start=1):
             alias = f"n{index}"
-            conditions = []
-            if var in var_column:
-                conditions.append(f"{alias}.Sr = {var_column[var]}")
-            else:
-                var_column[var] = f"{alias}.Sr"
-            items.append((alias, f"({_node_set_sql(labels)})", conditions))
+            items.append((alias, f"({_node_set_sql(labels)})", [(var, f"{alias}.Sr")]))
+        return _select(items, [(var, var) for var in head])
 
-        select = ", ".join(f"{var_column[var]} AS {var}" for var in head)
-        lines = [f"SELECT DISTINCT {select}"]
-        where: list[str] = []
-        for index, (alias, item, conditions) in enumerate(items):
-            if index == 0:
-                where.extend(conditions)
-                lines.append(f"  FROM {item} AS {alias}")
-            elif conditions:
-                lines.append(f"  JOIN {item} AS {alias} ON " + " AND ".join(conditions))
+
+# a FROM item: its alias, its text, and the (variable, column) pairs it binds
+_Item = tuple[str, str, list[tuple[str, str]]]
+# SQLite joins at most 64 tables in one SELECT
+_MAX_JOIN = 64
+
+
+def _select(items: list[_Item], outputs: list[tuple[str, str]]) -> str:
+    """A SELECT DISTINCT of each output variable, under its output name, over
+    the items joined on their shared variables. Past _MAX_JOIN items, each
+    run of _MAX_JOIN is first nested as a derived SELECT DISTINCT of the
+    variables needed outside it, its columns named v1, v2, ...; a one-column
+    item moves next to the first item of several columns that binds its
+    variable, so that no run crosses it in alone."""
+    if len(items) > _MAX_JOIN:
+        first: dict[str, int] = {}
+        for position, (_, _, binds) in enumerate(items):
+            for var, _ in binds if len(binds) > 1 else ():
+                first.setdefault(var, position)
+        place = [
+            (first.get(binds[0][0], position) if len(binds) == 1 else position, position)
+            for position, (_, _, binds) in enumerate(items)
+        ]
+        items = [items[position] for _, position in sorted(place)]
+        groups = [items[i : i + _MAX_JOIN] for i in range(0, len(items), _MAX_JOIN)]
+        uses = [{var for _, _, binds in group for var, _ in binds} for group in groups]
+        wanted = {var for var, _ in outputs}
+        items = []
+        for index, (group, own) in enumerate(zip(groups, uses), start=1):
+            elsewhere = wanted.union(*(other for other in uses if other is not own))
+            # a group that shares no variable still filters by being empty
+            needed = sorted(own & elsewhere) or [min(own)]
+            names = [(var, f"v{k}") for k, var in enumerate(needed, start=1)]
+            text = "(" + _select(group, names).replace("\n", "\n  ") + ")"
+            items.append((f"g{index}", text, [(var, f"g{index}.{name}") for var, name in names]))
+        return _select(items, outputs)
+
+    var_column: dict[str, str] = {}
+    lines: list[str] = []
+    where: list[str] = []
+    for index, (alias, item, binds) in enumerate(items):
+        conditions = []
+        for var, column in binds:
+            if var not in var_column:
+                var_column[var] = column
+            elif len(binds) > 1:
+                conditions.append(f"{var_column[var]} = {column}")
             else:
-                lines.append(f"  CROSS JOIN {item} AS {alias}")
-        if where:
-            lines.append("  WHERE " + " AND ".join(where))
-        return "\n".join(lines)
+                # a one-column item, such as a node set, names its own first
+                conditions.append(f"{column} = {var_column[var]}")
+        if index == 0:
+            where.extend(conditions)
+            lines.append(f"  FROM {item} AS {alias}")
+        elif conditions:
+            lines.append(f"  JOIN {item} AS {alias} ON " + " AND ".join(conditions))
+        else:
+            lines.append(f"  CROSS JOIN {item} AS {alias}")
+    select = ", ".join(f"{var_column[var]} AS {name}" for var, name in outputs)
+    lines.insert(0, f"SELECT DISTINCT {select}")
+    if where:
+        lines.append("  WHERE " + " AND ".join(where))
+    return "\n".join(lines)
 
 
 _VIEW_PREAMBLE = {

@@ -15,9 +15,11 @@ squaring and each later one composed from the one before; these powers are
 not expression nodes. The loop stops at the first power the union already
 holds, such as an empty or a repeated one: each later power composes it
 with e, so the union holds those too.
-`eval_path` returns an expression's (source id, target id) pairs. A
-conjunct's atoms are hash-joined as binding tables, smallest first, with
-variables projected out as soon as nothing later needs them. Their
+`eval_path` returns an expression's successor map, read-only: it may be
+the database's own map, or share sets with it. A conjunct's maps are joined
+one variable at a time: a variable's candidates are the intersection of the
+target (or source) sets its atoms reach from the variables bound before it,
+and a variable is dropped as soon as nothing later needs it. Their
 independent oracles: ``_closure_naive`` for the closure, and, in the
 evaluator tests, pair-set semantics for each operator and a brute-force
 enumeration of variable assignments for the join.
@@ -46,11 +48,8 @@ from .query import UcqtQuery, validate_query
 from .record import Record
 from .schema import DbEdge, DbNode, GraphDB, GraphSchema
 
-Pair = tuple[str, str]
 # a successor map: the target ids of each source id, none of them empty
 Succ = Mapping[str, Set[str]]
-# a binding table: its variables, and one row of node ids per binding
-Table = tuple[tuple[str, ...], Set[tuple]]
 
 
 class EvalStats(Record):
@@ -69,16 +68,10 @@ class EvalStats(Record):
         self.pairs = pairs
 
 
-def eval_path(expr: PathExpr, db: GraphDB, stats: EvalStats | None = None) -> frozenset[Pair]:
-    """All node pairs connected by the expression."""
-    if isinstance(expr, Label):
-        # a bare label's pairs are indexed already
-        pairs = db.edge_pairs.get(expr.name, frozenset())
-        if stats is not None:
-            stats.pairs += len(pairs)
-        return pairs
-    succ = _eval(expr, db, stats)
-    return frozenset([(src, trg) for src, trgs in succ.items() for trg in trgs])
+def eval_path(expr: PathExpr, db: GraphDB, stats: EvalStats | None = None) -> Succ:
+    """The expression's successor map; read-only, as it may share its sets
+    with the database's own maps."""
+    return _eval(expr, db, stats)
 
 
 def _eval(expr: PathExpr, db: GraphDB, stats: EvalStats | None) -> Succ:
@@ -217,127 +210,129 @@ def eval_ucqt(query: UcqtQuery, db: GraphDB, stats: EvalStats | None = None) -> 
             (rel.src_var, rel.trg_var, eval_path(rel.expr, db, stats))
             for rel in conjunct.relations
         ]
-        out |= _join_atoms(query.head, atoms, conjunct.label_map(), db)
+        out.update(_join(query.head, atoms, conjunct.label_map(), db))
     return frozenset(out)
 
 
-def _columns(positions: list[int]):
-    """A function that picks the given positions of a row as a tuple."""
-    if len(positions) == 1:
-        (index,) = positions
-        return lambda row: (row[index],)
-    return itemgetter(*positions) if positions else lambda row: ()
-
-
-def _key(positions: list[int]):
-    """A function that picks the given positions of a row, a value for one."""
-    return itemgetter(*positions) if positions else lambda row: ()
-
-
-def _join_atoms(
+def _join(
     head: tuple[str, ...],
-    atoms: list[tuple[str, str, frozenset[Pair]]],
+    atoms: list[tuple[str, str, Succ]],
     label_map: dict[str, frozenset[str]],
     db: GraphDB,
-) -> Set[tuple]:
-    """Head tuples of one conjunct, given the pairs of its relation atoms.
+) -> list[tuple]:
+    """Head tuples of one conjunct, given the successor maps of its relation
+    atoms, binding one variable at a time.
 
-    Each atom is a binding table over its one or two variables, filtered by
-    the label atoms. The join starts from the smallest table and hash-joins
-    the smallest remaining one that shares a variable with the columns so
-    far (the smallest of all, a cross product, if none does). After every
-    step it projects out each variable that neither the head nor a
-    remaining table needs, so rows that differ only there collapse under
-    set semantics. A variable no relation atom binds is one more table, of
-    one column: the nodes its label atom allows, or all nodes. These tables
-    come after the sorted relation tables and share no variable, so the
-    join crosses them in last.
+    A variable's candidates for a row are the intersection of the target
+    sets of the atoms that link it to variables bound before it (source
+    sets, through the inverted map, where it is the source), within the
+    nodes its label and self-loop atoms allow. The atoms are taken smallest
+    map first, an atom linked to a bound variable before any other, and each
+    atom's source is bound before its target, its candidates the map's
+    sources. Head variables no atom links come last, each ranging over the
+    nodes its label atom allows, or all nodes. After each step a row keeps
+    only the variables that the head or an atom with an unbound end still
+    needs, so rows that differ only elsewhere collapse under set semantics;
+    the rows stay distinct, and the maps are never changed.
     """
-    labels = db.node_label
-    tables: list[Table] = []
-    for u, v, pairs in atoms:
-        want_u, want_v = label_map.get(u), label_map.get(v)
+    by_label = db.ids_by_label
+    within: dict[str, Set[str]] = {
+        var: frozenset().union(*[by_label.get(label, ()) for label in labels])
+        for var, labels in label_map.items()
+    }
+    links = []
+    for u, v, succ in atoms:
         if u == v:
-            rows = {(s,) for s, t in pairs if s == t and (want_u is None or labels[s] in want_u)}
-            tables.append(((u,), rows))
-            continue
-        if want_u is not None or want_v is not None:
-            pairs = {
-                (s, t)
-                for s, t in pairs
-                if (want_u is None or labels[s] in want_u)
-                and (want_v is None or labels[t] in want_v)
-            }
-        tables.append(((u, v), pairs))
-    tables.sort(key=lambda table: len(table[1]))
-    bound = {var for cols, _ in tables for var in cols}
-    for var in dict.fromkeys((*head, *label_map)):
-        if var not in bound:
-            want = label_map.get(var)
-            rows = {(node.id,) for node in db.nodes if want is None or node.label in want}
-            tables.append(((var,), rows))
-    if not all(rows for _, rows in tables):
-        return set()
+            loops = {src for src, trgs in succ.items() if src in trgs}
+            within[u] = within[u] & loops if u in within else loops
+        else:
+            links.append((u, v, succ))
+    if not all(within.values()) or not all(succ for _, _, succ in links):
+        return []
+    if not within and len(links) == 1 and links[0][:2] == head:
+        # one atom that binds the whole head: its pairs as they are
+        return [(src, trg) for src, trgs in links[0][2].items() for trg in trgs]
 
-    cols: tuple[str, ...] = ()
-    rows: Set[tuple] = {()}
-    while tables:
-        index = next((i for i, (vs, _) in enumerate(tables) if not cols or set(vs) & set(cols)), 0)
-        table = tables.pop(index)
-        keep = set(head).union(*(vs for vs, _ in tables))
-        cols, rows = (
-            _project(*table, keep) if not cols else _hash_join(cols, rows, *table, keep)
-        )
+    # the binding order, each variable with the (earlier variable, map)
+    # pairs that give its candidates
+    links.sort(key=lambda atom: len(atom[2]))
+    checks: dict[str, list[tuple[str, Succ]]] = {}
+    order: dict[str, int] = {}
+    last: dict[str, int] = {}  # the step after which no atom needs a variable
+    while links:
+        index = next((i for i, (u, v, _) in enumerate(links) if u in order or v in order), 0)
+        u, v, succ = links.pop(index)
+        if u not in order and v not in order:
+            within[u] = within[u] & succ.keys() if u in within else succ.keys()
+        for var in (u, v):
+            if var not in order:
+                order[var], checks[var] = len(order), []
+        if order[u] < order[v]:
+            checks[v].append((u, succ))
+        else:
+            checks[u].append((v, _invert(succ)))
+        done = max(order[u], order[v]) + 1
+        last[u], last[v] = max(last.get(u, 0), done), max(last.get(v, 0), done)
+    for var in head:
+        if var not in checks:
+            checks[var] = []
+            within.setdefault(var, db.node_label.keys())
+
+    cols: list[str] = []
+    rows: list[tuple] = [()]
+    for step, (var, var_checks) in enumerate(checks.items(), start=1):
+        found = [(cols.index(other), succ) for other, succ in var_checks]
+        kept = [i for i, col in enumerate(cols) if col in head or last.get(col, 0) > step]
+        pick = _getter(kept)
+        # the node sets each kept prefix reaches, one per row; a variable
+        # with checks is cut to its allowed nodes once per prefix
+        reach: dict[tuple, list[Set[str]]] = {}
+        for row in rows:
+            cands = None if found else within[var]
+            for pos, succ in found:
+                trgs = succ.get(row[pos], frozenset())
+                cands = trgs if cands is None else cands & trgs
+                if not cands:
+                    break
+            if cands:
+                reach.setdefault(pick(row), []).append(cands)
+        allowed = within.get(var) if found else None
+        merged = [
+            (prefix, parts[0] if len(parts) == 1 else set().union(*parts))
+            for prefix, parts in reach.items()
+        ]
+        if allowed is not None:
+            merged = [(prefix, cands & allowed) for prefix, cands in merged]
+        cols = [cols[i] for i in kept]
+        if var in head or last.get(var, 0) > step:
+            cols.append(var)
+            rows = [prefix + (node,) for prefix, cands in merged for node in cands]
+        else:
+            rows = [prefix for prefix, cands in merged if cands]
         if not rows:
-            return set()
-
-    if cols == head:
-        return rows
-    pick = _columns([cols.index(var) for var in head])
-    return {pick(row) for row in rows}
+            return rows
+    if tuple(cols) != head:
+        rows = list(map(_getter([cols.index(var) for var in head]), rows))
+    return rows
 
 
-def _project(cols: tuple[str, ...], rows: Set[tuple], keep: set[str]) -> Table:
-    kept = [i for i, var in enumerate(cols) if var in keep]
-    if len(kept) == len(cols):
-        return cols, rows
-    pick = _columns(kept)
-    return tuple(cols[i] for i in kept), {pick(row) for row in rows}
+def _getter(positions: list[int]):
+    """A function that picks the given positions of a row, as a tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
-def _hash_join(
-    cols: tuple[str, ...],
-    rows: Set[tuple],
-    table_cols: tuple[str, ...],
-    table_rows: Set[tuple],
-    keep: set[str],
-) -> Table:
-    """Join ``rows`` with a table on their shared columns, keeping ``keep``."""
-    shared = [var for var in table_cols if var in cols]
-    added = [i for i, var in enumerate(table_cols) if var not in cols and var in keep]
-    # a key is one value, or a tuple of several, the same way on both sides
-    table_key = _key([table_cols.index(var) for var in shared])
-    row_key = _key([cols.index(var) for var in shared])
-    kept = [i for i, var in enumerate(cols) if var in keep]
-    left_pick = _columns(kept)
-    out_cols = tuple(cols[i] for i in kept) + tuple(table_cols[i] for i in added)
-    if not added:
-        keys = {table_key(row) for row in table_rows}
-        return out_cols, {left_pick(row) for row in rows if row_key(row) in keys}
-    index: dict[object, set[tuple]] = {}
-    value = _columns(added)
-    for row in table_rows:
-        index.setdefault(table_key(row), set()).add(value(row))
-    # the matches of rows with one kept prefix merge before any output row
-    # is built, so each distinct row is built once
-    grouped: dict[tuple, set[tuple]] = {}
-    for row in rows:
-        match = index.get(row_key(row))
-        if match:
-            prefix = left_pick(row)
-            have = grouped.get(prefix)
-            grouped[prefix] = match if have is None else have | match
-    return out_cols, {prefix + rest for prefix, rests in grouped.items() for rest in rests}
+def _invert(succ: Succ) -> dict[str, set[str]]:
+    """The source set of each target of a successor map."""
+    out: dict[str, set[str]] = {}
+    for src, trgs in succ.items():
+        for trg in trgs:
+            if trg in out:
+                out[trg].add(src)
+            else:
+                out[trg] = {src}
+    return out
 
 
 _WORDS = ("ada", "bo", "cy", "dee", "eli", "fay", "gus", "hal", "ivy", "jo")

@@ -129,6 +129,14 @@ class GraphDB(_Graph):
         return {node.id: node.label for node in self.nodes}
 
     @cached_property
+    def ids_by_label(self) -> dict[str, frozenset[str]]:
+        """The ids of the nodes of each node label."""
+        out: dict[str, set[str]] = {}
+        for node in self.nodes:
+            out.setdefault(node.label, set()).add(node.id)
+        return {label: frozenset(ids) for label, ids in out.items()}
+
+    @cached_property
     def edge_pairs(self) -> dict[str, frozenset[tuple[str, str]]]:
         out: dict[str, set[tuple[str, str]]] = {}
         for edge in self.edges:

@@ -118,6 +118,22 @@ def test_desugar_refuses_a_bound_past_the_recursion_limit():
         desugar(Concat(a, Repeat(a, 2, 600)))
 
 
+def test_desugar_builds_only_the_powers_it_returns(monkeypatch):
+    # a{500,500} is one chain of 500 factors; building every power from
+    # a^1 up would make chains of 125,250 factors in all
+    built = []
+    chain = Concat.chain
+
+    def counting(cls, factors, junctions):
+        node = chain(factors, junctions)
+        built.append(len(node.factors) if isinstance(node, Concat) else 1)
+        return node
+
+    monkeypatch.setattr(Concat, "chain", classmethod(counting))
+    assert len(desugar(Repeat(a, 500, 500)).factors) == 500
+    assert sum(built) == 500
+
+
 @given(_exprs())
 @settings(max_examples=200, deadline=None)
 def test_desugar_removes_every_repeat(expr):

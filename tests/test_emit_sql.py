@@ -275,6 +275,23 @@ def test_sqlite_matches_evaluator_on_yago_queries(yago_schema):
         assert run_sql(enriched, yago_schema, db) == want, text
 
 
+@pytest.mark.parametrize("labelled", [False, True])
+@pytest.mark.parametrize("length", [64, 65, 130])
+def test_sqlite_runs_conjuncts_of_more_than_64_atoms(length, labelled, yago_schema):
+    # SQLite joins at most 64 tables in one SELECT; past that, the atoms are
+    # nested in groups of 64
+    db = gen_db(yago_schema, seed=2, nodes_per_label=4, edge_prob=0.5)
+    relations = tuple(Relation(f"x{i}", Label("isMarriedTo"), f"x{i + 1}") for i in range(length))
+    person = frozenset({"PERSON"})
+    labels = tuple(LabelAtom(f"x{i}", person) for i in range(0, length, 20)) if labelled else ()
+    query = UcqtQuery(("x0", "x33", f"x{length}"), (Conjunct(relations, labels),))
+    want = eval_ucqt(query, db)
+    assert want
+    assert run_sql(query, yago_schema, db) == want
+    nested = "(SELECT DISTINCT" in emit_sql(query, yago_schema)
+    assert nested == (len(relations) + len(labels) > 64)
+
+
 def test_repeated_or_empty_label_atoms_are_refused_by_every_backend(yago_schema):
     db = gen_db(yago_schema, seed=1, nodes_per_label=4, edge_prob=0.5)
     located = Relation("x", Label("isLocatedIn"), "y")

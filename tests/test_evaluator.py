@@ -1,3 +1,4 @@
+import copy
 import gc
 import random
 from itertools import product
@@ -50,31 +51,36 @@ ISL_CLOSURE = {
 
 def test_branch_example(fig2_db):
     expr = parse_path_expr("[owns]([isMarriedTo]livesIn)")
-    assert eval_path(expr, fig2_db) == {("n2", "n4")}
+    assert eval_path(expr, fig2_db) == {"n2": {"n4"}}
 
 
 def test_closure_example(fig2_db):
-    assert eval_path(parse_path_expr("isLocatedIn+"), fig2_db) == ISL_CLOSURE
+    assert pairs_of(eval_path(parse_path_expr("isLocatedIn+"), fig2_db)) == ISL_CLOSURE
 
 
 def test_empty_db():
     empty = GraphDB(nodes=(), edges=())
-    assert eval_path(parse_path_expr("a"), empty) == frozenset()
+    assert eval_path(parse_path_expr("a"), empty) == {}
 
 
 def test_annotated_concat_matches_plain_when_labels_cover(fig2_db):
     # every livesIn/isLocatedIn junction in this db is a CITY
     annotated = eval_path(parse_path_expr("livesIn/{CITY}isLocatedIn"), fig2_db)
     plain = eval_path(parse_path_expr("livesIn/isLocatedIn"), fig2_db)
-    assert annotated == plain == {("n2", "n5"), ("n3", "n5")}
+    assert annotated == plain == {"n2": {"n5"}, "n3": {"n5"}}
 
 
 def test_annotated_concat_filters(fig2_db):
-    assert eval_path(parse_path_expr("livesIn/{REGION}isLocatedIn"), fig2_db) == frozenset()
+    assert eval_path(parse_path_expr("livesIn/{REGION}isLocatedIn"), fig2_db) == {}
 
 
 def test_reverse(fig2_db):
-    assert eval_path(parse_path_expr("-owns"), fig2_db) == {("n1", "n2")}
+    assert eval_path(parse_path_expr("-owns"), fig2_db) == {"n1": {"n2"}}
+
+
+def pairs_of(succ):
+    """The pairs of a successor map."""
+    return {(src, trg) for src, trgs in succ.items() for trg in trgs}
 
 
 def compose_pairs(left, right, junction, db):
@@ -143,7 +149,7 @@ def test_eval_path_matches_pair_set_semantics():
         db = random_db(rng, ["a", "b", "c"])
         expr = with_junctions(rng, random_expr(rng, ["a", "b", "c"], depth=3))
         counts, stats = [], EvalStats()
-        pairs = eval_path(expr, db, stats)
+        pairs = pairs_of(eval_path(expr, db, stats))
         assert pairs == oracle(expr, db, counts), to_text(expr)
         assert stats.pairs == sum(counts), to_text(expr)
         nonempty += bool(pairs)
@@ -220,13 +226,13 @@ def test_closure_naive_agrees_with_delta(monkeypatch):
 def test_closure_equals_truncated_powers(fig2_db):
     # e+ equals the union of e^1..e^|nodes|
     base = parse_path_expr("isLocatedIn")
-    union = frozenset()
+    union = set()
     power = "isLocatedIn"
     for _ in range(len(fig2_db.nodes)):
-        union |= eval_path(parse_path_expr(power), fig2_db)
+        union |= pairs_of(eval_path(parse_path_expr(power), fig2_db))
         power += "/isLocatedIn"
-    assert eval_path(parse_path_expr("isLocatedIn+"), fig2_db) == union
-    assert eval_path(base, fig2_db) <= union
+    assert pairs_of(eval_path(parse_path_expr("isLocatedIn+"), fig2_db)) == union
+    assert pairs_of(eval_path(base, fig2_db)) <= union
 
 
 def test_branch_subset_invariants(fig2_db):
@@ -237,8 +243,9 @@ def test_branch_subset_invariants(fig2_db):
         test = random_expr(rng, ["a", "b"], depth=2)
         from pathforge import BranchL, BranchR
 
-        assert eval_path(BranchR(main, test), db) <= eval_path(main, db)
-        assert eval_path(BranchL(test, main), db) <= eval_path(main, db)
+        main_pairs = pairs_of(eval_path(main, db))
+        assert pairs_of(eval_path(BranchR(main, test), db)) <= main_pairs
+        assert pairs_of(eval_path(BranchL(test, main), db)) <= main_pairs
 
 
 def test_annotation_with_every_label_equals_plain_concat():
@@ -284,11 +291,6 @@ def test_repeat_matches_desugared():
     assert seen == {"lo > 1", "lo == hi", "nested", "under closure or branch"}
 
 
-def pairs_of(succ):
-    """The pairs of a successor map."""
-    return {(src, trg) for src, trgs in succ.items() for trg in trgs}
-
-
 def test_repetition_with_a_far_bound_equals_every_power_composed():
     # on six nodes the powers soon empty out or repeat, and the loop stops
     # there; composing each power up to the bound gives the same union
@@ -303,7 +305,7 @@ def test_repetition_with_a_far_bound_equals_every_power_composed():
             power = pathforge.evaluator._compose(power, base)
             if k >= lo:
                 want |= pairs_of(power)
-        assert eval_path(Repeat(expr, lo, 40), db) == want, to_text(expr)
+        assert pairs_of(eval_path(Repeat(expr, lo, 40), db)) == want, to_text(expr)
 
 
 def test_lower_bounds_reached_by_squaring_match_desugared():
@@ -401,7 +403,7 @@ def brute_force_ucqt(query, db):
     out = set()
     for conjunct in query.disjuncts:
         variables = sorted(conjunct.variables() | set(query.head))
-        atoms = [(rel, eval_path(rel.expr, db)) for rel in conjunct.relations]
+        atoms = [(rel, pairs_of(eval_path(rel.expr, db))) for rel in conjunct.relations]
         for values in product(node_ids, repeat=len(variables)):
             env = dict(zip(variables, values))
             if all((env[rel.src_var], env[rel.trg_var]) in pairs for rel, pairs in atoms) and all(
@@ -413,7 +415,7 @@ def brute_force_ucqt(query, db):
 
 def random_conjunct(rng, variables):
     relations = []
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(rng.randint(0, 5)):
         if relations and rng.random() < 0.3:
             # the same variable pair as an earlier atom, either way round
             ends = rng.choice(relations)
@@ -431,24 +433,52 @@ def random_conjunct(rng, variables):
 
 
 def test_join_matches_brute_force_enumeration():
+    # conjuncts of up to five atoms over four or five variables
     rng = random.Random(23)
     seen = set()
-    for _ in range(100):
+    for _ in range(150):
         db = random_db(rng, ["a", "b"], max_nodes=6)
         head = tuple(rng.sample(["x", "y", "z"], rng.randint(1, 2)))
+        variables = ["x", "y", "z", "w", "v"][: rng.choice([4, 5])]
         disjuncts = tuple(
-            random_conjunct(rng, ["x", "y", "z", "w"]) for _ in range(rng.choice([0, 1, 1, 2]))
+            random_conjunct(rng, variables) for _ in range(rng.choice([0, 1, 1, 2]))
         )
         query = UcqtQuery(head, disjuncts)
         assert eval_ucqt(query, db) == brute_force_ucqt(query, db), query
         # which shapes the suite exercised, so a generator change cannot drop one
-        seen.update(shape for conjunct in disjuncts for shape in shapes(head, conjunct))
+        seen.update(shape for conjunct in disjuncts for shape in shapes(head, conjunct, db))
         if not disjuncts:
             seen.add("empty")
-    assert seen == {"self-loop", "same pair", "cross product", "label-only", "head-only", "empty"}
+    assert seen == {
+        "self-loop",
+        "same pair",
+        "cross product",
+        "label-only",
+        "head-only",
+        "empty",
+        "cycle",
+        "three atoms on a variable",
+        "both ends bound first",
+    }
 
 
-def shapes(head, conjunct):
+def test_evaluation_leaves_the_database_maps_unchanged():
+    # eval_path returns the database's own maps, and the join reads their
+    # sets as they are: narrowing one in place would corrupt later queries
+    # without any error
+    rng = random.Random(29)
+    for _ in range(40):
+        db = random_db(rng, ["a", "b"], max_nodes=6)
+        maps = lambda: [(db.successors_of(l), db.predecessors_of(l)) for l in ["a", "b"]]
+        before = copy.deepcopy(maps())
+        for _ in range(5):
+            head = tuple(rng.sample(["x", "y", "z"], rng.randint(1, 2)))
+            disjuncts = (random_conjunct(rng, ["x", "y", "z", "w"]),)
+            eval_ucqt(UcqtQuery(head, disjuncts), db)
+        assert maps() == before
+
+
+def shapes(head, conjunct, db):
     rels = conjunct.relations
     pairs = [frozenset((rel.src_var, rel.trg_var)) for rel in rels]
     in_atoms = {var for pair in pairs for var in pair}
@@ -462,11 +492,33 @@ def shapes(head, conjunct):
         yield "label-only"
     if set(head) - conjunct.variables():
         yield "head-only"
+    if any(sum(var in pair for pair in pairs) >= 3 for var in in_atoms):
+        yield "three atoms on a variable"
+    # a cycle through three or more variables: what stays of the distinct
+    # pairs once those with a variable on no other pair are stripped
+    links = {pair for pair in pairs if len(pair) == 2}
+    while ends := {var for p in links for var in p if sum(var in q for q in links) < 2}:
+        links = {pair for pair in links if not pair & ends}
+    if links:
+        yield "cycle"
+    # in the join's order (smallest map first, an atom linked to a bound
+    # variable before any other) some atom finds both its ends bound by
+    # earlier ones, so a variable's candidates intersect two atoms' sets
+    order = [(len(eval_path(rel.expr, db)), pair) for rel, pair in zip(rels, pairs)]
+    order = sorted((atom for atom in order if len(atom[1]) == 2), key=lambda atom: atom[0])
+    bound = set()
+    while order:
+        _, pair = order.pop(next((i for i, (_, p) in enumerate(order) if p & bound), 0))
+        if pair <= bound:
+            yield "both ends bound first"
+            break
+        bound |= pair
 
 
 def test_eval_path_leaves_no_reference_cycle(fig2_db):
-    # eval_path recurses through a closure that refers to itself; left as a
-    # cycle, it would stay alive until the garbage collector runs
+    # evaluation leaves no reference cycle behind: one, such as a nested
+    # function that refers to itself, would keep what it holds alive until
+    # the garbage collector runs
     expr = parse_path_expr("(owns/isLocatedIn+){1,3}")
     gc.collect()
     gc.disable()
