@@ -62,7 +62,8 @@ from .record import Frozen
 # a node or edge label, or a query variable, as the concrete syntax spells it
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
 
-# the most factors `desugar` expands one repetition into: e{1,490} fits
+# the most factors `desugar` expands one repetition into, nested ones
+# included: a{1,490} fits
 MAX_EXPANSION = 150_000
 
 
@@ -382,21 +383,45 @@ def desugar(expr: PathExpr) -> PathExpr:
     e{m,n} becomes the union e^m | e^(m+1) | ... | e^n, e.g. a{2,3} ->
     a/a|a/a/a; e^m is one chain of m factors and each later power the chain
     of the one before and e, so no power below e^m is built. A repetition
-    whose expansion would hold more than MAX_EXPANSION factors of e,
-    m + ... + n, raises ValueError before anything is built.
+    whose expansion would hold more than MAX_EXPANSION factors raises
+    ValueError before anything is built: e{m,n} holds m + ... + n times the
+    factors of e's own expansion, so the bound covers nested repetitions too.
     """
     if isinstance(expr, Repeat):
+        _expansion(expr)
+        return _expand(expr)
+    return map_children(expr, desugar)
+
+
+def _expansion(expr: PathExpr) -> int:
+    """The factors the expansion of ``expr`` holds: one for a label, m + ...
+    + n times its body's for a repetition e{m,n}, and the sum of its
+    children's for any other node. The innermost repetition past
+    MAX_EXPANSION raises ValueError."""
+    kids = children(expr)
+    if not kids:
+        return 1
+    size = sum(map(_expansion, kids))
+    if isinstance(expr, Repeat):
         lo, hi = expr.lo, expr.hi
-        if (size := (hi * (hi + 1) - lo * (lo - 1)) // 2) > MAX_EXPANSION:
+        size *= (hi * (hi + 1) - lo * (lo - 1)) // 2
+        if size > MAX_EXPANSION:
             raise ValueError(
                 f"repetition {to_text(expr)} expands to {size} factors, more than {MAX_EXPANSION}"
             )
-        inner = desugar(expr.inner)
+    return size
+
+
+def _expand(expr: PathExpr) -> PathExpr:
+    """``desugar`` of an expression whose expansion is already bounded."""
+    if isinstance(expr, Repeat):
+        lo, hi = expr.lo, expr.hi
+        inner = _expand(expr.inner)
         powers = [Concat.chain([inner] * lo, [None] * (lo - 1))]
         while len(powers) <= hi - lo:
             powers.append(Concat(powers[-1], inner))
         return Union.chain(powers)
-    return map_children(expr, desugar)
+    return map_children(expr, _expand)
 
 
 def strip_annotations(expr: PathExpr) -> PathExpr:

@@ -19,9 +19,12 @@ with e, so the union holds those too.
 the database's own map, or share sets with it. A conjunct's maps are joined
 one variable at a time: a variable's candidates are the intersection of the
 target (or source) sets its atoms reach from the variables bound before it,
-and a variable is dropped as soon as nothing later needs it. Their
-independent oracles: ``_closure_naive`` for the closure, and, in the
-evaluator tests, pair-set semantics for each operator and a brute-force
+and a variable is dropped as soon as nothing later needs it. Before that, a
+variable outside the head that only two atoms link is eliminated: the two
+maps are composed through the nodes it allows into one atom, so no row is
+built per node it takes (the variable elimination of FAQ, Abo Khamis, Ngo
+and Rudra, PODS 2016). Their independent oracles, in the evaluator tests:
+a naive closure, pair-set semantics for each operator, and a brute-force
 enumeration of variable assignments for the join.
 """
 
@@ -193,14 +196,6 @@ def transitive_closure(successors: Mapping[str, Collection[str]]) -> dict[str, s
     return closure
 
 
-def _closure_naive(base: Succ) -> Succ:
-    # kept as a second, slower oracle for `transitive_closure`
-    closure = base
-    while not _within(step := _compose(closure, base), closure):
-        closure = _union(closure, step)
-    return closure
-
-
 def eval_ucqt(query: UcqtQuery, db: GraphDB, stats: EvalStats | None = None) -> frozenset[tuple]:
     """All head-variable tuples, as the union over the query's conjuncts."""
     validate_query(query)
@@ -223,6 +218,12 @@ def _join(
     """Head tuples of one conjunct, given the successor maps of its relation
     atoms, binding one variable at a time.
 
+    A variable's label and self-loop atoms first cut the nodes it allows.
+    Then, where two or more atoms link distinct variables, each variable
+    outside the head that exactly two of them link is composed away (see
+    ``_eliminate``), so the README chain and the like become one atom from
+    head variable to head variable, whose pairs are the rows.
+
     A variable's candidates for a row are the intersection of the target
     sets of the atoms that link it to variables bound before it (source
     sets, through the inverted map, where it is the source), within the
@@ -243,15 +244,23 @@ def _join(
     links = []
     for u, v, succ in atoms:
         if u == v:
-            loops = {src for src, trgs in succ.items() if src in trgs}
-            within[u] = within[u] & loops if u in within else loops
+            _restrict(within, u, {src for src, trgs in succ.items() if src in trgs})
         else:
             links.append((u, v, succ))
+    if len(links) > 1:
+        _eliminate(head, links, within)
     if not all(within.values()) or not all(succ for _, _, succ in links):
         return []
-    if not within and len(links) == 1 and links[0][:2] == head:
-        # one atom that binds the whole head: its pairs as they are
-        return [(src, trg) for src, trgs in links[0][2].items() for trg in trgs]
+    if len(links) == 1 and links[0][:2] == head and within.keys() <= set(head):
+        # one atom that binds the whole head: its pairs, cut to the nodes the
+        # head's label and self-loop atoms allow
+        srcs, trgs_in = within.get(head[0]), within.get(head[1])
+        return [
+            (src, trg)
+            for src, trgs in links[0][2].items()
+            if srcs is None or src in srcs
+            for trg in (trgs if trgs_in is None else trgs & trgs_in)
+        ]
 
     # the binding order, each variable with the (earlier variable, map)
     # pairs that give its candidates
@@ -263,7 +272,7 @@ def _join(
         index = next((i for i, (u, v, _) in enumerate(links) if u in order or v in order), 0)
         u, v, succ = links.pop(index)
         if u not in order and v not in order:
-            within[u] = within[u] & succ.keys() if u in within else succ.keys()
+            _restrict(within, u, succ.keys())
         for var in (u, v):
             if var not in order:
                 order[var], checks[var] = len(order), []
@@ -314,6 +323,51 @@ def _join(
     if tuple(cols) != head:
         rows = list(map(_getter([cols.index(var) for var in head]), rows))
     return rows
+
+
+def _restrict(within: dict[str, Set[str]], var: str, nodes: Set[str]) -> None:
+    """Cut a variable's allowed nodes to ``nodes``."""
+    within[var] = within[var] & nodes if var in within else nodes
+
+
+def _eliminate(
+    head: tuple[str, ...], links: list[tuple[str, str, Succ]], within: dict[str, Set[str]]
+) -> None:
+    """Compose away, in place, each variable outside the head that exactly two
+    atoms link, until none is left.
+
+    The two atoms become one from the far end of the first to the far end of
+    the second, through the nodes the variable allows; an atom that points
+    the other way is inverted first. Two far ends that are one variable give
+    a self-loop, which cuts that variable's allowed nodes instead.
+    """
+    while True:
+        touched: dict[str, list[int]] = {}
+        for index, (u, v, _) in enumerate(links):
+            touched.setdefault(u, []).append(index)
+            touched.setdefault(v, []).append(index)
+        mid = next(
+            (var for var, at in touched.items() if len(at) == 2 and var not in head), None
+        )
+        if mid is None:
+            return
+        i, j = touched[mid]
+        if links[i][0] == mid and links[j][1] == mid:
+            i, j = j, i
+        (u, v, first), (s, t, second) = links[i], links[j]
+        # first: far end -> mid, second: mid -> far end
+        near, left = (u, first) if v == mid else (v, _invert(first))
+        far, right = (t, second) if s == mid else (s, _invert(second))
+        if mid in within:
+            allowed = within.pop(mid)
+            right = {node: trgs for node, trgs in right.items() if node in allowed}
+        if near == far:
+            loops = {src for src, mids in left.items() if any(src in right.get(m, ()) for m in mids)}
+            _restrict(within, near, loops)
+            links[:] = [link for index, link in enumerate(links) if index not in (i, j)]
+        else:
+            links[i] = (near, far, _compose(left, right))
+            del links[j]
 
 
 def _getter(positions: list[int]):

@@ -118,6 +118,23 @@ def test_desugar_refuses_a_bound_past_the_recursion_limit():
         desugar(Concat(a, Repeat(a, 2, 600)))
 
 
+def test_desugar_bounds_a_repetition_with_the_repetitions_nested_in_it():
+    # a{1,2} nested ten times expands to 3^10 = 59,049 factors of a, and
+    # eleven times to 177,147; each level alone expands to 3
+    nested = a
+    for _ in range(10):
+        nested = Repeat(nested, 1, 2)
+    assert desugar(nested)
+    message = "repetition a" + "{1,2}" * 11 + " expands to 177147 factors, more than 150000"
+    for outer in (Repeat(nested, 1, 2), Concat(a, Repeat(Repeat(nested, 1, 2), 1, 2))):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            desugar(outer)
+    # a union sums its operands' factors: 2 * 120,295 under one repetition
+    message = "repetition (a{1,490}|b{1,490}){1,1} expands to 240590 factors, more than 150000"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        desugar(Repeat(Union(Repeat(a, 1, 490), Repeat(Label("b"), 1, 490)), 1, 1))
+
+
 def test_desugar_builds_only_the_powers_it_returns(monkeypatch):
     # a{500,500} is one chain of 500 factors; building every power from
     # a^1 up would make chains of 125,250 factors in all

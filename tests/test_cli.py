@@ -555,6 +555,35 @@ def test_a_repetition_bound_past_the_recursion_limit_exits_2_at_once():
     )
 
 
+def nested_repetition(body, levels):
+    """((body){1,2}){1,2}... with ``levels`` repetitions, expanding to 3^levels
+    factors of body."""
+    for _ in range(levels):
+        body = f"({body}){{1,2}}"
+    return body
+
+
+# the innermost repetition past the bound: 3^11 = 177,147 factors
+ELEVEN_LEVELS = "isMarriedTo" + "{1,2}" * 11
+NESTED_ERROR = f"error: repetition {ELEVEN_LEVELS} expands to 177147 factors, more than 150000\n"
+
+
+def test_nested_repetitions_are_bounded_as_one_expansion(capsys):
+    # twelve levels expand to 531,441 factors, though each level alone has 3
+    assert run(["simplify", nested_repetition("isMarriedTo", 12)]) == 2
+    assert capsys.readouterr() == ("", NESTED_ERROR)
+
+
+def test_twenty_nested_repetitions_exit_2_without_traceback(query_file):
+    # 3^20 factors: expanding them ran until the process was killed
+    expr = nested_repetition("isMarriedTo", 20)
+    assert len(expr) == 151
+    path = query_file(f"x,y <- (x, {expr}, y)")
+    for argv in (["simplify", expr], ["pipeline", "--schema", YAGO, "--query", path]):
+        proc = _cli_in_fresh_process(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", NESTED_ERROR), argv[0]
+
+
 def test_stages_that_keep_a_repetition_run_a_deep_one(query_file, capsys):
     # the evaluator and the Cypher emitter never desugar, so no depth applies
     path = query_file("x,y <- (x, owns{1,5000}, y)")

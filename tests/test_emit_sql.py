@@ -5,7 +5,16 @@ import sqlite3
 
 import pytest
 
-from pathforge import desugar, eval_ucqt, gen_db, load_schema, parse_query, rewrite, to_text
+from pathforge import (
+    desugar,
+    eval_ucqt,
+    gen_db,
+    load_schema,
+    parse_path_expr,
+    parse_query,
+    rewrite,
+    to_text,
+)
 from pathforge.ast import Concat, Label, Reverse, children, walk
 from pathforge.emit_cypher import emit_cypher
 from pathforge.emit_sql import EmitError, check_labels, emit_sql
@@ -389,6 +398,90 @@ def test_sqlite_matches_evaluator_on_unions_and_conjunctions_of_three_or_more():
         assert run_sql(query, schema, db) == want, text
         nonempty += bool(want)
     assert nonempty >= 10, nonempty
+
+
+def married_ring(size):
+    """PERSON nodes p0, p1, ... each married to the next around a ring: every
+    node has one isMarriedTo successor, so a long chain of them stays cheap."""
+    nodes = tuple(DbNode(id=f"p{i}", label="PERSON", properties=()) for i in range(size))
+    edges = tuple(
+        DbEdge(id=f"m{i}", label="isMarriedTo", src=f"p{i}", trg=f"p{(i + 1) % size}")
+        for i in range(size)
+    )
+    return GraphDB(nodes=nodes, edges=edges)
+
+
+def _ops(op, count, operand="isMarriedTo"):
+    return op.join([operand] * count)
+
+
+# SQLite joins at most 64 tables in one SELECT, counting those of the
+# subqueries it flattens into it, and unites at most 500 terms in one
+# compound SELECT. Each case: its path, and whether it passes a limit,
+# so that part of it is nested; a case at a limit is emitted as before
+PAST_SQLITE_LIMITS = {
+    "chain of 64": (_ops("/", 64), False),
+    "chain of 65": (_ops("/", 65), True),
+    "chain of 4100": (_ops("/", 4100), True),
+    # a semi-join step adds two tables to the chain's join: 1 + 31 * 2 = 63
+    "32 factors and junctions": (_ops("/{PERSON}", 32), False),
+    "33 factors and junctions": (_ops("/{PERSON}", 33), True),
+    "junction before 64 operands": (f"isMarriedTo/{{PERSON}}({_ops('&', 64)})", True),
+    "conjunction of 64": (_ops("&", 64), False),
+    "conjunction of 65": (_ops("&", 65), True),
+    "conjunction of 4100": (_ops("&", 4100), True),
+    "union of 500": (_ops("|", 500), False),
+    "union of 501": (_ops("|", 501), True),
+    # the closure's recursive SELECT is one more compound term, and its
+    # join one more table
+    "closure of a union of 500": (f"({_ops('|', 500)})+", True),
+    "closure of 64 operands": (f"({_ops('&', 64)})+", True),
+}
+
+
+@pytest.mark.parametrize("path, nested", PAST_SQLITE_LIMITS.values(), ids=PAST_SQLITE_LIMITS.keys())
+def test_sqlite_runs_atoms_past_its_join_and_compound_limits(path, nested, yago_schema):
+    db = married_ring(5)
+    query = parse_query(f"x,y <- (x, {path}, y)")
+    sql = emit_sql(query, yago_schema, dialect="sqlite")
+    want = eval_ucqt(query, db)
+    assert want
+    assert sqlite_rows(sql, db, yago_schema) == want
+    assert _nested(sql) == nested
+
+
+def _nested(sql):
+    # a run of chain steps, of conjunction operands or of union terms, or a
+    # FROM item wrapped so that SQLite does not flatten it
+    markers = ("SELECT DISTINCT p1", "SELECT * FROM (", "SELECT DISTINCT e.")
+    return sql.count("SELECT DISTINCT s1") > 1 or any(marker in sql for marker in markers)
+
+
+def test_sqlite_runs_atoms_that_join_more_than_64_tables_together(yago_schema):
+    # each atom flattens into 40 tables; the conjunct nests them one atom a run
+    db = married_ring(5)
+    wide = _ops("&", 40)
+    query = parse_query(f"x,z <- (x, {wide}, y) && (y, {wide}, z)")
+    sql = emit_sql(query, yago_schema, dialect="sqlite")
+    assert "SELECT DISTINCT e1.Sr AS v1" in sql
+    want = eval_ucqt(query, db)
+    assert want
+    assert sqlite_rows(sql, db, yago_schema) == want
+
+
+@pytest.mark.parametrize("count", [500, 501, 1200])
+def test_sqlite_runs_queries_of_more_than_500_disjuncts(count, yago_schema):
+    db = married_ring(5)
+    paths = ["isMarriedTo", "isMarriedTo/isMarriedTo", "-isMarriedTo"]
+    disjuncts = tuple(
+        Conjunct((Relation("x", parse_path_expr(paths[i % 3]), "y"),), ()) for i in range(count)
+    )
+    query = UcqtQuery(("x", "y"), disjuncts)
+    sql = emit_sql(query, yago_schema, dialect="sqlite")
+    assert ("SELECT * FROM (" in sql) == (count > 500)
+    want = eval_ucqt(query, db)
+    assert len(want) == 15
+    assert sqlite_rows(sql, db, yago_schema) == want
 
 
 def _schema(nodes, edges):

@@ -209,9 +209,16 @@ def test_closure_naive_agrees_with_delta(monkeypatch):
     naive_calls = 0
 
     def naive(base):
+        # a second, slower oracle for the closure: compose with the base map
+        # until no step adds a pair
         nonlocal naive_calls
         naive_calls += 1
-        return pathforge.evaluator._closure_naive(base)
+        closure = base
+        while not pathforge.evaluator._within(
+            step := pathforge.evaluator._compose(closure, base), closure
+        ):
+            closure = pathforge.evaluator._union(closure, step)
+        return closure
 
     for _ in range(50):
         db = random_db(rng, ["a", "b", "c"])
@@ -459,6 +466,93 @@ def test_join_matches_brute_force_enumeration():
         "cycle",
         "three atoms on a variable",
         "both ends bound first",
+    }
+
+
+def random_elimination_conjunct(rng):
+    """A path of atoms from x through one to three middle variables to y, or
+    back to x, each atom pointing either way, with label atoms, self-loops
+    and extra atoms on the way."""
+    middles = ["m1", "m2", "m3"][: rng.randint(1, 3)]
+    path = ["x", *middles, rng.choice(["x", "y"])]
+    relations = []
+    for u, v in zip(path, path[1:]):
+        if rng.random() < 0.5:
+            u, v = v, u
+        relations.append(Relation(u, random_expr(rng, ["a", "b"], depth=1), v))
+    for _ in range(rng.randint(0, 2)):
+        var = rng.choice(middles)
+        other = var if rng.random() < 0.5 else rng.choice(["x", "y", *middles])
+        relations.append(Relation(var, random_expr(rng, ["a", "b"], depth=1), other))
+    rng.shuffle(relations)
+    labelled = rng.sample(sorted(set(path)), rng.randint(0, 2))
+    labels = tuple(
+        LabelAtom(var, frozenset(rng.sample(["L0", "L1", "L2"], rng.randint(1, 2))))
+        for var in labelled
+    )
+    return Conjunct(tuple(relations), labels)
+
+
+def eliminations(head, conjunct):
+    """The shapes of the eliminations the join makes: its rule applied to the
+    atoms' variable pairs alone."""
+    links = [(rel.src_var, rel.trg_var) for rel in conjunct.relations]
+    loops = {u for u, v in links if u == v}
+    labelled = {atom.var for atom in conjunct.labels}
+    links = [(u, v) for u, v in links if u != v]
+    count = 0
+    while True:
+        touched = {}
+        for index, (u, v) in enumerate(links):
+            touched.setdefault(u, []).append(index)
+            touched.setdefault(v, []).append(index)
+        if any(len(at) > 2 and var not in head for var, at in touched.items()):
+            yield "three atoms on a middle"
+        mid = next((var for var, at in touched.items() if len(at) == 2 and var not in head), None)
+        if mid is None:
+            break
+        count += 1
+        i, j = touched[mid]
+        (u, v), (s, t) = links[i], links[j]
+        if mid in labelled:
+            yield "label on the middle"
+        if mid in loops:
+            yield "self-loop on the middle"
+        if v == t == mid:
+            yield "both into the middle"
+        if u == s == mid:
+            yield "both out of the middle"
+        near, far = u if v == mid else v, t if s == mid else s
+        links = [link for index, link in enumerate(links) if index not in (i, j)]
+        if near == far:
+            yield "one far end"
+            loops.add(near)
+        else:
+            links.append((near, far))
+    if count >= 3:
+        yield "three in a row"
+
+
+def test_join_eliminating_middle_variables_matches_brute_force():
+    # the join composes away each middle variable that two atoms link; a
+    # middle's label and self-loop atoms must still cut the nodes it passes
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(150):
+        db = random_db(rng, ["a", "b"], max_nodes=6)
+        head = rng.choice([("x", "y"), ("y", "x"), ("x",)])
+        conjunct = random_elimination_conjunct(rng)
+        query = UcqtQuery(head, (conjunct,))
+        assert eval_ucqt(query, db) == brute_force_ucqt(query, db), query
+        seen.update(eliminations(head, conjunct))
+    assert seen == {
+        "label on the middle",
+        "self-loop on the middle",
+        "both into the middle",
+        "both out of the middle",
+        "one far end",
+        "three in a row",
+        "three atoms on a middle",
     }
 
 
