@@ -11,9 +11,9 @@ Union, conjunction and composition are associative, so each is one n-ary
 node over a flat tuple of two or more operands, none of its own class:
 `Union.operands`, `Conj.operands` and `Concat.factors`. Between each two
 factors of a chain is a junction, `None` for a plain step or the label set
-the junction node must carry (a set, even an empty one, is a constraint:
-code tests `is not None`). The constructors splice in an operand of the
-node's own class, so `(a|b)|c` and `a|(b|c)` are one node, and a run of
+the junction node must carry one of (never an empty one, which `Concat.chain`
+refuses; code tests `is not None`). The constructors splice in an operand of
+the node's own class, so `(a|b)|c` and `a|(b|c)` are one node, and a run of
 one operator, however long, is one tree level.
 
 Each node class declares in its body its fields, those of them that hold
@@ -203,6 +203,8 @@ class Concat(_Nary):
         operands, steps = tuple(factors), tuple(junctions)
         if len(steps) != len(operands) - 1:
             raise ValueError(f"{len(operands)} factors need {len(operands) - 1} junctions")
+        if frozenset() in steps:
+            raise ValueError("a junction label set must not be empty")
         if len(operands) == 1:
             return operands[0]
         factors, junctions = operands, steps

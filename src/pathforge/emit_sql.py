@@ -2,25 +2,24 @@
 
 Every edge label is a table with columns Sr and Tr (source and target node
 ids); every node label is a table whose key column is Sr. A query renders in
-one pass over its desugared atoms. Each relation atom is projected to its
-distinct (Sr, Tr) pairs as one FROM item: a bare edge table or closure CTE,
-or a derived table whose composition steps are joined target to source,
-with a junction label set as a semi-join with its node tables. The atoms are
-then joined on their shared variables, and label atoms become node-table
-joins. SQLite joins at most 64 tables in one SELECT, counting those of the
-subqueries it flattens into it, so a chain, a conjunction or a conjunct
-that would join more nests its parts in runs of at most 64 tables, each a
-derived SELECT DISTINCT (of the variables needed outside it, for a
-conjunct). It unites at most 500 terms in one compound SELECT, so a longer
-union, or a query of more disjuncts, nests them in compound SELECTs of at
-most 500 terms. Within these limits nothing is nested. Transitive closures
-become recursive CTEs named tc_1, tc_2, ... in post order, left to right; a
-closure that recurs anywhere in the query reuses the CTE of its first
-occurrence. The numbering skips each name that a schema label takes, in any
-case, since unquoted SQL names ignore case: with an edge label `TC_1`, the
-first CTE is tc_2. For the same reason, two schema labels that differ only
-in case, such as node `N` and edge `n`, would name one table, and emission
-refuses such a schema.
+one pass over its desugared atoms. One join, on shared variables, serves a
+conjunct's atoms and label atoms, a chain's steps (factor i binds node i - 1
+to node i, and a junction label set is a node set on its node) and a
+conjunction's operands (all binding the same two variables). Every FROM
+item is one table to SQLite: a bare table or closure CTE, a SELECT DISTINCT
+or compound subquery, which it never flattens into a join, or a reversal or
+branch, which it flattens into one table. SQLite joins at most 64 tables in
+one SELECT, so a join of more items nests them in runs of at most 64, each a
+derived SELECT DISTINCT of the variables needed outside it. It unites at
+most 500 terms in one compound SELECT, so a longer union, or a query of more
+disjuncts, nests them in compound SELECTs of at most 500 terms. Within these
+limits nothing is nested. Transitive closures become recursive CTEs named
+tc_1, tc_2, ... in post order, left to right; a closure that recurs anywhere
+in the query reuses the CTE of its first occurrence. The numbering skips
+each name that a schema label takes, in any case, since unquoted SQL names
+ignore case: with an edge label `TC_1`, the first CTE is tc_2. For the same
+reason, two schema labels that differ only in case, such as node `N` and
+edge `n`, would name one table, and emission refuses such a schema.
 """
 
 from __future__ import annotations
@@ -101,23 +100,20 @@ class _Renderer:
         # a node recurs across atoms and disjuncts; it is rendered once
         self.pair = cache(self.pair)
 
-    def pair(self, expr: PathExpr) -> tuple[str, str, int]:
-        """A self-contained SELECT yielding columns Sr, Tr; the same relation
-        as a FROM item: a bare table or CTE name, else a subquery; and the
-        tables that item adds to a join once SQLite flattens it in, at most
-        _MAX_JOIN."""
-        tables = 1
+    def pair(self, expr: PathExpr) -> tuple[str, str]:
+        """A self-contained SELECT yielding columns Sr, Tr, and the same
+        relation as a FROM item that is one table to SQLite: a bare table or
+        CTE name, a SELECT DISTINCT or compound subquery, which SQLite never
+        flattens into a join, or a subquery that it flattens into one table."""
         if isinstance(expr, Label):
-            return f"SELECT Sr, Tr FROM {expr.name}", expr.name, tables
+            return f"SELECT Sr, Tr FROM {expr.name}", expr.name
         if isinstance(expr, TransClos):
             # one rendering serves both the base and the recursive join, so
             # the closures nested inside register once
-            select, item, count = self.pair(expr.inner)
+            select, item = self.pair(expr.inner)
             if isinstance(expr.inner, Union) and len(expr.inner.operands) >= _MAX_COMPOUND:
                 # the recursive SELECT is one more compound term
                 select = f"SELECT * FROM ({select}) AS u"
-            if count >= _MAX_JOIN:
-                item = _distinct(item)
             name = self.cte_names.get(select)
             if name is None:
                 name = self.cte_names[select] = next(self.fresh)
@@ -128,43 +124,28 @@ class _Renderer:
                     f"  SELECT {name}.Sr, s.Tr FROM {name} JOIN {item} AS s ON {name}.Tr = s.Sr\n"
                     ")"
                 )
-            return f"SELECT Sr, Tr FROM {name}", name, tables
+            return f"SELECT Sr, Tr FROM {name}", name
         if isinstance(expr, Reverse):
             select = f"SELECT Tr AS Sr, Sr AS Tr FROM {expr.name}"
         elif isinstance(expr, Concat):
-            steps, counts = [], []
-            for junction, factor in zip((None, *expr.junctions), expr.factors):
-                _, item, count = self.pair(factor)
+            # paths through the chain repeat their endpoint pairs; the
+            # DISTINCT projection keeps later joins from multiplying them
+            items: list[_Item] = []
+            for i, (factor, junction) in enumerate(zip(expr.factors, (*expr.junctions, None)), 1):
+                items.append((f"s{i}", self.pair(factor)[1], [(i - 1, f"s{i}.Sr"), (i, f"s{i}.Tr")]))
                 if junction is not None:
-                    # the step after a junction label set is a semi-join
-                    # with those node tables
-                    if count >= _MAX_JOIN:
-                        item, count = _distinct(item), 1
-                    item = (
-                        f"(SELECT e.Sr AS Sr, e.Tr AS Tr FROM ({_node_set_sql(junction)}) AS n "
-                        f"JOIN {item} AS e ON e.Sr = n.Sr)"
-                    )
-                    count += 1
-                steps.append(item)
-                counts.append(count)
-            while sum(counts) > _MAX_JOIN:
-                steps = [f"({_chain(run)})" for run in _runs(steps, counts)]
-                counts = [1] * len(steps)
-            select = _chain(steps)
+                    items.append((f"n{i}", f"({_node_set_sql(junction)})", [(i, f"n{i}.Sr")]))
+            select = _select(items, [(0, "Sr"), (len(expr.factors), "Tr")])
         elif isinstance(expr, Union):
             select = _compound([self.pair(op)[0] for op in expr.operands], " UNION ")
         elif isinstance(expr, Conj):
-            selects, counts = [], []
-            for op in expr.operands:
-                select, _, count = self.pair(op)
-                selects.append(select)
-                counts.append(count)
-            while sum(counts) > _MAX_JOIN:
-                selects = [_conj(run, "DISTINCT ") for run in _runs(selects, counts)]
-                counts = [1] * len(selects)
-            select, tables = _conj(selects), sum(counts)
+            items = [
+                (f"p{i}", self.pair(op)[1], [(0, f"p{i}.Sr"), (1, f"p{i}.Tr")])
+                for i, op in enumerate(expr.operands, 1)
+            ]
+            select = _select(items, [(0, "Sr"), (1, "Tr")])
         elif isinstance(expr, (BranchR, BranchL)):
-            (main, _, tables), test = self.pair(expr.main), self.pair(expr.test)[0]
+            main, test = self.pair(expr.main)[0], self.pair(expr.test)[0]
             # a right branch tests the main's target, a left branch its source
             column = "Tr" if isinstance(expr, BranchR) else "Sr"
             select = (
@@ -173,15 +154,14 @@ class _Renderer:
             )
         else:
             raise TypeError(f"not a renderable expression: {expr!r}")
-        return select, f"({select})", tables
+        return select, f"({select})"
 
     def conjunct(self, conjunct: Conjunct, head: tuple[str, ...]) -> str:
         items: list[_Item] = []
         for index, rel in enumerate(conjunct.relations, start=1):
             alias = f"e{index}"
             binds = [(rel.src_var, f"{alias}.Sr"), (rel.trg_var, f"{alias}.Tr")]
-            _, item, tables = self.pair(desugar(rel.expr))
-            items.append((alias, item, binds, tables))
+            items.append((alias, self.pair(desugar(rel.expr))[1], binds))
 
         # each label atom is a node set, and so is each head variable that no
         # atom mentions, over every node label: it ranges over every node
@@ -190,52 +170,14 @@ class _Renderer:
         node_sets += [(var, self.schema.node_labels) for var in head if var not in mentioned]
         for index, (var, labels) in enumerate(node_sets, start=1):
             alias = f"n{index}"
-            items.append((alias, f"({_node_set_sql(labels)})", [(var, f"{alias}.Sr")], 1))
-        return _select(items, [(var, var) for var in head])
+            items.append((alias, f"({_node_set_sql(labels)})", [(var, f"{alias}.Sr")]))
+        return _select(items, [(var, var) for var in head], "\n  ")
 
 
-# SQLite joins at most 64 tables in one SELECT, those of the subqueries it
-# flattens into it included, and unites at most 500 terms in one compound
-# SELECT
+# SQLite joins at most 64 tables in one SELECT, and unites at most 500 terms
+# in one compound SELECT; every FROM item here is one table to it
 _MAX_JOIN = 64
 _MAX_COMPOUND = 500
-
-
-def _chain(items: list[str]) -> str:
-    """The distinct end pairs of the items joined target to source."""
-    # paths through the chain repeat their endpoint pairs; projecting
-    # them away here keeps later joins from multiplying them
-    return f"SELECT DISTINCT s1.Sr AS Sr, s{len(items)}.Tr AS Tr FROM {items[0]} AS s1" + "".join(
-        f" JOIN {item} AS s{index} ON s{index - 1}.Tr = s{index}.Sr"
-        for index, item in enumerate(items[1:], start=2)
-    )
-
-
-def _conj(selects: list[str], distinct: str = "") -> str:
-    """One join, each select's pairs matched with the first's."""
-    first, *rest = selects
-    return f"SELECT {distinct}p1.Sr AS Sr, p1.Tr AS Tr FROM ({first}) AS p1" + "".join(
-        f" JOIN ({other}) AS p{i} ON p1.Sr = p{i}.Sr AND p1.Tr = p{i}.Tr"
-        for i, other in enumerate(rest, start=2)
-    )
-
-
-def _distinct(item: str) -> str:
-    """The pairs of a FROM item as one that SQLite does not flatten."""
-    return f"(SELECT DISTINCT e.Sr AS Sr, e.Tr AS Tr FROM {item} AS e)"
-
-
-def _runs(items: list, tables: list[int]) -> list[list]:
-    """The items in consecutive runs that join at most _MAX_JOIN tables each."""
-    runs: list[list] = []
-    total = _MAX_JOIN
-    for item, count in zip(items, tables):
-        if total + count > _MAX_JOIN:
-            runs.append([])
-            total = 0
-        runs[-1].append(item)
-        total += count
-    return runs
 
 
 def _compound(selects: list[str], union: str) -> str:
@@ -249,30 +191,31 @@ def _compound(selects: list[str], union: str) -> str:
     return union.join(selects)
 
 
-# a FROM item: its alias, its text, the (variable, column) pairs it binds,
-# and the tables it adds to a join
-_Item = tuple[str, str, list[tuple[str, str]], int]
+# a FROM item: its alias, its text, and the (variable, column) pairs it
+# binds; a query's variables are names, a chain's its node positions
+_Item = tuple[str, str, list[tuple[str | int, str]]]
 
 
-def _select(items: list[_Item], outputs: list[tuple[str, str]]) -> str:
+def _select(items: list[_Item], outputs: list[tuple[str | int, str]], sep: str = " ") -> str:
     """A SELECT DISTINCT of each output variable, under its output name, over
-    the items joined on their shared variables. Past _MAX_JOIN tables, the
-    items are first nested in runs of at most _MAX_JOIN tables, each a derived
-    SELECT DISTINCT of the variables needed outside it, its columns named
-    v1, v2, ...; a one-column item moves next to the first item of several
-    columns that binds its variable, so that no run crosses it in alone."""
-    if sum(item[3] for item in items) > _MAX_JOIN:
-        first: dict[str, int] = {}
-        for position, (_, _, binds, _) in enumerate(items):
+    the items joined on their shared variables, its clauses separated by
+    sep. Past _MAX_JOIN items, they are first nested in runs of at most
+    _MAX_JOIN, each a derived SELECT DISTINCT of the variables needed outside
+    it, its columns named v1, v2, ...; a one-column item moves next to the
+    first item of several columns that binds its variable, so that no run
+    crosses it in alone."""
+    if len(items) > _MAX_JOIN:
+        first: dict[str | int, int] = {}
+        for position, (_, _, binds) in enumerate(items):
             for var, _ in binds if len(binds) > 1 else ():
                 first.setdefault(var, position)
         place = [
             (first.get(binds[0][0], position) if len(binds) == 1 else position, position)
-            for position, (_, _, binds, _) in enumerate(items)
+            for position, (_, _, binds) in enumerate(items)
         ]
         items = [items[position] for _, position in sorted(place)]
-        groups = _runs(items, [item[3] for item in items])
-        uses = [{var for _, _, binds, _ in group for var, _ in binds} for group in groups]
+        groups = [items[i : i + _MAX_JOIN] for i in range(0, len(items), _MAX_JOIN)]
+        uses = [{var for _, _, binds in group for var, _ in binds} for group in groups]
         wanted = {var for var, _ in outputs}
         items = []
         for index, (group, own) in enumerate(zip(groups, uses), start=1):
@@ -280,15 +223,14 @@ def _select(items: list[_Item], outputs: list[tuple[str, str]]) -> str:
             # a group that shares no variable still filters by being empty
             needed = sorted(own & elsewhere) or [min(own)]
             names = [(var, f"v{k}") for k, var in enumerate(needed, start=1)]
-            text = "(" + _select(group, names).replace("\n", "\n  ") + ")"
-            binds = [(var, f"g{index}.{name}") for var, name in names]
-            items.append((f"g{index}", text, binds, 1))
-        return _select(items, outputs)
+            text = "(" + _select(group, names, sep).replace("\n", "\n  ") + ")"
+            items.append((f"g{index}", text, [(var, f"g{index}.{name}") for var, name in names]))
+        return _select(items, outputs, sep)
 
-    var_column: dict[str, str] = {}
-    lines: list[str] = []
+    var_column: dict[str | int, str] = {}
+    clauses: list[str] = []
     where: list[str] = []
-    for index, (alias, item, binds, _) in enumerate(items):
+    for index, (alias, item, binds) in enumerate(items):
         conditions = []
         for var, column in binds:
             if var not in var_column:
@@ -300,16 +242,15 @@ def _select(items: list[_Item], outputs: list[tuple[str, str]]) -> str:
                 conditions.append(f"{column} = {var_column[var]}")
         if index == 0:
             where.extend(conditions)
-            lines.append(f"  FROM {item} AS {alias}")
+            clauses.append(f"FROM {item} AS {alias}")
         elif conditions:
-            lines.append(f"  JOIN {item} AS {alias} ON " + " AND ".join(conditions))
+            clauses.append(f"JOIN {item} AS {alias} ON " + " AND ".join(conditions))
         else:
-            lines.append(f"  CROSS JOIN {item} AS {alias}")
-    select = ", ".join(f"{var_column[var]} AS {name}" for var, name in outputs)
-    lines.insert(0, f"SELECT DISTINCT {select}")
+            clauses.append(f"CROSS JOIN {item} AS {alias}")
     if where:
-        lines.append("  WHERE " + " AND ".join(where))
-    return "\n".join(lines)
+        clauses.append("WHERE " + " AND ".join(where))
+    select = ", ".join(f"{var_column[var]} AS {name}" for var, name in outputs)
+    return f"SELECT DISTINCT {select}" + "".join(sep + clause for clause in clauses)
 
 
 _VIEW_PREAMBLE = {

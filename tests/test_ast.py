@@ -271,6 +271,17 @@ def test_a_chain_takes_one_junction_fewer_than_its_factors():
             Concat.chain(factors, junctions)
 
 
+def test_an_empty_junction_label_set_is_refused_when_built():
+    # a junction node must carry one of its labels, so an empty set would
+    # match nothing, and the backends and the printer disagree on it
+    empty = frozenset()
+    message = "^a junction label set must not be empty$"
+    with pytest.raises(ValueError, match=message):
+        Concat(Label("livesIn"), Label("isLocatedIn"), empty)
+    with pytest.raises(ValueError, match=message):
+        Concat.chain([a, Concat(a, a, frozenset({"CITY"})), a], [None, empty])
+
+
 def _fields(node):
     return tuple(getattr(node, name) for name in node.__match_args__)
 

@@ -15,7 +15,18 @@ from pathforge import (
     rewrite,
     to_text,
 )
-from pathforge.ast import Concat, Label, Reverse, children, walk
+from pathforge.ast import (
+    BranchL,
+    BranchR,
+    Concat,
+    Conj,
+    Label,
+    Reverse,
+    TransClos,
+    Union,
+    children,
+    walk,
+)
 from pathforge.emit_cypher import emit_cypher
 from pathforge.emit_sql import EmitError, check_labels, emit_sql
 from pathforge.query import Conjunct, LabelAtom, Relation, UcqtQuery
@@ -365,7 +376,7 @@ def test_sqlite_matches_evaluator_conjuncts_and_enrichment():
 
 def test_sqlite_matches_evaluator_on_junction_annotations():
     # arbitrary junction label sets, unlike the rewriter's, which every
-    # schema-conforming database satisfies, so the semi-joins must filter
+    # schema-conforming database satisfies, so the node-set joins must filter
     rng = random.Random(818)
     for index in range(40):
         schema = random_schema(rng)
@@ -415,27 +426,27 @@ def _ops(op, count, operand="isMarriedTo"):
     return op.join([operand] * count)
 
 
-# SQLite joins at most 64 tables in one SELECT, counting those of the
-# subqueries it flattens into it, and unites at most 500 terms in one
-# compound SELECT. Each case: its path, and whether it passes a limit,
-# so that part of it is nested; a case at a limit is emitted as before
+# SQLite joins at most 64 tables in one SELECT, and every FROM item is one
+# table to it; it unites at most 500 terms in one compound SELECT. Each
+# case: its path, and whether it passes a limit, so that part of it is
+# nested; a case at a limit is emitted as before
 PAST_SQLITE_LIMITS = {
     "chain of 64": (_ops("/", 64), False),
     "chain of 65": (_ops("/", 65), True),
     "chain of 4100": (_ops("/", 4100), True),
-    # a semi-join step adds two tables to the chain's join: 1 + 31 * 2 = 63
+    # each junction is one more item of the chain's join: 32 + 31 = 63
     "32 factors and junctions": (_ops("/{PERSON}", 32), False),
     "33 factors and junctions": (_ops("/{PERSON}", 33), True),
-    "junction before 64 operands": (f"isMarriedTo/{{PERSON}}({_ops('&', 64)})", True),
+    "junction before 64 operands": (f"isMarriedTo/{{PERSON}}({_ops('&', 64)})", False),
     "conjunction of 64": (_ops("&", 64), False),
     "conjunction of 65": (_ops("&", 65), True),
     "conjunction of 4100": (_ops("&", 4100), True),
     "union of 500": (_ops("|", 500), False),
     "union of 501": (_ops("|", 501), True),
-    # the closure's recursive SELECT is one more compound term, and its
-    # join one more table
+    # the closure's recursive SELECT is one more compound term; its join
+    # is of two tables, since the conjunction is one
     "closure of a union of 500": (f"({_ops('|', 500)})+", True),
-    "closure of 64 operands": (f"({_ops('&', 64)})+", True),
+    "closure of 64 operands": (f"({_ops('&', 64)})+", False),
 }
 
 
@@ -451,22 +462,90 @@ def test_sqlite_runs_atoms_past_its_join_and_compound_limits(path, nested, yago_
 
 
 def _nested(sql):
-    # a run of chain steps, of conjunction operands or of union terms, or a
-    # FROM item wrapped so that SQLite does not flatten it
-    markers = ("SELECT DISTINCT p1", "SELECT * FROM (", "SELECT DISTINCT e.")
-    return sql.count("SELECT DISTINCT s1") > 1 or any(marker in sql for marker in markers)
+    # a run of joined items (chain steps, junctions, conjunction operands or
+    # atoms), or a run of union terms
+    return " AS g1" in sql or "SELECT * FROM (" in sql
 
 
 def test_sqlite_runs_atoms_that_join_more_than_64_tables_together(yago_schema):
-    # each atom flattens into 40 tables; the conjunct nests them one atom a run
+    # each atom joins 40 tables, but is one SELECT DISTINCT table to the
+    # conjunct, so nothing is nested
     db = married_ring(5)
     wide = _ops("&", 40)
     query = parse_query(f"x,z <- (x, {wide}, y) && (y, {wide}, z)")
     sql = emit_sql(query, yago_schema, dialect="sqlite")
-    assert "SELECT DISTINCT e1.Sr AS v1" in sql
+    assert not _nested(sql)
     want = eval_ucqt(query, db)
     assert want
     assert sqlite_rows(sql, db, yago_schema) == want
+
+
+MARRIED, BACK, PERSON = Label("isMarriedTo"), Reverse("isMarriedTo"), frozenset({"PERSON"})
+
+
+def _around_limits(rng, depth, wide):
+    """A random path over isMarriedTo, nonempty on married_ring: a step, or
+    a chain, conjunction or union of 60 to 70 operands, a branch or a
+    closure, with one operand nested a level further while depth lasts;
+    wide collects the depth of each chain, conjunction and union. On the
+    ring every path is a nonempty set of rotations, so each operand of a
+    conjunction contains its first one, and no conjunction is empty."""
+
+    def step():
+        return rng.choice([MARRIED, BACK])
+
+    if depth == 0:
+        return step()
+    nested = _around_limits(rng, depth - 1, wide)
+    kind = rng.choice(["chain", "conj", "union", "branch", "closure"])
+    if kind == "branch":
+        return rng.choice([BranchR(nested, step()), BranchL(step(), nested)])
+    if kind == "closure":
+        return TransClos(nested)
+    wide.append(depth)
+    count = rng.randint(60, 70)
+    if kind == "chain":
+        operands = [step() for _ in range(count - 1)]
+        junctions = [rng.choice([None, PERSON]) for _ in range(count - 1)]
+        operands.insert(rng.randrange(count), nested)
+        return Concat.chain(operands, junctions)
+    if kind == "union":
+        operands = [step() for _ in range(count - 1)]
+        operands.insert(rng.randrange(count), nested)
+        return Union.chain(operands)
+    first = step()
+    supersets = [
+        lambda: first,
+        lambda: TransClos(first),
+        lambda: Union(first, step()),
+        lambda: BranchR(first, step()),
+        lambda: BranchL(step(), first),
+        # a step and its reversal lead back to where they started
+        lambda: Concat.chain([first, MARRIED, BACK], [PERSON, None]),
+    ]
+    operands = [first] + [rng.choice(supersets)() for _ in range(count - 2)]
+    operands.insert(rng.randrange(1, count), rng.choice([Union(first, nested), BranchR(first, nested)]))
+    return Conj.chain(operands)
+
+
+def test_sqlite_matches_evaluator_on_random_nests_around_the_join_limit(yago_schema):
+    rng = random.Random(4064)
+    db = married_ring(5)
+    outcomes, levels = set(), set()
+    for _ in range(40):
+        wide = []
+        path = _around_limits(rng, 3, wide)
+        query = UcqtQuery(("x", "y"), (Conjunct((Relation("x", path, "y"),), ()),))
+        sql = emit_sql(query, yago_schema, dialect="sqlite")
+        want = eval_ucqt(query, db)
+        assert want
+        assert sqlite_rows(sql, db, yago_schema) == want, to_text(path)
+        outcomes.add(_nested(sql))
+        levels.add(len(set(wide)))
+    # runs nested and not, and operands of 60 to 70 at one, two and three
+    # depths
+    assert outcomes == {False, True}
+    assert levels >= {1, 2, 3}, levels
 
 
 @pytest.mark.parametrize("count", [500, 501, 1200])
