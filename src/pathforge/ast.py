@@ -63,7 +63,7 @@ from .record import Frozen
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
 
 # the most factors `desugar` expands one repetition into, nested ones
-# included: a{1,490} fits
+# included: a{1,490} fits; SQL emission bounds a fixed power's chain by it
 MAX_EXPANSION = 150_000
 
 
@@ -390,22 +390,28 @@ def desugar(expr: PathExpr) -> PathExpr:
     factors of e's own expansion, so the bound covers nested repetitions too.
     """
     if isinstance(expr, Repeat):
-        _expansion(expr)
+        expansion(expr)
         return _expand(expr)
     return map_children(expr, desugar)
 
 
-def _expansion(expr: PathExpr) -> int:
+def expansion(expr: PathExpr, unroll_ranges: bool = True) -> int:
     """The factors the expansion of ``expr`` holds: one for a label, m + ...
     + n times its body's for a repetition e{m,n}, and the sum of its
     children's for any other node. The innermost repetition past
-    MAX_EXPANSION raises ValueError."""
+    MAX_EXPANSION raises ValueError.
+
+    With ``unroll_ranges`` false, it counts what SQL emission expands: only
+    a fixed power e{m,m}, into the chain of m copies of e, while a range
+    e{m,n}, m < n, is one factor once its body is counted."""
     kids = children(expr)
     if not kids:
         return 1
-    size = sum(map(_expansion, kids))
+    size = sum(expansion(kid, unroll_ranges) for kid in kids)
     if isinstance(expr, Repeat):
         lo, hi = expr.lo, expr.hi
+        if lo < hi and not unroll_ranges:
+            return 1
         size *= (hi * (hi + 1) - lo * (lo - 1)) // 2
         if size > MAX_EXPANSION:
             raise ValueError(

@@ -2,29 +2,38 @@
 
 Every edge label is a table with columns Sr and Tr (source and target node
 ids); every node label is a table whose key column is Sr. A query renders in
-one pass over its desugared atoms. One join, on shared variables, serves a
-conjunct's atoms and label atoms, a chain's steps (factor i binds node i - 1
-to node i, and a junction label set is a node set on its node) and a
-conjunction's operands (all binding the same two variables). Every FROM
-item is one table to SQLite: a bare table or closure CTE, a SELECT DISTINCT
-or compound subquery, which it never flattens into a join, or a reversal or
-branch, which it flattens into one table. SQLite joins at most 64 tables in
-one SELECT, so a join of more items nests them in runs of at most 64, each a
-derived SELECT DISTINCT of the variables needed outside it. It unites at
-most 500 terms in one compound SELECT, so a longer union, or a query of more
-disjuncts, nests them in compound SELECTs of at most 500 terms. Within these
-limits nothing is nested. Transitive closures become recursive CTEs named
-tc_1, tc_2, ... in post order, left to right; a closure that recurs anywhere
-in the query reuses the CTE of its first occurrence. The numbering skips
-each name that a schema label takes, in any case, since unquoted SQL names
-ignore case: with an edge label `TC_1`, the first CTE is tc_2. For the same
-reason, two schema labels that differ only in case, such as node `N` and
-edge `n`, would name one table, and emission refuses such a schema.
+one pass over its atoms as written, repetitions kept. One join, on shared
+variables, serves a conjunct's atoms and label atoms, a chain's steps
+(factor i binds node i - 1 to node i, and a junction label set is a node set
+on its node) and a conjunction's operands (all binding the same two
+variables). Every FROM item is one table to SQLite: a bare table or CTE, a
+SELECT DISTINCT or compound subquery, which it never flattens into a join,
+or a reversal or branch, which it flattens into one table. SQLite joins at
+most 64 tables in one SELECT, so a join of more items nests them in runs of
+at most 64, each a derived SELECT DISTINCT of the variables needed outside
+it. It unites at most 500 terms in one compound SELECT, so a longer union,
+or a query of more disjuncts, nests them in compound SELECTs of at most 500
+terms. Within these limits nothing is nested.
+
+Transitive closures become recursive CTEs. So does a range e{m,n}, m < n,
+bounded in depth rather than unrolled: its CTE tags each pair with the
+length d of its path, up to n, and the atom reads the distinct pairs of
+depth d >= m. UNION keeps each (Sr, Tr, d) once, so the recursion ends.
+A fixed power e{m,m} is the chain of m copies of e, whose ranges stay CTEs;
+that chain is refused past MAX_EXPANSION factors, a range counting one. The
+CTEs are named tc_1, tc_2, ... in post order, left to right; a closure that
+recurs anywhere in the query reuses the CTE of its first occurrence, and so
+does a range of the same body and upper bound. The numbering skips each name
+that a schema label takes, in any case, since unquoted SQL names ignore
+case: with an edge label `TC_1`, the first CTE is tc_2. For the same reason,
+two schema labels that differ only in case, such as node `N` and edge `n`,
+would name one table, and emission refuses such a schema.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from typing import Callable
 
 from .ast import (
     BranchL,
@@ -33,10 +42,11 @@ from .ast import (
     Conj,
     Label,
     PathExpr,
+    Repeat,
     Reverse,
     TransClos,
     Union,
-    desugar,
+    expansion,
     walk,
 )
 from .query import Conjunct, UcqtQuery, fresh_names, validate_query
@@ -94,11 +104,21 @@ class _Renderer:
                     "so their SQL tables would clash"
                 )
         self.fresh = fresh_names("tc_", taken.keys())
-        # base SELECT of each closure -> its CTE's name, and the CTE texts in order
-        self.cte_names: dict[str, str] = {}
+        # the base SELECT of each closure, and the FROM item and upper bound
+        # of each range -> its CTE's name; and the CTE texts in order
+        self.cte_names: dict[object, str] = {}
         self.ctes: list[str] = []
         # a node recurs across atoms and disjuncts; it is rendered once
         self.pair = cache(self.pair)
+
+    def _cte(self, key: object, define: Callable[[str], str]) -> str:
+        """The name of the CTE registered under key; on first use, a fresh
+        name, under which the CTE text define(name) is registered."""
+        name = self.cte_names.get(key)
+        if name is None:
+            name = self.cte_names[key] = next(self.fresh)
+            self.ctes.append(define(name))
+        return name
 
     def pair(self, expr: PathExpr) -> tuple[str, str]:
         """A self-contained SELECT yielding columns Sr, Tr, and the same
@@ -114,17 +134,34 @@ class _Renderer:
             if isinstance(expr.inner, Union) and len(expr.inner.operands) >= _MAX_COMPOUND:
                 # the recursive SELECT is one more compound term
                 select = f"SELECT * FROM ({select}) AS u"
-            name = self.cte_names.get(select)
-            if name is None:
-                name = self.cte_names[select] = next(self.fresh)
-                self.ctes.append(
-                    f"{name}(Sr, Tr) AS (\n"
-                    f"  {select}\n"
-                    "  UNION\n"
-                    f"  SELECT {name}.Sr, s.Tr FROM {name} JOIN {item} AS s ON {name}.Tr = s.Sr\n"
-                    ")"
-                )
+            name = self._cte(
+                select,
+                lambda name: f"{name}(Sr, Tr) AS (\n"
+                f"  {select}\n"
+                "  UNION\n"
+                f"  SELECT {name}.Sr, s.Tr FROM {name} JOIN {item} AS s ON {name}.Tr = s.Sr\n"
+                ")",
+            )
             return f"SELECT Sr, Tr FROM {name}", name
+        if isinstance(expr, Repeat):
+            lo, hi = expr.lo, expr.hi
+            if lo == hi:
+                # a fixed power is its chain
+                return self.pair(Concat.chain([expr.inner] * lo, [None] * (lo - 1)))
+            # each pair tagged with its path length d up to hi; ranges of
+            # one body and upper bound share their CTE
+            item = self.pair(expr.inner)[1]
+            name = self._cte(
+                (item, hi),
+                lambda name: f"{name}(Sr, Tr, d) AS (\n"
+                f"  SELECT b.Sr, b.Tr, 1 FROM {item} AS b\n"
+                "  UNION\n"
+                f"  SELECT {name}.Sr, s.Tr, {name}.d + 1 FROM {name} JOIN {item} AS s"
+                f" ON {name}.Tr = s.Sr WHERE {name}.d < {hi}\n"
+                ")",
+            )
+            select = f"SELECT DISTINCT Sr, Tr FROM {name}" + (f" WHERE d >= {lo}" if lo > 1 else "")
+            return select, f"({select})"
         if isinstance(expr, Reverse):
             select = f"SELECT Tr AS Sr, Sr AS Tr FROM {expr.name}"
         elif isinstance(expr, Concat):
@@ -161,7 +198,8 @@ class _Renderer:
         for index, rel in enumerate(conjunct.relations, start=1):
             alias = f"e{index}"
             binds = [(rel.src_var, f"{alias}.Sr"), (rel.trg_var, f"{alias}.Tr")]
-            items.append((alias, self.pair(desugar(rel.expr))[1], binds))
+            expansion(rel.expr, unroll_ranges=False)
+            items.append((alias, self.pair(rel.expr)[1], binds))
 
         # each label atom is a node set, and so is each head variable that no
         # atom mentions, over every node label: it ranges over every node

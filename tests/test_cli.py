@@ -592,6 +592,39 @@ def test_stages_that_keep_a_repetition_run_a_deep_one(query_file, capsys):
     assert "[:owns*1..5000]" in capsys.readouterr().out
 
 
+WIDE_RANGE = "x,y <- (x, isMarriedTo{1,1000}, y)"
+WIDE_RANGE_ERROR = "error: repetition isMarriedTo{1,1000} expands to 500500 factors, more than 150000\n"
+
+
+def test_sql_emission_of_a_wide_range_needs_no_expansion(query_file, capsys):
+    # a range is one depth-bounded recursive CTE, whatever its bound
+    path = query_file(WIDE_RANGE)
+    assert run(["emit", "--target", "sql:sqlite", "--schema", YAGO, "--query", path]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "WHERE tc_1.d < 1000\n" in out
+    assert len(out) < 400
+
+
+@pytest.mark.parametrize("command", ["rewrite", "pipeline"])
+def test_inference_of_a_wide_range_still_exits_2(command, query_file, capsys):
+    # inference reads the desugared expression, so it still expands the range
+    assert run([command, "--schema", YAGO, "--query", query_file(WIDE_RANGE)]) == 2
+    assert capsys.readouterr() == ("", WIDE_RANGE_ERROR)
+
+
+def test_sql_emission_bounds_the_chain_of_a_fixed_power(query_file, capsys):
+    # a range inside a fixed power counts one factor of its chain
+    fits = query_file("x,y <- (x, isMarriedTo{1,1000}{2,2}{1000,1000}, y)")
+    assert run(["emit", "--target", "sql:sqlite", "--schema", YAGO, "--query", fits]) == 0
+    capsys.readouterr()
+    power = "(isMarriedTo/isMarriedTo{1,1000}){75001,75001}"
+    over = query_file(f"x,y <- (x, {power}, y)")
+    assert run(["emit", "--target", "sql:sqlite", "--schema", YAGO, "--query", over]) == 2
+    error = f"error: repetition {power} expands to 150002 factors, more than 150000\n"
+    assert capsys.readouterr() == ("", error)
+
+
 @pytest.mark.parametrize("label", ["isLocatedIn", "isMarriedTo"])
 def test_eval_of_a_huge_repetition_bound_stops_early(label, tmp_path, query_file, capsys):
     # isLocatedIn's powers empty out and isMarriedTo's repeat within ten

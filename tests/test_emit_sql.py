@@ -21,6 +21,7 @@ from pathforge.ast import (
     Concat,
     Conj,
     Label,
+    Repeat,
     Reverse,
     TransClos,
     Union,
@@ -252,10 +253,31 @@ def test_self_loop_atom_constrains_both_columns(yago_schema, fig2_db):
     assert sqlite_rows(sql, fig2_db, yago_schema) == frozenset()
 
 
-def test_repeat_desugars_to_union_of_chains(yago_schema):
-    sql = emit_sql(parse_query("x,y <- (x, isMarriedTo{1,2}, y)"), yago_schema)
-    assert "UNION" in sql
-    assert sql.count("isMarriedTo") >= 3  # one single step plus a two-step chain
+def test_a_range_is_one_depth_bounded_cte_and_a_fixed_power_a_chain(yago_schema):
+    db = gen_db(yago_schema, seed=1, nodes_per_label=6, edge_prob=0.3)
+    rng = parse_query("x,y <- (x, isMarriedTo{2,3}, y)")
+    sql = emit_sql(rng, yago_schema, dialect="sqlite")
+    assert sql.startswith("WITH RECURSIVE tc_1(Sr, Tr, d) AS (\n")
+    assert sql.count("(Sr, Tr, d) AS (") == 1
+    # the edge table appears once in the base and once in the step
+    assert sql.count("isMarriedTo") == 2
+    assert "WHERE tc_1.d < 3\n" in sql
+    assert "(SELECT DISTINCT Sr, Tr FROM tc_1 WHERE d >= 2) AS e1" in sql
+    # a lower bound of 1 reads every depth
+    one = emit_sql(parse_query("x,y <- (x, isMarriedTo{1,3}, y)"), yago_schema)
+    assert "(SELECT DISTINCT Sr, Tr FROM tc_1) AS e1" in one
+    # ranges of one body share a CTE when their upper bounds are equal
+    shared = parse_query("x,y <- (x, isMarriedTo{1,3}/isMarriedTo{2,3}/isMarriedTo{1,2}, y)")
+    assert emit_sql(shared, yago_schema).count("(Sr, Tr, d) AS (") == 2
+    # a fixed power is the chain of its copies, with no CTE
+    power = parse_query("x,y <- (x, isMarriedTo{2,2}, y)")
+    chain = parse_query("x,y <- (x, isMarriedTo/isMarriedTo, y)")
+    assert emit_sql(power, yago_schema) == emit_sql(chain, yago_schema)
+    assert "WITH" not in emit_sql(power, yago_schema)
+    for query in (rng, power, shared, parse_query("x,y <- (x, isMarriedTo{1,3}, y)")):
+        want = eval_ucqt(query, db)
+        assert want
+        assert run_sql(query, yago_schema, db) == want
 
 
 def test_multi_label_junction_unions_node_tables(yago_schema):
@@ -409,6 +431,91 @@ def test_sqlite_matches_evaluator_on_unions_and_conjunctions_of_three_or_more():
         assert run_sql(query, schema, db) == want, text
         nonempty += bool(want)
     assert nonempty >= 10, nonempty
+
+
+def _random_ranges(rng, alphabet, depth):
+    """A random path in which repetitions sit inside and around every other
+    operator: a range e{m,n} of n up to 200, or a fixed power e{m,m} of m up
+    to 3, is two in five of its inner nodes. Most lower bounds are small,
+    where a path of exactly m steps is least often also one of more."""
+    if depth == 0 or rng.random() < 0.3:
+        name = rng.choice(alphabet)
+        return Reverse(name) if rng.random() < 0.2 else Label(name)
+    sub = lambda: _random_ranges(rng, alphabet, depth - 1)
+    kinds = ["range"] * 3 + ["power", "closure", "branch", "conj", "union", "chain", "chain"]
+    kind = rng.choice(kinds)
+    if kind == "range":
+        hi = rng.choice([2, 3, 4, 5, 20, 200])
+        lo = hi - 1 if rng.random() < 0.25 else rng.randint(1, min(hi - 1, 3))
+        return Repeat(sub(), lo, hi)
+    if kind == "power":
+        return Repeat(sub(), *[rng.randint(1, 3)] * 2)
+    if kind == "closure":
+        return TransClos(sub())
+    if kind == "branch":
+        return rng.choice([BranchR, BranchL])(sub(), sub())
+    return {"conj": Conj, "union": Union, "chain": Concat}[kind](sub(), sub())
+
+
+def _is_range(expr):
+    return isinstance(expr, Repeat) and expr.lo < expr.hi
+
+
+def _range_placements(expr):
+    """The ways ranges and the other operators nest in expr: 'range in
+    range' and 'range in power' for a range inside a range or a fixed power,
+    'range in TransClos' and so on for one inside another operator, and
+    'TransClos in range' for a closure inside a range."""
+    found = set()
+    for outer in walk(expr):
+        inner = [node for child in children(outer) for node in walk(child)]
+        if any(map(_is_range, inner)):
+            kind = type(outer).__name__
+            if isinstance(outer, Repeat):
+                kind = "range" if _is_range(outer) else "power"
+            found.add(f"range in {kind}")
+        if _is_range(outer) and any(isinstance(node, TransClos) for node in inner):
+            found.add("TransClos in range")
+    return found
+
+
+def test_sqlite_matches_evaluator_on_random_ranges():
+    # a range is one depth-bounded recursive CTE, a fixed power the chain
+    # of its copies; both against the evaluator, which keeps the repetition.
+    # Sparse databases keep paths of different lengths apart
+    rng = random.Random(2016)
+    placements, nonempty = set(), 0
+    for index in range(120):
+        if index % 6 == 0:
+            schema = random_schema(rng)
+            alphabet = schema_edge_alphabet(schema)
+            labels = sorted(schema.node_labels)
+        expr = _random_ranges(rng, alphabet, depth=3)
+        placements |= _range_placements(expr)
+        e2 = to_text(_random_ranges(rng, alphabet, depth=1))
+        text = rng.choice(
+            [
+                f"x,y <- (x, {to_text(expr)}, y)",
+                f"x,y <- (x, {to_text(expr)}, y) && (y, {e2}, z) && z:{{{rng.choice(labels)}}}",
+            ]
+        )
+        query = parse_query(text)
+        db = gen_db(schema, seed=index, nodes_per_label=4, edge_prob=(0.1, 0.3)[index % 2])
+        want = eval_ucqt(query, db)
+        assert run_sql(query, schema, db) == want, text
+        nonempty += bool(want)
+    assert nonempty >= 40, nonempty
+    assert placements >= {
+        "range in range",
+        "range in power",
+        "range in TransClos",
+        "range in BranchR",
+        "range in BranchL",
+        "range in Conj",
+        "range in Union",
+        "range in Concat",
+        "TransClos in range",
+    }, placements
 
 
 def married_ring(size):
