@@ -63,7 +63,8 @@ from .record import Frozen
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
 
 # the most factors `desugar` expands one repetition into, nested ones
-# included: a{1,490} fits; SQL emission bounds a fixed power's chain by it
+# included: a{1,490} fits; `unroll_powers` and SQL emission bound a fixed
+# power's chain by it
 MAX_EXPANSION = 150_000
 
 
@@ -395,15 +396,26 @@ def desugar(expr: PathExpr) -> PathExpr:
     return map_children(expr, desugar)
 
 
+def unroll_powers(expr: PathExpr) -> PathExpr:
+    """Write every fixed power e{m,m} as its chain e^m, and keep each range
+    e{m,n}, m < n, one node around its unrolled body: the form inference
+    reads. An expression without a range unrolls as `desugar` expands it,
+    and past MAX_EXPANSION factors, a range counting one, it raises
+    ValueError the same way."""
+    expansion(expr, unroll_ranges=False)
+    return _unroll(expr)
+
+
 def expansion(expr: PathExpr, unroll_ranges: bool = True) -> int:
     """The factors the expansion of ``expr`` holds: one for a label, m + ...
     + n times its body's for a repetition e{m,n}, and the sum of its
     children's for any other node. The innermost repetition past
     MAX_EXPANSION raises ValueError.
 
-    With ``unroll_ranges`` false, it counts what SQL emission expands: only
-    a fixed power e{m,m}, into the chain of m copies of e, while a range
-    e{m,n}, m < n, is one factor once its body is counted."""
+    With ``unroll_ranges`` false, it counts what `unroll_powers` and SQL
+    emission expand: only a fixed power e{m,m}, into the chain of m copies
+    of e, while a range e{m,n}, m < n, is one factor once its body is
+    counted."""
     kids = children(expr)
     if not kids:
         return 1
@@ -423,13 +435,25 @@ def expansion(expr: PathExpr, unroll_ranges: bool = True) -> int:
 def _expand(expr: PathExpr) -> PathExpr:
     """``desugar`` of an expression whose expansion is already bounded."""
     if isinstance(expr, Repeat):
-        lo, hi = expr.lo, expr.hi
-        inner = _expand(expr.inner)
-        powers = [Concat.chain([inner] * lo, [None] * (lo - 1))]
-        while len(powers) <= hi - lo:
-            powers.append(Concat(powers[-1], inner))
-        return Union.chain(powers)
+        return powers(expr, _expand(expr.inner))
     return map_children(expr, _expand)
+
+
+def _unroll(expr: PathExpr) -> PathExpr:
+    """``unroll_powers`` of an expression whose expansion is already bounded."""
+    if isinstance(expr, Repeat) and expr.lo == expr.hi:
+        return powers(expr, _unroll(expr.inner))
+    return map_children(expr, _unroll)
+
+
+def powers(expr: Repeat, inner: PathExpr) -> PathExpr:
+    """e^m | ... | e^n for e{m,n} whose body e is written ``inner``: the
+    one rule for a fixed power e{m,m}, which is the chain e^m."""
+    lo, hi = expr.lo, expr.hi
+    powers = [Concat.chain([inner] * lo, [None] * (lo - 1))]
+    while len(powers) <= hi - lo:
+        powers.append(Concat(powers[-1], inner))
+    return Union.chain(powers)
 
 
 def strip_annotations(expr: PathExpr) -> PathExpr:

@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .ast import desugar, to_text
+from .ast import desugar, to_text, unroll_powers
 from .emit_cypher import UnsupportedReport, emit_cypher
 from .emit_sql import DIALECTS, emit_sql
 from .evaluator import eval_ucqt, gen_db
@@ -76,7 +76,8 @@ def _triple_json(triple: tuple[str, str, str]) -> dict:
 
 def _cmd_infer(args) -> int:
     schema = load_schema(Path(args.schema))
-    expr = simplify(desugar(parse_path_expr(args.expr)))
+    # the form `rewrite` infers: fixed powers unrolled, ranges kept whole
+    expr = simplify(unroll_powers(parse_path_expr(args.expr)))
     log = InferenceLog()
     triples = sorted(triple.sort_key() for triple in infer(expr, schema, args.path_limit, log))
     if args.json:

@@ -47,6 +47,7 @@ from .ast import (
     TransClos,
     Union,
     expansion,
+    powers,
     walk,
 )
 from .query import Conjunct, UcqtQuery, fresh_names, validate_query
@@ -147,7 +148,7 @@ class _Renderer:
             lo, hi = expr.lo, expr.hi
             if lo == hi:
                 # a fixed power is its chain
-                return self.pair(Concat.chain([expr.inner] * lo, [None] * (lo - 1)))
+                return self.pair(powers(expr, expr.inner))
             # each pair tagged with its path length d up to hi; ranges of
             # one body and upper bound share their CTE
             item = self.pair(expr.inner)[1]

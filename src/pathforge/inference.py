@@ -16,17 +16,23 @@ connecting paths pass through. The rules mirror the expression structure:
             keeps main's endpoints
   TBranchL  [test]main: join on equal source; the result keeps main's target
   TPlus     closure triples come from cycle analysis of the triple graph
+  TRepeat   a range e{m,n}, m < n, the same analysis cut at n steps; a fixed
+            power e{m,m} is its chain e^m, as in SQL emission
 
-For closures (`plus_comp`), the triples of the inner expression form the
-triple graph over node labels, whose arc from a to b holds every triple from
-a to b. A label is cyclic when it reaches itself. A label sequence clear of
-cyclic labels unrolls into its annotated fixed-length triple paths, one triple
-per step; one touching a cyclic label keeps the closure, with annotations
-dropped. The path limit caps triple paths, counted per label sequence.
+For closures and ranges (`plus_comp`), the triples of the inner expression
+form the triple graph over node labels, whose arc from a to b holds every
+triple from a to b. The walk lists the label sequences of at most n steps
+(unbounded for a closure) that repeat no label but may close a round trip,
+and a label is cyclic when one of them returns to it. A sequence clear of
+cyclic labels, of m steps or more, unrolls into its annotated fixed-length
+triple paths, one triple per step; one touching a cyclic label keeps the
+closure or range whole, with annotations dropped. The path limit caps triple
+paths, counted per label sequence.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from itertools import pairwise, product
 from operator import attrgetter
@@ -45,6 +51,7 @@ from .ast import (
     Union,
     children,
     to_text,
+    unroll_powers,
 )
 # only the path-limit fallback calls this name; the benchmark tracer
 # (perfbench/tracer.py) counts path-limit hits by wrapping it
@@ -98,7 +105,7 @@ def infer(
     path_limit: int = DEFAULT_PATH_LIMIT,
     log: InferenceLog | None = None,
 ) -> frozenset[SchemaTriple]:
-    """All triples compatible with a simplified, repeat-free expression.
+    """All triples compatible with a simplified, annotation-free expression.
 
     An empty result means no schema-conforming database can satisfy the
     expression. The result is a set: a caller that prints triples orders
@@ -182,11 +189,13 @@ def _infer(
                 _step.cache_clear()
     elif isinstance(expr, Union):
         out = frozenset().union(*(_infer(op, basics, path_limit, log) for op in expr.operands))
-    elif isinstance(expr, TransClos):
+    elif isinstance(expr, Repeat) and expr.lo == expr.hi:
+        # a fixed power is its chain
+        out = _infer(unroll_powers(expr), basics, path_limit, log)
+    elif isinstance(expr, (TransClos, Repeat)):
         inner = _infer(expr.inner, basics, path_limit, log)
-        out = plus_comp(expr.inner, inner, path_limit, log)
-    elif isinstance(expr, Repeat):
-        raise ValueError("infer expects a desugared (repeat-free) expression")
+        bounds = (expr.lo, expr.hi) if isinstance(expr, Repeat) else ()
+        out = plus_comp(expr.inner, inner, path_limit, log, *bounds)
     else:
         raise TypeError(f"not a path expression: {expr!r}")
     if log is not None:
@@ -199,19 +208,24 @@ def plus_comp(
     triples: Iterable[SchemaTriple],
     path_limit: int = DEFAULT_PATH_LIMIT,
     log: InferenceLog | None = None,
+    lo: int = 1,
+    hi: float = math.inf,
 ) -> frozenset[SchemaTriple]:
-    """Closure triples for ``inner+`` given the triples of ``inner``, in any
-    order; the result does not depend on it.
+    """Triples for the closure ``inner+``, or for the range ``inner{lo,hi}``
+    when ``hi`` is finite, from the triples of ``inner`` in any order; the
+    result does not depend on the order. The closure is the range 1..inf.
 
-    Walks the label sequences of the triple graph that repeat no label
-    (closed round trips allowed); each stands for its triple paths, one
-    triple chosen per step. The cyclic labels are the starts of the round
-    trips the walk lists. A cycle-free sequence emits the concatenation of
-    each path's annotated expressions; one touching a cycle emits the bare
-    closure between its endpoints. If more than ``path_limit`` triple paths
+    Walks the label sequences of the triple graph, of at most ``hi`` steps,
+    that repeat no label (closed round trips allowed); each stands for its
+    triple paths, one triple chosen per step. The cyclic labels are the
+    starts of the round trips the walk lists: within ``hi`` steps, only a
+    cycle of at most ``hi`` steps can repeat a label. A cycle-free sequence
+    of ``lo`` steps or more emits the concatenation of each path's annotated
+    expressions; one touching a cyclic label emits the bare closure or
+    range between its endpoints. If more than ``path_limit`` triple paths
     exist in total, the walk stops, and only then are the reachable label
-    pairs computed: each conservatively keeps the closure. ``path_limit``
-    must be at least 0.
+    pairs computed: each conservatively keeps the closure or range.
+    ``path_limit`` must be at least 0.
     """
     if path_limit < 0:
         raise ValueError(f"path limit must be at least 0, got {path_limit}")
@@ -221,7 +235,7 @@ def plus_comp(
     successors: dict[str, list[str]] = {}
     for src, trg in arcs:
         successors.setdefault(src, []).append(trg)
-    closure = TransClos(inner)
+    whole = TransClos(inner) if hi == math.inf else Repeat(inner, lo, hi)
     sequences: list[tuple[str, ...]] = []
     total = 0
     for start in successors:
@@ -237,31 +251,33 @@ def plus_comp(
                 count *= len(arcs[path[-1], trg])
                 total += count
                 sequences.append((*path, trg))
-                if trg != start:
+                # the sequence just listed has len(path) steps
+                if trg != start and len(path) < hi:
                     path.append(trg)
                     frames.append((count, iter(successors.get(trg, ()))))
     if total > path_limit:
         if log is not None:
+            kept = "closure" if hi == math.inf else "range"
             log.warnings.append(
-                f"path enumeration exceeded {path_limit} paths; keeping the closure"
+                f"path enumeration exceeded {path_limit} paths; keeping the {kept}"
             )
         reach = _reachable_pairs(successors)
         return frozenset(
-            SchemaTriple(src, closure, trg) for src, trgs in reach.items() for trg in trgs
+            SchemaTriple(src, whole, trg) for src, trgs in reach.items() for trg in trgs
         )
-    # the walk listed every round trip, and a label is cyclic when one
-    # starts from it
+    # the walk listed every round trip of at most hi steps, and a label is
+    # cyclic when one starts from it
     cyclic = {path[0] for path in sequences if path[0] == path[-1]}
     out: set[SchemaTriple] = set()
     for path in sequences:
         # a round trip touches a cycle: its start reaches itself
         if not cyclic.isdisjoint(path):
-            out.add(SchemaTriple(path[0], closure, path[-1]))
-            continue
-        junctions = [frozenset({label}) for label in path[1:-1]]
-        for chain in product(*(arcs[step] for step in pairwise(path))):
-            expr = Concat.chain([arc.expr for arc in chain], junctions)
-            out.add(SchemaTriple(path[0], expr, path[-1]))
+            out.add(SchemaTriple(path[0], whole, path[-1]))
+        elif len(path) > lo:
+            junctions = [frozenset({label}) for label in path[1:-1]]
+            for chain in product(*(arcs[step] for step in pairwise(path))):
+                expr = Concat.chain([arc.expr for arc in chain], junctions)
+                out.add(SchemaTriple(path[0], expr, path[-1]))
     return frozenset(out)
 
 
@@ -281,6 +297,7 @@ _RULE_NAMES = {
     BranchR: "TBranchR",
     BranchL: "TBranchL",
     TransClos: "TPlus",
+    Repeat: "TRepeat",
 }
 
 

@@ -1,15 +1,19 @@
 """Schema-aware query rewriting.
 
-Pipeline per relation atom: desugar and simplify the path expression, infer
-its compatible label triples, merge triples sharing a plain expression, and
-drop annotations the schema makes vacuous. What happens next depends on the
-merged alternatives:
+Pipeline per relation atom: unroll its fixed powers e{m,m} into chains and
+simplify the path expression, infer its compatible label triples, merge
+triples sharing a plain expression, and drop annotations the schema makes
+vacuous. A range e{m,n}, m < n, reaches inference as one node: TRepeat
+unrolls it into annotated chains where its body's triple graph has no
+cycle of at most n steps, and keeps it whole elsewhere, so the rewriter
+never multiplies disjuncts by the range's powers. What happens next depends
+on the merged alternatives:
 
 - When none carries label information (no endpoint label set, no junction
   annotation), they fold into one union. The atom becomes that single union
-  atom when the union has fewer AST nodes than the desugared, simplified
-  expression, and otherwise reverts. Label-free alternatives never multiply
-  disjuncts.
+  atom when the union has fewer AST nodes than the simplified expression
+  inference read, and otherwise reverts. Label-free alternatives never
+  multiply disjuncts.
 - Otherwise each alternative is translated into atoms: branch and
   conjunction operators always split it, annotated or not, and surviving
   junction annotations become label atoms on fresh variables. The conjunct
@@ -17,8 +21,8 @@ merged alternatives:
   exceeds the disjunct limit, the atom with the most alternatives reverts,
   until it fits.
 
-Only inference reads the desugared form: a reverted atom keeps its own
-expression, simplified, with its repetitions.
+Only inference reads the unrolled form: a reverted atom keeps its own
+expression, simplified, with its fixed powers as written.
 """
 
 from __future__ import annotations
@@ -39,13 +43,14 @@ from .ast import (
     TransClos,
     Union,
     children,
-    desugar,
     has_annotations,
     map_children,
     strip_annotations,
     to_text,
+    unroll_powers,
     walk,
 )
+from .ast import desugar  # noqa: F401  the benchmark tracer (perfbench/tracer.py) wraps it
 from .inference import (
     DEFAULT_PATH_LIMIT,
     InferenceLog,
@@ -89,8 +94,9 @@ def merge_triples(triples: tuple[SchemaTriple, ...] | list[SchemaTriple]) -> tup
     the triple set of one `infer` call. Its triples that strip
     to one plain expression then share that expression's shape, junction
     annotations included (inference annotates every composition outside a
-    closure, and `plus_comp` builds each closure from the plain body), and
-    differ only in their junction label sets; the merge relies on that.
+    closure or range, and `plus_comp` builds each closure and range from
+    the plain body), and differ only in their junction label sets; the
+    merge relies on that.
     """
     groups: dict[PathExpr, list[SchemaTriple]] = {}
     for triple in triples:
@@ -109,9 +115,9 @@ def merge_triples(triples: tuple[SchemaTriple, ...] | list[SchemaTriple]) -> tup
 
 def _merge_exprs(exprs: tuple[PathExpr, ...]) -> PathExpr:
     # members of one shape that carry no annotations are all equal: labels,
-    # reversals and closures end here. Inference builds no union (TUnion
-    # carries triples over), so the rest are compositions, conjunctions and
-    # branches
+    # reversals, closures and ranges end here. Inference builds no union
+    # (TUnion carries triples over), so the rest are compositions,
+    # conjunctions and branches
     first = exprs[0]
     if not has_annotations(first):
         return first
@@ -315,7 +321,7 @@ def rewrite(
     def enrichment(rel: Relation, log: InferenceLog) -> list[MergedTriple] | None:
         """Merged triples to replace the atom with, [] when the atom is
         unsatisfiable, or None when it keeps its simplified expression."""
-        phi = simplify(desugar(rel.expr))
+        phi = simplify(unroll_powers(rel.expr))
         if has_annotations(phi):
             # the atom already carries junction labels; leave it alone
             return None

@@ -481,23 +481,34 @@ def test_many_leading_tests_exit_2_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+# each case: its path, the error `simplify` exits 2 with, and whether
+# `rewrite` takes the path anyway
 TOO_DEEP = {
     # a postfix operator and a trailing test still nest one level each
-    "closure": ("isMarriedTo" + "+" * 2000, "error: expression nested too deeply\n"),
-    "tests": ("isMarriedTo" + "[isMarriedTo]" * 2000, "error: expression nested too deeply\n"),
+    "closure": ("isMarriedTo" + "+" * 2000, "error: expression nested too deeply\n", False),
+    "tests": ("isMarriedTo" + "[isMarriedTo]" * 2000, "error: expression nested too deeply\n", False),
+    # only `simplify` expands a range; inference keeps it one node
     "repeat": (
         "isMarriedTo{1,600}",
         "error: repetition isMarriedTo{1,600} expands to 180300 factors, more than 150000\n",
+        True,
     ),
 }
 
 
-@pytest.mark.parametrize("expr, error", TOO_DEEP.values(), ids=TOO_DEEP.keys())
-def test_too_deep_for_recursion_exits_2(expr, error, query_file, capsys):
+@pytest.mark.parametrize("expr, error, rewrites", TOO_DEEP.values(), ids=TOO_DEEP.keys())
+def test_too_deep_for_recursion_exits_2(expr, error, rewrites, query_file, capsys):
     assert run(["simplify", expr]) == 2
     assert capsys.readouterr().err == error
-    assert run(["rewrite", "--schema", YAGO, "--query", query_file(f"x,y <- (x, {expr}, y)")]) == 2
-    assert capsys.readouterr().err == error
+    query = f"x,y <- (x, {expr}, y)"
+    if not rewrites:
+        assert run(["rewrite", "--schema", YAGO, "--query", query_file(query)]) == 2
+        assert capsys.readouterr().err == error
+        return
+    start = time.perf_counter()
+    proc = _cli_in_fresh_process("rewrite", "--schema", YAGO, "--query", query_file(query))
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, query + "\n", "")
 
 
 def test_a_chain_of_thousands_of_factors_runs_every_stage(query_file):
@@ -574,14 +585,53 @@ def test_nested_repetitions_are_bounded_as_one_expansion(capsys):
     assert capsys.readouterr() == ("", NESTED_ERROR)
 
 
-def test_twenty_nested_repetitions_exit_2_without_traceback(query_file):
-    # 3^20 factors: expanding them ran until the process was killed
+def test_twenty_nested_repetitions_simplify_exits_2_and_rewrite_keeps_them(query_file):
+    # 3^20 factors: expanding them ran until the process was killed.
+    # `simplify` refuses them at once; inference keeps each range one node
     expr = nested_repetition("isMarriedTo", 20)
     assert len(expr) == 151
+    proc = _cli_in_fresh_process("simplify", expr)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", NESTED_ERROR)
     path = query_file(f"x,y <- (x, {expr}, y)")
-    for argv in (["simplify", expr], ["pipeline", "--schema", YAGO, "--query", path]):
-        proc = _cli_in_fresh_process(*argv)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", NESTED_ERROR), argv[0]
+    for command in ("rewrite", "pipeline"):
+        start = time.perf_counter()
+        proc = _cli_in_fresh_process(command, "--schema", YAGO, "--query", path)
+        assert time.perf_counter() - start < 5, command
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+        assert "(x, isMarriedTo" + "{1,2}" * 20 + ", y)" in proc.stdout, command
+
+
+def test_pipeline_of_ten_nested_ranges_prints_under_a_megabyte(query_file, capsys):
+    # desugared, the derivation printed 59,049 factors per term: 251 MB
+    path = query_file(f"x,y <- (x, {nested_repetition('isMarriedTo', 10)}, y)")
+    assert run(["pipeline", "--schema", YAGO, "--query", path]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert len(out.encode()) < 1_000_000
+    assert "isMarriedTo" + "{1,2}" * 10 + "  (PERSON, " in out
+
+
+def test_a_range_whose_powers_multiply_triples_rewrites_in_seconds(tmp_path, query_file):
+    # desugared, its powers' joins built 880,000 triples over 15 s and took
+    # gigabytes before the join work limit stopped them
+    schema = tmp_path / "schema.json"
+    schema.write_text(
+        json.dumps(
+            {
+                "nodes": [{"label": "N0"}, {"label": "N1"}, {"label": "N2"}],
+                "edges": [
+                    {"src": "N1", "label": "e0", "trg": "N1"},
+                    {"src": "N1", "label": "e0", "trg": "N2"},
+                    {"src": "N2", "label": "e0", "trg": "N1"},
+                ],
+            }
+        )
+    )
+    query = "x,y <- (x, e0/(([e0|e0]e0+)[(e0|-e0){2,4}]){2,3}, y)"
+    start = time.perf_counter()
+    proc = _cli_in_fresh_process("rewrite", "--schema", str(schema), "--query", query_file(query))
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, query + "\n", "")
 
 
 def test_stages_that_keep_a_repetition_run_a_deep_one(query_file, capsys):
@@ -593,7 +643,6 @@ def test_stages_that_keep_a_repetition_run_a_deep_one(query_file, capsys):
 
 
 WIDE_RANGE = "x,y <- (x, isMarriedTo{1,1000}, y)"
-WIDE_RANGE_ERROR = "error: repetition isMarriedTo{1,1000} expands to 500500 factors, more than 150000\n"
 
 
 def test_sql_emission_of_a_wide_range_needs_no_expansion(query_file, capsys):
@@ -607,10 +656,16 @@ def test_sql_emission_of_a_wide_range_needs_no_expansion(query_file, capsys):
 
 
 @pytest.mark.parametrize("command", ["rewrite", "pipeline"])
-def test_inference_of_a_wide_range_still_exits_2(command, query_file, capsys):
-    # inference reads the desugared expression, so it still expands the range
-    assert run([command, "--schema", YAGO, "--query", query_file(WIDE_RANGE)]) == 2
-    assert capsys.readouterr() == ("", WIDE_RANGE_ERROR)
+def test_inference_keeps_a_wide_range_whole(command, query_file, capsys):
+    # TRepeat finds isMarriedTo's one-step round trip on PERSON and keeps
+    # the range, which then reverts as it is
+    assert run([command, "--schema", YAGO, "--query", query_file(WIDE_RANGE)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    enriched = out.split("== enriched ==\n")[-1]
+    assert enriched.startswith(WIDE_RANGE + "\n")
+    if command == "pipeline":
+        assert "(PERSON, isMarriedTo{1,1000}, PERSON)  TRepeat\n" in out
 
 
 def test_sql_emission_bounds_the_chain_of_a_fixed_power(query_file, capsys):

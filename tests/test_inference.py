@@ -7,6 +7,7 @@ import pytest
 from pathforge import (
     Concat,
     Label,
+    Repeat,
     Reverse,
     SchemaTriple,
     TransClos,
@@ -170,10 +171,71 @@ def test_triple_graph_structure(yago_schema):
     assert loops == {("COUNTRY", "COUNTRY")}
 
 
-def test_infer_requires_desugared():
-    schema = load_schema('{"nodes": [], "edges": []}')
-    with pytest.raises(ValueError):
-        infer(parse_path_expr("a{1,2}"), schema)
+# A -> B -> C -> A, one e edge each: its only cycle takes three steps
+_TRIANGLE = load_schema(
+    '{"nodes": [{"label": "A"}, {"label": "B"}, {"label": "C"}],'
+    ' "edges": [{"label": "e", "src": "A", "trg": "B"},'
+    '           {"label": "e", "src": "B", "trg": "C"},'
+    '           {"label": "e", "src": "C", "trg": "A"}]}'
+)
+
+
+def test_a_range_over_a_cycle_of_at_most_n_steps_stays_whole(yago_schema):
+    # isMarriedTo loops on PERSON in one step
+    married = parse_path_expr("isMarriedTo{2,4}")
+    assert infer(married, yago_schema) == {SchemaTriple("PERSON", married, "PERSON")}
+    # the triangle's round trips take three steps, so within three every
+    # sequence touches a cyclic label, and the range joins every two labels
+    whole = parse_path_expr("e{1,3}")
+    triples = infer(whole, _TRIANGLE)
+    assert triples == {SchemaTriple(src, whole, trg) for src in "ABC" for trg in "ABC"}
+    assert _label_pairs(triples) == _label_pairs(infer(desugar(whole), _TRIANGLE))
+    rows = derive(whole, _TRIANGLE)
+    assert (rows[-1].term, rows[-1].rule) == ("e{1,3}", "TRepeat")
+
+
+def test_a_range_over_no_cycle_of_at_most_n_steps_unrolls_chains_of_m_to_n_steps(yago_schema):
+    expr = parse_path_expr("isLocatedIn{2,3}")
+    triples = infer(expr, yago_schema)
+    assert {(t.src, to_text(t.expr), t.trg) for t in triples} == {
+        ("PROPERTY", "isLocatedIn/{CITY}isLocatedIn", "REGION"),
+        ("CITY", "isLocatedIn/{REGION}isLocatedIn", "COUNTRY"),
+        ("PROPERTY", "isLocatedIn/{CITY}isLocatedIn/{REGION}isLocatedIn", "COUNTRY"),
+    }
+    assert triples == infer(desugar(expr), yago_schema)
+    # every triangle label reaches itself, but no round trip fits in two
+    # steps: the cycles are read off the walk, not off reachability
+    short = parse_path_expr("e{1,2}")
+    triples = infer(short, _TRIANGLE)
+    assert len(triples) == 6
+    assert triples == infer(desugar(short), _TRIANGLE)
+    assert not any(isinstance(node, Repeat) for t in triples for node in walk(t.expr))
+
+
+def test_a_fixed_power_infers_as_its_chain(yago_schema):
+    for power, chain in (
+        ("isMarriedTo{3,3}", "isMarriedTo/isMarriedTo/isMarriedTo"),
+        ("isLocatedIn{2,2}", "isLocatedIn/isLocatedIn"),
+        ("(owns/isLocatedIn{1,1}){1,1}", "owns/isLocatedIn"),
+        ("e{3,3}", "e/e/e"),
+    ):
+        schema = _TRIANGLE if power.startswith("e") else yago_schema
+        assert infer(parse_path_expr(power), schema) == infer(parse_path_expr(chain), schema)
+    # a cyclic body unrolls too, where the range would stay whole
+    (triple,) = infer(parse_path_expr("isMarriedTo{3,3}"), yago_schema)
+    assert to_text(triple.expr) == "isMarriedTo/{PERSON}isMarriedTo/{PERSON}isMarriedTo"
+
+
+def test_a_range_past_the_path_limit_keeps_the_range_between_reachable_labels():
+    # the triangle's sequences of at most two steps: six paths
+    inner = Label("e")
+    triples = infer(inner, _TRIANGLE)
+    log = InferenceLog()
+    assert len(plus_comp(inner, triples, 6, log, 1, 2)) == 6
+    assert log.warnings == []
+    kept = plus_comp(inner, triples, 5, log, 1, 2)
+    assert kept == {SchemaTriple(s, Repeat(inner, 1, 2), t) for s in "ABC" for t in "ABC"}
+    assert log.warnings == ["path enumeration exceeded 5 paths; keeping the range"]
 
 
 @pytest.mark.parametrize(

@@ -10,13 +10,12 @@ the exit code the CLI gave for:
   `random.Random(CORPUS_SEED)` by `corpus_inputs` below.
 
 The file was last written by running this module as a script
-(`PYTHONPATH=src python tests/test_rewrite_golden.py`) once a union and a
-conjunction, like a composition before them, became one node over a flat
-tuple of operands, so it pins that code's output: unions and conjunctions
-print flat, with no parenthesized right operand of their own operator.
-The output before that change was the same up to that grouping. The
-digests also changed where the derivation table lost the rows of union
-and conjunction prefixes, which are no longer nodes. The test runs the
+(`PYTHONPATH=src python tests/test_rewrite_golden.py`) once inference kept
+a range e{m,n}, m < n, one node (TRepeat) instead of reading the union of
+its powers, so it pins that code's output. The lines that changed then are
+those of inputs with a range: where the range's body has a short cycle the
+atom keeps the range whole instead of one disjunct per power, and the
+infer-blowup case B lost its path-limit warning. The test runs the
 CLI in process on the same inputs and compares the printed text. A change
 that alters the output on purpose rewrites the file the same way and says
 in CHANGES.md which documents changed and why.
@@ -25,8 +24,9 @@ in CHANGES.md which documents changed and why.
 of `pipeline --json --target sql:sqlite --target cypher` and of
 `rewrite --explain` on the two yago-exec queries and the two infer-blowup
 cases. Those outputs carry the merged triples of every atom, which the
-documents above do not; case A's derivation table alone is 1.4 MB, so
-only digests are kept. The same script run writes them.
+documents above do not; case A's derivation table was 1.4 MB while
+inference unrolled its ranges, so only digests are kept. The same script
+run writes them.
 
 It also holds the SHA-256 of that `pipeline` stdout, with the emitted SQL
 and Cypher text, for every other input of the golden and for

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from pathforge import (
     LabelAtom,
     MergedTriple,
     Relation,
+    Repeat,
     Reverse,
     SchemaTriple,
     TransClos,
@@ -35,11 +37,14 @@ from pathforge import (
     simplify,
     to_text,
 )
-from pathforge.ast import children, has_annotations, strip_annotations, walk
+import pathforge.inference
+from pathforge.ast import children, has_annotations, strip_annotations, unroll_powers, walk
+from pathforge.emit_sql import emit_sql
 from pathforge.inference import InferenceOverflow
 from pathforge.schema import load_schema
 
 from randutil import random_db, random_expr, random_schema, schema_edge_alphabet
+from test_emit_sql import _range_placements, sqlite_rows
 
 
 def _ann(left, labels, right):
@@ -426,6 +431,79 @@ def test_rewrite_equivalence_on_random_inputs():
         for seed in (round_index, round_index + 1000):
             db = gen_db(schema, seed=seed, nodes_per_label=3, edge_prob=0.35)
             assert eval_ucqt(outcome.enriched, db) == eval_ucqt(query, db), to_text(expr)
+
+
+def _random_small_ranges(rng, alphabet, depth):
+    """A random path in which ranges e{m,n}, n at most 3, sit inside and
+    around closures, branches, conjunctions, unions, chains, fixed powers
+    and each other; bounds this small keep the desugared form inferable."""
+    if depth == 0 or rng.random() < 0.25:
+        name = rng.choice(alphabet)
+        return Reverse(name) if rng.random() < 0.2 else Label(name)
+    sub = lambda: _random_small_ranges(rng, alphabet, depth - 1)
+    kind = rng.choice(["range"] * 3 + ["power", "closure", "branch", "conj", "union", "chain"])
+    if kind == "range":
+        hi = rng.randint(2, 3)
+        return Repeat(sub(), rng.randint(1, hi - 1), hi)
+    if kind == "power":
+        return Repeat(sub(), *[rng.randint(1, 2)] * 2)
+    if kind == "closure":
+        return TransClos(sub())
+    if kind == "branch":
+        return rng.choice([BranchR, BranchL])(sub(), sub())
+    return {"conj": Conj, "union": Union, "chain": Concat}[kind](sub(), sub())
+
+
+def test_ranges_kept_whole_lose_no_label_pair_and_no_row(monkeypatch):
+    # TRepeat against the desugared union of powers it replaced: every label
+    # pair that union infers is inferred, and the enriched query returns the
+    # original's rows in the evaluator and on SQLite
+    rng = random.Random(3232)
+    pairs = lambda triples: {(t.src, t.trg) for t in triples}
+    seen = Counter()
+    placements = set()
+    for index in range(600):
+        if index % 6 == 0:
+            schema = random_schema(rng)
+            alphabet = schema_edge_alphabet(schema)
+            labels = sorted(schema.node_labels)
+        expr = _random_small_ranges(rng, alphabet, depth=3)
+        placements |= _range_placements(expr)
+        kept = pairs(infer(simplify(unroll_powers(expr)), schema))
+        try:
+            # nested ranges can multiply the desugared form's triples past
+            # what a test can wait for; a tighter join limit skips those
+            with monkeypatch.context() as patch:
+                patch.setattr(pathforge.inference, "DEFAULT_JOIN_WORK_LIMIT", 100_000)
+                unrolled = pairs(infer(simplify(desugar(expr)), schema))
+        except InferenceOverflow:
+            seen["desugared overflow"] += 1
+        else:
+            assert kept >= unrolled, to_text(expr)
+            seen["equal" if kept == unrolled else "superset"] += 1
+        e2 = to_text(_random_small_ranges(rng, alphabet, depth=1))
+        text = rng.choice(
+            [
+                f"x,y <- (x, {to_text(expr)}, y)",
+                f"x,y <- (x, {to_text(expr)}, y) && (y, {e2}, z) && z:{{{rng.choice(labels)}}}",
+            ]
+        )
+        query = parse_query(text)
+        enriched = rewrite(query, schema).enriched
+        db = gen_db(schema, seed=index, nodes_per_label=3, edge_prob=0.35)
+        want = eval_ucqt(query, db)
+        assert eval_ucqt(enriched, db) == want, text
+        assert sqlite_rows(emit_sql(enriched, schema, dialect="sqlite"), db, schema) == want, text
+        seen["nonempty"] += bool(want)
+    assert seen["equal"] >= 500 and seen["nonempty"] >= 300, seen
+    assert placements >= {
+        "range in range",
+        "range in TransClos",
+        "range in BranchR",
+        "range in BranchL",
+        "range in Conj",
+        "TransClos in range",
+    }, placements
 
 
 def _e0_schema(count, arcs):
