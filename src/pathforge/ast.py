@@ -63,8 +63,7 @@ from .record import Frozen
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
 
 # the most factors `desugar` expands one repetition into, nested ones
-# included: a{1,490} fits; `unroll_powers` and SQL emission bound a fixed
-# power's chain by it
+# included: a{1,490} fits; SQL emission bounds a fixed power's chain by it
 MAX_EXPANSION = 150_000
 
 
@@ -264,7 +263,9 @@ class TransClos(_Node):
 
 
 class Repeat(_Node):
-    """Bounded repetition `e{m,n}`, pure sugar for a union of compositions."""
+    """Bounded repetition `e{m,n}`: the union of the powers e^m ... e^n, which
+    only `desugar` writes out. Inference and the backends keep it one node;
+    SQL emission alone writes a fixed power e{m,m} as its chain e^m."""
 
     __slots__ = __match_args__ = ("inner", "lo", "hi")
     _kids = ("inner",)
@@ -390,20 +391,8 @@ def desugar(expr: PathExpr) -> PathExpr:
     ValueError before anything is built: e{m,n} holds m + ... + n times the
     factors of e's own expansion, so the bound covers nested repetitions too.
     """
-    if isinstance(expr, Repeat):
-        expansion(expr)
-        return _expand(expr)
-    return map_children(expr, desugar)
-
-
-def unroll_powers(expr: PathExpr) -> PathExpr:
-    """Write every fixed power e{m,m} as its chain e^m, and keep each range
-    e{m,n}, m < n, one node around its unrolled body: the form inference
-    reads. An expression without a range unrolls as `desugar` expands it,
-    and past MAX_EXPANSION factors, a range counting one, it raises
-    ValueError the same way."""
-    expansion(expr, unroll_ranges=False)
-    return _unroll(expr)
+    expansion(expr)
+    return _expand(expr)
 
 
 def expansion(expr: PathExpr, unroll_ranges: bool = True) -> int:
@@ -412,10 +401,9 @@ def expansion(expr: PathExpr, unroll_ranges: bool = True) -> int:
     children's for any other node. The innermost repetition past
     MAX_EXPANSION raises ValueError.
 
-    With ``unroll_ranges`` false, it counts what `unroll_powers` and SQL
-    emission expand: only a fixed power e{m,m}, into the chain of m copies
-    of e, while a range e{m,n}, m < n, is one factor once its body is
-    counted."""
+    With ``unroll_ranges`` false, it counts what SQL emission expands: only
+    a fixed power e{m,m}, into the chain of m copies of e, while a range
+    e{m,n}, m < n, is one factor once its body is counted."""
     kids = children(expr)
     if not kids:
         return 1
@@ -437,13 +425,6 @@ def _expand(expr: PathExpr) -> PathExpr:
     if isinstance(expr, Repeat):
         return powers(expr, _expand(expr.inner))
     return map_children(expr, _expand)
-
-
-def _unroll(expr: PathExpr) -> PathExpr:
-    """``unroll_powers`` of an expression whose expansion is already bounded."""
-    if isinstance(expr, Repeat) and expr.lo == expr.hi:
-        return powers(expr, _unroll(expr.inner))
-    return map_children(expr, _unroll)
 
 
 def powers(expr: Repeat, inner: PathExpr) -> PathExpr:

@@ -5,6 +5,15 @@ relationship steps: edge labels, reversed edge labels, label alternations,
 and closures or bounded repetitions of those. Conjunction and branch
 operators have no Cypher counterpart and yield a structured report naming
 the first offending construct instead of text.
+
+The text can return fewer rows than the query means. openCypher binds each
+relationship at most once per MATCH clause (relationship isomorphism), and
+a conjunct is one MATCH, while a query's paths are walks, which may reuse
+an edge. `isMarriedTo/isMarriedTo` or `isMarriedTo{2,2}` over a single
+self-loop, which `gen_db` can generate, has a walk and no Cypher match; so
+does a conjunct whose two atoms match the same edge. A closure alone, as
+a whole atom, loses no pair, since a shortest walk reuses no edge. The
+tests compare the emitted text as text; no Cypher engine runs it.
 """
 
 from __future__ import annotations

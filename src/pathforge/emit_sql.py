@@ -20,12 +20,15 @@ bounded in depth rather than unrolled: its CTE tags each pair with the
 length d of its path, up to n, and the atom reads the distinct pairs of
 depth d >= m. UNION keeps each (Sr, Tr, d) once, so the recursion ends.
 A fixed power e{m,m} is the chain of m copies of e, whose ranges stay CTEs;
-that chain is refused past MAX_EXPANSION factors, a range counting one. The
-CTEs are named tc_1, tc_2, ... in post order, left to right; a closure that
-recurs anywhere in the query reuses the CTE of its first occurrence, and so
-does a range of the same body and upper bound. The numbering skips each name
-that a schema label takes, in any case, since unquoted SQL names ignore
-case: with an edge label `TC_1`, the first CTE is tc_2. For the same reason,
+that chain is refused past MAX_EXPANSION factors, a range counting one. This
+is the one stage that writes a power out: rendered as a range's CTE, the
+baseline SQL of the first 600 benchmark corpus queries of seed 1 took 6.6%
+more SQLite steps. The CTEs are named tc_1, tc_2, ... in post order, left
+to right; a closure that recurs anywhere in the query reuses the CTE of its
+first occurrence, and so does a range of the same body and upper bound. The
+numbering skips each name that a schema label takes, in any case, since
+unquoted SQL names ignore case: with an edge label `TC_1`, the first CTE is
+tc_2. For the same reason,
 two schema labels that differ only in case, such as node `N` and edge `n`,
 would name one table, and emission refuses such a schema.
 """
@@ -89,7 +92,7 @@ def _node_set_sql(labels: frozenset[str]) -> str:
 
 class _Renderer:
     """Renders the atoms of one query, collecting the recursive CTEs of its
-    closures."""
+    closures and ranges."""
 
     def __init__(self, schema: GraphSchema):
         self.schema = schema

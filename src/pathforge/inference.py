@@ -16,24 +16,25 @@ connecting paths pass through. The rules mirror the expression structure:
             keeps main's endpoints
   TBranchL  [test]main: join on equal source; the result keeps main's target
   TPlus     closure triples come from cycle analysis of the triple graph
-  TRepeat   a range e{m,n}, m < n, the same analysis cut at n steps; a fixed
-            power e{m,m} is its chain e^m, as in SQL emission
+  TRepeat   a repetition e{m,n}, fixed powers e{m,m} included, the same
+            analysis cut at n steps; e{1,1} is e
 
-For closures and ranges (`plus_comp`), the triples of the inner expression
-form the triple graph over node labels, whose arc from a to b holds every
-triple from a to b. The walk lists the label sequences of at most n steps
-(unbounded for a closure) that repeat no label but may close a round trip,
-and a label is cyclic when one of them returns to it. A sequence clear of
-cyclic labels, of m steps or more, unrolls into its annotated fixed-length
-triple paths, one triple per step; one touching a cyclic label keeps the
-closure or range whole, with annotations dropped. The path limit caps triple
+For closures and repetitions (`plus_comp`), the triples of the inner
+expression form the triple graph over node labels, whose arc from a to b
+holds every triple from a to b. The walk lists the label sequences of at
+most n steps (unbounded for a closure) that repeat no label but may close a
+round trip, and a label is cyclic when one of them returns to it. A
+sequence clear of cyclic labels, of m steps or more, unrolls into its
+annotated fixed-length triple paths, one triple per step; one touching a
+cyclic label, of any length, keeps the closure or repetition whole, with
+annotations dropped. So over a cycle a fixed power e{m,m} gets a superset
+of its chain's label pairs, which is sound. The path limit caps triple
 paths, counted per label sequence.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
 from itertools import pairwise, product
 from operator import attrgetter
 from typing import Iterable, NamedTuple
@@ -51,7 +52,6 @@ from .ast import (
     Union,
     children,
     to_text,
-    unroll_powers,
 )
 # only the path-limit fallback calls this name; the benchmark tracer
 # (perfbench/tracer.py) counts path-limit hits by wrapping it
@@ -144,21 +144,17 @@ def _join(left, right, left_key, right_key, make) -> frozenset[SchemaTriple]:
     return frozenset(make(t1, t2) for t1, group in matches for t2 in group)
 
 
-@cache
-def _step(chain: PathExpr, factor: PathExpr, junction: str) -> PathExpr:
-    # a chain costs its length to build, and the pairs of a join that differ
-    # only in their outer ends share one; each join empties the memo, so it
-    # keeps no chain alive past the join
-    return Concat(chain, factor, frozenset({junction}))
-
-
 # TConcat, TConj, TBranchR and TBranchL by node type: the key of the first
 # operand's triples, the key of the second's, and the triple a matching pair
 # makes. Operands are inferred in `children` order, so TBranchL infers its
 # test before its main, and TConcat and TConj join each operand onto the
 # triples of the ones before it.
 _JOIN_RULES = {
-    Concat: (_TRG, _SRC, lambda t1, t2: SchemaTriple(t1.src, _step(t1.expr, t2.expr, t1.trg), t2.trg)),
+    Concat: (
+        _TRG,
+        _SRC,
+        lambda t1, t2: SchemaTriple(t1.src, Concat(t1.expr, t2.expr, frozenset({t1.trg})), t2.trg),
+    ),
     Conj: (_ENDS, _ENDS, lambda t1, t2: SchemaTriple(t1.src, Conj(t1.expr, t2.expr), t1.trg)),
     BranchR: (_TRG, _SRC, lambda t1, t2: SchemaTriple(t1.src, BranchR(t1.expr, t2.expr), t1.trg)),
     BranchL: (_SRC, _SRC, lambda t1, t2: SchemaTriple(t2.src, BranchL(t1.expr, t2.expr), t2.trg)),
@@ -183,15 +179,12 @@ def _infer(
         operands, rule = children(expr), _JOIN_RULES[type(expr)]
         out = _infer(operands[0], basics, path_limit, log)
         for operand in operands[1:]:
-            try:
-                out = _join(out, _infer(operand, basics, path_limit, log), *rule)
-            finally:
-                _step.cache_clear()
+            out = _join(out, _infer(operand, basics, path_limit, log), *rule)
     elif isinstance(expr, Union):
         out = frozenset().union(*(_infer(op, basics, path_limit, log) for op in expr.operands))
-    elif isinstance(expr, Repeat) and expr.lo == expr.hi:
-        # a fixed power is its chain
-        out = _infer(unroll_powers(expr), basics, path_limit, log)
+    elif isinstance(expr, Repeat) and expr.hi == 1:
+        # e{1,1} is e: over a self-loop the walk would keep it whole beside e
+        out = _infer(expr.inner, basics, path_limit, log)
     elif isinstance(expr, (TransClos, Repeat)):
         inner = _infer(expr.inner, basics, path_limit, log)
         bounds = (expr.lo, expr.hi) if isinstance(expr, Repeat) else ()
@@ -211,8 +204,8 @@ def plus_comp(
     lo: int = 1,
     hi: float = math.inf,
 ) -> frozenset[SchemaTriple]:
-    """Triples for the closure ``inner+``, or for the range ``inner{lo,hi}``
-    when ``hi`` is finite, from the triples of ``inner`` in any order; the
+    """Triples for the closure ``inner+``, or for the repetition
+    ``inner{lo,hi}`` when ``hi`` is finite, from the triples of ``inner`` in any order; the
     result does not depend on the order. The closure is the range 1..inf.
 
     Walks the label sequences of the triple graph, of at most ``hi`` steps,
@@ -222,9 +215,10 @@ def plus_comp(
     cycle of at most ``hi`` steps can repeat a label. A cycle-free sequence
     of ``lo`` steps or more emits the concatenation of each path's annotated
     expressions; one touching a cyclic label emits the bare closure or
-    range between its endpoints. If more than ``path_limit`` triple paths
-    exist in total, the walk stops, and only then are the reachable label
-    pairs computed: each conservatively keeps the closure or range.
+    repetition between its endpoints. If more than ``path_limit`` triple
+    paths exist in total, the walk stops, and only then are the reachable
+    label pairs computed: each conservatively keeps the closure or
+    repetition.
     ``path_limit`` must be at least 0.
     """
     if path_limit < 0:

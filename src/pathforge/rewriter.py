@@ -1,13 +1,13 @@
 """Schema-aware query rewriting.
 
-Pipeline per relation atom: unroll its fixed powers e{m,m} into chains and
-simplify the path expression, infer its compatible label triples, merge
-triples sharing a plain expression, and drop annotations the schema makes
-vacuous. A range e{m,n}, m < n, reaches inference as one node: TRepeat
-unrolls it into annotated chains where its body's triple graph has no
-cycle of at most n steps, and keeps it whole elsewhere, so the rewriter
-never multiplies disjuncts by the range's powers. What happens next depends
-on the merged alternatives:
+Pipeline per relation atom: simplify the path expression, infer its
+compatible label triples, merge triples sharing a plain expression, and
+drop annotations the schema makes vacuous. A repetition e{m,n}, a fixed
+power e{m,m} included, reaches inference as one node: TRepeat unrolls it
+into annotated chains where its body's triple graph has no cycle of at most
+n steps, and keeps it whole elsewhere, so the rewriter never multiplies
+disjuncts by the repetition's powers. What happens next depends on the
+merged alternatives:
 
 - When none carries label information (no endpoint label set, no junction
   annotation), they fold into one union. The atom becomes that single union
@@ -21,8 +21,7 @@ on the merged alternatives:
   exceeds the disjunct limit, the atom with the most alternatives reverts,
   until it fits.
 
-Only inference reads the unrolled form: a reverted atom keeps its own
-expression, simplified, with its fixed powers as written.
+A reverted atom keeps the simplified expression inference read.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .ast import (
     map_children,
     strip_annotations,
     to_text,
-    unroll_powers,
     walk,
 )
 from .ast import desugar  # noqa: F401  the benchmark tracer (perfbench/tracer.py) wraps it
@@ -318,10 +316,9 @@ def rewrite(
     taken = frozenset(query.head).union(*(c.variables() for c in query.disjuncts))
     fresh = fresh_names("_g", taken)
 
-    def enrichment(rel: Relation, log: InferenceLog) -> list[MergedTriple] | None:
+    def enrichment(rel: Relation, phi: PathExpr, log: InferenceLog) -> list[MergedTriple] | None:
         """Merged triples to replace the atom with, [] when the atom is
-        unsatisfiable, or None when it keeps its simplified expression."""
-        phi = simplify(unroll_powers(rel.expr))
+        unsatisfiable, or None when it keeps its simplified expression phi."""
         if has_annotations(phi):
             # the atom already carries junction labels; leave it alone
             return None
@@ -351,10 +348,11 @@ def rewrite(
     logs: list[InferenceLog] = []
     out_disjuncts: list[Conjunct] = []
     for d_index, conjunct in enumerate(query.disjuncts):
+        phis = [simplify(rel.expr) for rel in conjunct.relations]
         per_atom_merged: list[list[MergedTriple] | None] = []
-        for rel in conjunct.relations:
+        for rel, phi in zip(conjunct.relations, phis):
             logs.append(InferenceLog())
-            per_atom_merged.append(enrichment(rel, logs[-1]))
+            per_atom_merged.append(enrichment(rel, phi, logs[-1]))
 
         counts = [1 if merged is None else len(merged) for merged in per_atom_merged]
         while (product := math.prod(counts)) > disjunct_limit and max(counts) > 1:
@@ -373,10 +371,9 @@ def rewrite(
             continue
 
         per_atom: list[list[Fragment]] = []
-        for rel, merged in zip(conjunct.relations, per_atom_merged):
+        for rel, phi, merged in zip(conjunct.relations, phis, per_atom_merged):
             if merged is None:
-                kept = Relation(rel.src_var, simplify(rel.expr), rel.trg_var)
-                per_atom.append([Fragment([kept])])
+                per_atom.append([Fragment([Relation(rel.src_var, phi, rel.trg_var)])])
                 continue
             alternatives = []
             for m in merged:

@@ -668,6 +668,20 @@ def test_inference_keeps_a_wide_range_whole(command, query_file, capsys):
         assert "(PERSON, isMarriedTo{1,1000}, PERSON)  TRepeat\n" in out
 
 
+def test_a_long_fixed_power_rewrites_in_seconds(query_file):
+    # as its 16,000-factor chain, the power went through TConcat's prefix
+    # fold, quadratic in the chain's length: `rewrite` took about 22 s
+    query = "x,y <- (x, isMarriedTo{16000,16000}, y)"
+    path = query_file(query)
+    for command in ("rewrite", "pipeline"):
+        start = time.perf_counter()
+        proc = _cli_in_fresh_process(command, "--schema", YAGO, "--query", path)
+        assert time.perf_counter() - start < 5, command
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+        if command == "rewrite":
+            assert proc.stdout == query + "\n"
+
+
 def test_sql_emission_bounds_the_chain_of_a_fixed_power(query_file, capsys):
     # a range inside a fixed power counts one factor of its chain
     fits = query_file("x,y <- (x, isMarriedTo{1,1000}{2,2}{1000,1000}, y)")

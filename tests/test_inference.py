@@ -212,18 +212,28 @@ def test_a_range_over_no_cycle_of_at_most_n_steps_unrolls_chains_of_m_to_n_steps
     assert not any(isinstance(node, Repeat) for t in triples for node in walk(t.expr))
 
 
-def test_a_fixed_power_infers_as_its_chain(yago_schema):
+def test_a_fixed_power_is_one_trepeat_node(yago_schema):
+    # an acyclic body infers exactly as its chain
     for power, chain in (
-        ("isMarriedTo{3,3}", "isMarriedTo/isMarriedTo/isMarriedTo"),
         ("isLocatedIn{2,2}", "isLocatedIn/isLocatedIn"),
         ("(owns/isLocatedIn{1,1}){1,1}", "owns/isLocatedIn"),
-        ("e{3,3}", "e/e/e"),
     ):
-        schema = _TRIANGLE if power.startswith("e") else yago_schema
-        assert infer(parse_path_expr(power), schema) == infer(parse_path_expr(chain), schema)
-    # a cyclic body unrolls too, where the range would stay whole
-    (triple,) = infer(parse_path_expr("isMarriedTo{3,3}"), yago_schema)
-    assert to_text(triple.expr) == "isMarriedTo/{PERSON}isMarriedTo/{PERSON}isMarriedTo"
+        assert infer(parse_path_expr(power), yago_schema) == infer(
+            parse_path_expr(chain), yago_schema
+        )
+    # a body with a round trip of at most m steps keeps the power whole
+    married = parse_path_expr("isMarriedTo{3,3}")
+    assert infer(married, yago_schema) == {SchemaTriple("PERSON", married, "PERSON")}
+    assert derive(married, yago_schema)[-1].rule == "TRepeat"
+    # which over-approximates the chain's label pairs, soundly: e/e/e only
+    # returns to its start on the triangle
+    cube = _label_pairs(infer(parse_path_expr("e{3,3}"), _TRIANGLE))
+    chain = _label_pairs(infer(parse_path_expr("e/e/e"), _TRIANGLE))
+    assert cube > chain and len(cube) == 9 and len(chain) == 3
+    # e{1,1} is e, also over a self-loop, where the walk would keep it whole
+    for schema, body in ((yago_schema, "isMarriedTo"), (yago_schema, "owns"), (_TRIANGLE, "e")):
+        once = Repeat(parse_path_expr(body), 1, 1)
+        assert infer(once, schema) == infer(parse_path_expr(body), schema)
 
 
 def test_a_range_past_the_path_limit_keeps_the_range_between_reachable_labels():

@@ -11,14 +11,15 @@ the exit code the CLI gave for:
 
 The file was last written by running this module as a script
 (`PYTHONPATH=src python tests/test_rewrite_golden.py`) once inference kept
-a range e{m,n}, m < n, one node (TRepeat) instead of reading the union of
-its powers, so it pins that code's output. The lines that changed then are
-those of inputs with a range: where the range's body has a short cycle the
-atom keeps the range whole instead of one disjunct per power, and the
-infer-blowup case B lost its path-limit warning. The test runs the
-CLI in process on the same inputs and compares the printed text. A change
-that alters the output on purpose rewrites the file the same way and says
-in CHANGES.md which documents changed and why.
+a fixed power e{m,m} one node (TRepeat), as it already kept a range,
+instead of reading its chain e^m, so it pins that code's output. The lines
+that changed then are those of inputs with a fixed power: where the
+power's body has a short cycle the atom keeps the power whole, and e{1,1}
+infers as e. The test runs the CLI in process on the same inputs and
+compares the printed text. A change that alters the output on purpose
+rewrites the file the same way and says in CHANGES.md which documents
+changed and why; the script prints the name of each golden line and digest
+it changes.
 
 `tests/data/goldens/output_digests.json` holds the SHA-256 of the stdout
 of `pipeline --json --target sql:sqlite --target cypher` and of
@@ -167,5 +168,15 @@ if __name__ == "__main__":
             for name, schema_doc, query in corpus_inputs()
         ]
         digests = output_digests(Path(tmp))
+    # name what changes, so a deliberate change can be listed and checked
+    old_rows = GOLDEN.read_text().splitlines() if GOLDEN.exists() else []
+    old_digests = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    for row in rows:
+        if row not in old_rows:
+            print("golden line changed:", json.loads(row)["name"])
+    for name, commands in digests.items():
+        for command, digest in commands.items():
+            if old_digests.get(name, {}).get(command) != digest:
+                print("digest changed:", name, command)
     GOLDEN.write_text("\n".join(rows) + "\n")
     DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
