@@ -23,19 +23,41 @@ A fixed power e{m,m} is the chain of m copies of e, whose ranges stay CTEs;
 that chain is refused past MAX_EXPANSION factors, a range counting one. This
 is the one stage that writes a power out: rendered as a range's CTE, the
 baseline SQL of the first 600 benchmark corpus queries of seed 1 took 6.6%
-more SQLite steps. The CTEs are named tc_1, tc_2, ... in post order, left
-to right; a closure that recurs anywhere in the query reuses the CTE of its
-first occurrence, and so does a range of the same body and upper bound. The
-numbering skips each name that a schema label takes, in any case, since
-unquoted SQL names ignore case: with an edge label `TC_1`, the first CTE is
-tc_2. For the same reason,
-two schema labels that differ only in case, such as node `N` and edge `n`,
-would name one table, and emission refuses such a schema.
+more SQLite steps.
+
+Two rules keep the engine from doing work twice or for nothing:
+
+- A label atom that the conjunct's relation atoms already imply emits no
+  node-set join. Each variable's possible node labels flow over the schema
+  through the relation atoms alone, forward and backward through each
+  atom's expression, until no set shrinks; a closure or range reaches what
+  its body reaches in one or more steps, a fixpoint over label sets, and
+  one memo per statement keeps each (node, labels, direction) to one
+  computation. A label atom whose variable's labels are a subset of its own
+  is skipped. Label atoms are never premises: one would vouch for itself.
+  Like enrichment, this assumes a database that conforms to the schema,
+  which `pathforge check` verifies; on any other, a skipped atom's rows
+  come back unfiltered. (`rewriter.end_label_set` stays context-free: it
+  decides the enriched text, and making it exact would change the goldens,
+  which belongs with dropping vacuous junction sets, ROADMAP item 1.)
+- A chain, conjunction or union that the statement uses from two or more
+  places, relation atoms in any disjunct or parent nodes, is one
+  non-recursive CTE, read by name at each use. One pass over the distinct
+  nodes counts the uses; a closure's or range's body counts once for its
+  base and its step, and labels, reversals, branches and range reads stay
+  inline.
+
+The CTEs are named tc_1, tc_2, ... in post order, left to right; a closure
+that recurs anywhere in the query reuses the CTE of its first occurrence,
+and so does a range of the same body and upper bound. The numbering skips
+each name that a schema label takes, in any case, since unquoted SQL names
+ignore case: with an edge label `TC_1`, the first CTE is tc_2. For the same
+reason, two schema labels that differ only in case, such as node `N` and
+edge `n`, would name one table, and emission refuses such a schema.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Callable
 
 from .ast import (
@@ -49,11 +71,12 @@ from .ast import (
     Reverse,
     TransClos,
     Union,
+    children,
     expansion,
     powers,
     walk,
 )
-from .query import Conjunct, UcqtQuery, fresh_names, validate_query
+from .query import Conjunct, LabelAtom, UcqtQuery, fresh_names, validate_query
 from .schema import GraphSchema
 
 DIALECTS = ("postgres", "sqlite", "mysql")
@@ -91,10 +114,10 @@ def _node_set_sql(labels: frozenset[str]) -> str:
 
 
 class _Renderer:
-    """Renders the atoms of one query, collecting the recursive CTEs of its
-    closures and ranges."""
+    """Renders the atoms of one query, collecting the CTEs of its closures,
+    its ranges and its shared nodes."""
 
-    def __init__(self, schema: GraphSchema):
+    def __init__(self, schema: GraphSchema, query: UcqtQuery):
         self.schema = schema
         # unquoted SQL names ignore case, so each label's table must differ
         # from the others in more than case, and no CTE may take a label's
@@ -108,12 +131,16 @@ class _Renderer:
                     "so their SQL tables would clash"
                 )
         self.fresh = fresh_names("tc_", taken.keys())
-        # the base SELECT of each closure, and the FROM item and upper bound
-        # of each range -> its CTE's name; and the CTE texts in order
+        # the base SELECT of each closure, the FROM item and upper bound of
+        # each range, and each shared node -> its CTE's name; the CTE texts
+        # in order
         self.cte_names: dict[object, str] = {}
         self.ctes: list[str] = []
-        # a node recurs across atoms and disjuncts; it is rendered once
-        self.pair = cache(self.pair)
+        # each node -> its pair(), rendered once however often it recurs;
+        # (node, start labels, backward) -> its flow()
+        self.pairs: dict[PathExpr, tuple[str, str]] = {}
+        self.flows: dict[tuple[PathExpr, frozenset[str], bool], frozenset[str]] = {}
+        self.shared = _shared(query)
 
     def _cte(self, key: object, define: Callable[[str], str]) -> str:
         """The name of the CTE registered under key; on first use, a fresh
@@ -129,9 +156,12 @@ class _Renderer:
         relation as a FROM item that is one table to SQLite: a bare table or
         CTE name, a SELECT DISTINCT or compound subquery, which SQLite never
         flattens into a join, or a subquery that it flattens into one table."""
+        done = self.pairs.get(expr)
+        if done is not None:
+            return done
         if isinstance(expr, Label):
-            return f"SELECT Sr, Tr FROM {expr.name}", expr.name
-        if isinstance(expr, TransClos):
+            done = f"SELECT Sr, Tr FROM {expr.name}", expr.name
+        elif isinstance(expr, TransClos):
             # one rendering serves both the base and the recursive join, so
             # the closures nested inside register once
             select, item = self.pair(expr.inner)
@@ -146,14 +176,14 @@ class _Renderer:
                 f"  SELECT {name}.Sr, s.Tr FROM {name} JOIN {item} AS s ON {name}.Tr = s.Sr\n"
                 ")",
             )
-            return f"SELECT Sr, Tr FROM {name}", name
-        if isinstance(expr, Repeat):
-            lo, hi = expr.lo, expr.hi
-            if lo == hi:
-                # a fixed power is its chain
-                return self.pair(powers(expr, expr.inner))
+            done = f"SELECT Sr, Tr FROM {name}", name
+        elif isinstance(expr, Repeat) and expr.lo == expr.hi:
+            # a fixed power is its chain
+            done = self.pair(powers(expr, expr.inner))
+        elif isinstance(expr, Repeat):
             # each pair tagged with its path length d up to hi; ranges of
             # one body and upper bound share their CTE
+            lo, hi = expr.lo, expr.hi
             item = self.pair(expr.inner)[1]
             name = self._cte(
                 (item, hi),
@@ -165,8 +195,8 @@ class _Renderer:
                 ")",
             )
             select = f"SELECT DISTINCT Sr, Tr FROM {name}" + (f" WHERE d >= {lo}" if lo > 1 else "")
-            return select, f"({select})"
-        if isinstance(expr, Reverse):
+            done = select, f"({select})"
+        elif isinstance(expr, Reverse):
             select = f"SELECT Tr AS Sr, Sr AS Tr FROM {expr.name}"
         elif isinstance(expr, Concat):
             # paths through the chain repeat their endpoint pairs; the
@@ -195,25 +225,136 @@ class _Renderer:
             )
         else:
             raise TypeError(f"not a renderable expression: {expr!r}")
-        return select, f"({select})"
+        if done is None and expr in self.shared:
+            # computed once, and read by name wherever it is used
+            name = self._cte(expr, lambda name: f"{name}(Sr, Tr) AS (\n  {select}\n)")
+            done = f"SELECT Sr, Tr FROM {name}", name
+        elif done is None:
+            done = select, f"({select})"
+        self.pairs[expr] = done
+        return done
+
+    def flow(self, expr: PathExpr, start: frozenset[str], backward: bool) -> frozenset[str]:
+        """The node labels a path of expr can reach from a node of a label in
+        start, under the schema: its targets' labels, or its sources' when
+        backward. A closure or range reaches what its body reaches in one or
+        more steps, found as a fixpoint over label sets."""
+        if isinstance(expr, (Label, Reverse)):
+            # one step needs no memo
+            arcs = self.schema.label_arcs[expr.name, backward != isinstance(expr, Reverse)]
+            return frozenset().union(*[arcs[label] for label in start if label in arcs])
+        if not start:
+            return start
+        key = (expr, start, backward)
+        reached = self.flows.get(key)
+        if reached is not None:
+            return reached
+        if isinstance(expr, Concat):
+            # a junction's labels confine the node between its two factors
+            factors, junctions = expr.factors, (*expr.junctions, None)
+            if backward:
+                factors, junctions = factors[::-1], (*expr.junctions[::-1], None)
+            reached = start
+            for factor, junction in zip(factors, junctions):
+                reached = self.flow(factor, reached, backward)
+                if junction is not None:
+                    reached &= junction
+        elif isinstance(expr, Union):
+            reached = frozenset().union(*[self.flow(op, start, backward) for op in expr.operands])
+        elif isinstance(expr, Conj):
+            sets = [self.flow(op, start, backward) for op in expr.operands]
+            reached = frozenset.intersection(*sets)
+        elif isinstance(expr, (BranchR, BranchL)):
+            # the tested end carries a label that a test path starts from
+            tested = self.flow(expr.test, self.schema.node_labels, True)
+            if backward == isinstance(expr, BranchR):
+                reached = self.flow(expr.main, start & tested, backward)
+            else:
+                reached = self.flow(expr.main, start, backward) & tested
+        elif isinstance(expr, (TransClos, Repeat)):
+            reached = self.flow(expr.inner, start, backward)
+            more = reached | self.flow(expr.inner, reached, backward)
+            while more != reached:
+                reached = more
+                more = reached | self.flow(expr.inner, reached, backward)
+        else:
+            raise TypeError(f"not a renderable expression: {expr!r}")
+        self.flows[key] = reached
+        return reached
+
+    def implied(self, conjunct: Conjunct) -> set[LabelAtom]:
+        """The label atoms of the conjunct that its relation atoms imply, and
+        that so filter nothing. Each variable of a relation atom can carry
+        the node labels that flow to it through the relation atoms alone,
+        forward and backward, narrowed until no set shrinks or every label
+        atom on such a variable is implied; a label atom is never a premise."""
+        every = self.schema.node_labels
+        labels = {var: every for rel in conjunct.relations for var in (rel.src_var, rel.trg_var)}
+        candidates = {atom for atom in conjunct.labels if atom.var in labels}
+        implied = {atom for atom in candidates if every <= atom.labels}
+        changed = True
+        while changed:
+            changed = False
+            for rel in conjunct.relations:
+                for var, other, backward in (
+                    (rel.trg_var, rel.src_var, False),
+                    (rel.src_var, rel.trg_var, True),
+                ):
+                    if implied == candidates:
+                        return implied
+                    narrowed = labels[var] & self.flow(rel.expr, labels[other], backward)
+                    if narrowed != labels[var]:
+                        # the sets only shrink, so an implied atom stays implied
+                        labels[var], changed = narrowed, True
+                        implied |= {a for a in candidates if a.var == var and narrowed <= a.labels}
+        return implied
 
     def conjunct(self, conjunct: Conjunct, head: tuple[str, ...]) -> str:
         items: list[_Item] = []
         for index, rel in enumerate(conjunct.relations, start=1):
             alias = f"e{index}"
             binds = [(rel.src_var, f"{alias}.Sr"), (rel.trg_var, f"{alias}.Tr")]
-            expansion(rel.expr, unroll_ranges=False)
             items.append((alias, self.pair(rel.expr)[1], binds))
 
-        # each label atom is a node set, and so is each head variable that no
-        # atom mentions, over every node label: it ranges over every node
-        node_sets = sorted((atom.var, atom.labels) for atom in conjunct.labels)
+        # each label atom that the relation atoms do not imply is a node set,
+        # and so is each head variable that no atom mentions, over every node
+        # label: it ranges over every node
+        implied = self.implied(conjunct) if conjunct.labels else set()
+        node_sets = sorted(
+            (atom.var, atom.labels) for atom in conjunct.labels if atom not in implied
+        )
         mentioned = conjunct.variables()
         node_sets += [(var, self.schema.node_labels) for var in head if var not in mentioned]
         for index, (var, labels) in enumerate(node_sets, start=1):
             alias = f"n{index}"
             items.append((alias, f"({_node_set_sql(labels)})", [(var, f"{alias}.Sr")]))
         return _select(items, [(var, var) for var in head], "\n  ")
+
+
+def _shared(query: UcqtQuery) -> set[PathExpr]:
+    """The chains, conjunctions and unions that the query's rendering uses
+    from two or more places, relation atoms or parent nodes, counted in one
+    pass over the distinct nodes. A closure's or range's body counts once for
+    its base and its step."""
+    stack = []
+    for conjunct in query.disjuncts:
+        for rel in conjunct.relations:
+            # a fixed power's chain is refused before it is built
+            expansion(rel.expr, unroll_ranges=False)
+            stack.append(rel.expr)
+    seen: set[PathExpr] = set()
+    shared: set[PathExpr] = set()
+    while stack:
+        expr = stack.pop()
+        while isinstance(expr, Repeat) and expr.lo == expr.hi:
+            # a fixed power renders as its chain, e{1,1} as e
+            expr = powers(expr, expr.inner)
+        if expr not in seen:
+            seen.add(expr)
+            stack.extend(children(expr))
+        elif isinstance(expr, (Concat, Conj, Union)):
+            shared.add(expr)
+    return shared
 
 
 # SQLite joins at most 64 tables in one SELECT, and unites at most 500 terms
@@ -308,13 +449,16 @@ def emit_sql(
     """Render a query as SQL text over the relational graph encoding.
 
     The three dialects share the inline WITH RECURSIVE form; they differ only
-    in the view statement used when ``as_view`` is set.
+    in the view statement used when ``as_view`` is set. A label atom that the
+    relation atoms imply is skipped, and a chain, conjunction or union used
+    from two or more places is one CTE (see the module docstring); the text
+    returns the query's rows on a database that conforms to the schema.
     """
     if dialect not in DIALECTS:
         raise EmitError(f"unknown dialect {dialect!r}; expected one of {', '.join(DIALECTS)}")
     validate_query(query)
     check_labels(query, schema)
-    renderer = _Renderer(schema)
+    renderer = _Renderer(schema, query)
     if not query.disjuncts:
         columns = ", ".join(f"NULL AS {var}" for var in query.head)
         source = " FROM DUAL" if dialect == "mysql" else ""

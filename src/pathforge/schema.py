@@ -90,14 +90,24 @@ class GraphSchema(_Graph):
         return frozenset((e.src, e.label, e.trg) for e in self.edges)
 
     @cached_property
+    def label_arcs(self) -> dict[tuple[str, bool], dict[str, set[str]]]:
+        """(edge label, backward) -> each node label -> the node labels one
+        edge of that label leads to from a node of it: its targets, or its
+        sources when backward; read-only."""
+        arcs: dict[tuple[str, bool], dict[str, set[str]]] = {}
+        for label, src, trg in self.edges:
+            arcs.setdefault((label, False), {}).setdefault(src, set()).add(trg)
+            arcs.setdefault((label, True), {}).setdefault(trg, set()).add(src)
+        return arcs
+
+    @cached_property
     def _end_labels(self) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
-        """Source and target labels of each edge label, indexed once."""
-        ends: dict[str, tuple[set[str], set[str]]] = {}
-        for src, label, trg in self.edge_signatures:
-            sources, targets = ends.setdefault(label, (set(), set()))
-            sources.add(src)
-            targets.add(trg)
-        return {label: (frozenset(s), frozenset(t)) for label, (s, t) in ends.items()}
+        """Source and target labels of each edge label, read off its arcs."""
+        arcs = self.label_arcs
+        return {
+            label: (frozenset(arcs[label, False]), frozenset(arcs[label, True]))
+            for label in self.edge_labels
+        }
 
     def source_labels(self, edge_label: str) -> frozenset[str]:
         return self._end_labels.get(edge_label, (frozenset(), frozenset()))[0]

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import re
@@ -305,6 +306,51 @@ def test_each_relation_atom_is_one_projected_from_item(yago_schema):
     assert "(SELECT" not in emit_sql(parse_query("x,y <- (x, dealsWith+, y)"), yago_schema)
 
 
+def test_emission_leaves_nothing_to_the_cyclic_collector(yago_schema):
+    # a renderer that referred to itself would keep every SQL text it
+    # rendered alive until the cyclic collector ran
+    query = parse_query(README_QUERY)
+    for statement in (query, rewrite(query, yago_schema).enriched):
+        gc.collect()
+        gc.disable()
+        try:
+            emit_sql(statement, yago_schema)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+# each case: its query, and the node-label tables its SQL reads once emission
+# skips each label atom that the relation atoms imply on the YAGO schema
+IMPLIED_LABEL_ATOMS = {
+    # livesIn reaches a CITY, and its isLocatedIn a REGION
+    "implied": ("x,y <- (x, livesIn/isLocatedIn, y) && y:{REGION}", set()),
+    # isLocatedIn reaches a CITY, a REGION or a COUNTRY
+    "kept": ("x,y <- (x, isLocatedIn, y) && y:{REGION}", {"REGION"}),
+    # (z, isLocatedIn, y) alone would not confine y; z is a REGION
+    "through z": (
+        "x,y <- (x, livesIn/isLocatedIn, z) && (z, isLocatedIn, y) && y:{COUNTRY}",
+        set(),
+    ),
+    # y is a COUNTRY, since dealsWith leaves it, so x is a REGION
+    "backward": ("x,y <- (x, isLocatedIn, y) && (y, dealsWith, z) && x:{REGION}", set()),
+}
+
+
+@pytest.mark.parametrize("text, tables", IMPLIED_LABEL_ATOMS.values(), ids=IMPLIED_LABEL_ATOMS.keys())
+def test_label_atoms_the_relation_atoms_imply_emit_no_join(text, tables, yago_schema):
+    query = parse_query(text)
+    sql = emit_sql(query, yago_schema, dialect="sqlite")
+    assert set(re.findall(r"\bFROM (\w+)", sql)) & yago_schema.node_labels == tables
+    nonempty = 0
+    for seed in range(1, 6):
+        db = gen_db(yago_schema, seed=seed, nodes_per_label=5, edge_prob=0.4)
+        want = eval_ucqt(query, db)
+        assert sqlite_rows(sql, db, yago_schema) == want, seed
+        nonempty += bool(want)
+    assert nonempty >= 3
+
+
 def test_sqlite_matches_evaluator_on_yago_queries(yago_schema):
     db = gen_db(yago_schema, seed=3, nodes_per_label=8, edge_prob=0.3)
     for text in (README_QUERY, UNROLLED_QUERY):
@@ -321,11 +367,13 @@ def test_sqlite_matches_evaluator_on_yago_queries(yago_schema):
 @pytest.mark.parametrize("length", [64, 65, 130])
 def test_sqlite_runs_conjuncts_of_more_than_64_atoms(length, labelled, yago_schema):
     # SQLite joins at most 64 tables in one SELECT; past that, the atoms are
-    # nested in groups of 64
+    # nested in groups of 64. A label atom x_i:{PERSON} is implied by
+    # isMarriedTo, and emission skips it; one on a variable that no relation
+    # atom mentions binds that variable, and stays a one-column item
     db = gen_db(yago_schema, seed=2, nodes_per_label=4, edge_prob=0.5)
     relations = tuple(Relation(f"x{i}", Label("isMarriedTo"), f"x{i + 1}") for i in range(length))
     person = frozenset({"PERSON"})
-    labels = tuple(LabelAtom(f"x{i}", person) for i in range(0, length, 20)) if labelled else ()
+    labels = tuple(LabelAtom(f"w{i}", person) for i in range(0, length, 20)) if labelled else ()
     query = UcqtQuery(("x0", "x33", f"x{length}"), (Conjunct(relations, labels),))
     want = eval_ucqt(query, db)
     assert want
@@ -653,6 +701,24 @@ def test_sqlite_matches_evaluator_on_random_nests_around_the_join_limit(yago_sch
     # depths
     assert outcomes == {False, True}
     assert levels >= {1, 2, 3}, levels
+
+
+def test_a_node_used_twice_is_computed_once(yago_schema):
+    # e_{k+1} = (e_k|isMarriedTo)&(e_k|-isMarriedTo) adds three distinct
+    # nodes per level, but its tree doubles: spliced in at each use, the SQL
+    # of k = 12 would be 896,891 bytes and take seconds on SQLite. Each e_k
+    # of 1 <= k < 12 is used twice, and is one CTE
+    path = MARRIED
+    for _ in range(12):
+        path = Conj(Union(path, MARRIED), Union(path, BACK))
+    query = UcqtQuery(("x", "y"), (Conjunct((Relation("x", path, "y"),), ()),))
+    sql = emit_sql(query, yago_schema, dialect="sqlite")
+    assert len(sql.encode()) < 10_000
+    assert sql.count("(Sr, Tr) AS (") == 11
+    db = married_ring(5)
+    want = eval_ucqt(query, db)
+    assert want
+    assert sqlite_rows(sql, db, yago_schema) == want
 
 
 @pytest.mark.parametrize("count", [500, 501, 1200])
